@@ -11,7 +11,6 @@ model specifications, and paper-style reporting.
 from .datamodel import (
     Dataset,
     EdgeObservation,
-    SessionObservation,
     from_edges,
     load_dataset,
     write_dataset,
@@ -50,7 +49,6 @@ __all__ = [
     "FirstStageReport",
     "FitResult",
     "ModelSpec",
-    "SessionObservation",
     "SimConfig",
     "SimTruth",
     "aggregate_effect",

@@ -74,12 +74,12 @@ def _outdir(args) -> Path:
     return out
 
 
-def _fit_for(spec: ModelSpec, design) -> estimator.FitResult:
+def _fit_for(spec: ModelSpec, design, label: str) -> estimator.FitResult:
     if spec.method == "OLS":
-        return estimator.fit_ols(design)
+        return estimator.fit_ols(design, label)
     if spec.method == "ILS":
-        return estimator.fit_ils(design)
-    return estimator.fit_2sls(design)
+        return estimator.fit_ils(design, label)
+    return estimator.fit_2sls(design, label)
 
 
 def _estimation_dataset(ds: Dataset, spec: ModelSpec, args) -> Dataset:
@@ -87,9 +87,9 @@ def _estimation_dataset(ds: Dataset, spec: ModelSpec, args) -> Dataset:
         if ds.is_session_level():
             return ds
         return prepare.aggregate_sessions(ds, args.session_top_cut)
-    if getattr(args, "item", None) is not None:
-        ds = prepare.slice_by_item(ds, args.item)
-    if not getattr(args, "no_sample", False):
+    if args.item is not None:
+        return prepare.slice_by_item(ds, args.item, args.sample_seed)
+    if not args.no_sample:
         ds = prepare.sample_one_per_request(ds, args.sample_seed)
     return ds
 
@@ -138,9 +138,9 @@ def cmd_prepare(args) -> int:
         return 0
     if args.session_top_cut is not None:
         prepared = prepare.aggregate_sessions(ds, args.session_top_cut)
+    elif args.item is not None:
+        prepared = prepare.slice_by_item(ds, args.item, args.sample_seed)
     else:
-        if args.item is not None:
-            ds = prepare.slice_by_item(ds, args.item)
         prepared = prepare.sample_one_per_request(ds, args.sample_seed)
     path = out / "prepared.csv"
     write_dataset(prepared, str(path))
@@ -155,12 +155,11 @@ def cmd_estimate(args) -> int:
     design = prepare.build_design(ds, spec)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", WeakInstrumentWarning)
-        fit = _fit_for(spec, design)
+        fit = _fit_for(spec, design, spec.name)
     for w in caught:
         if issubclass(w.category, WeakInstrumentWarning):
             print(f"warning: {w.message}", file=sys.stderr)
 
-    fit.label = spec.name
     table = tables.render_table([fit])
     out = _outdir(args)
     (out / "table.txt").write_text(table, encoding="utf-8")
@@ -223,15 +222,13 @@ def cmd_report(args) -> int:
     ses: list[list[float]] = []
     fits_by_spec: dict[str, list[estimator.FitResult]] = {s.name: [] for s in spec_list}
     for item in items:
-        sliced = prepare.slice_by_item(ds, item)
-        sampled = prepare.sample_one_per_request(sliced, args.sample_seed)
+        sliced = prepare.slice_by_item(ds, item, args.sample_seed)
         row_v, row_s = [], []
         for spec in spec_list:
-            design = prepare.build_design(sampled, spec)
+            design = prepare.build_design(sliced, spec)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", WeakInstrumentWarning)
-                fit = _fit_for(spec, design)
-            fit.label = str(item)
+                fit = _fit_for(spec, design, str(item))
             fits_by_spec[spec.name].append(fit)
             name = "position" if "position" in fit.names else fit.names[0]
             row_v.append(fit.coefficient(name))
@@ -264,14 +261,23 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, so a bad value exits 2 before any work."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # a ValueError reads "invalid integer value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="override the config seed")
     common.add_argument("--config", default=None, help="JSON config (sim fields, schema_map)")
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument(
-        "--format", choices=("text", "json", "csv", "svg"), default="text"
-    )
+    positive, non_negative = _int_at_least(1), _int_at_least(0)
 
     parser = argparse.ArgumentParser(
         prog="posiv",
@@ -281,14 +287,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", parents=[common], help="generate synthetic data")
+    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("prepare", parents=[common], help="sample/slice/aggregate a dataset")
     p.add_argument("data")
     p.add_argument("--sample-seed", type=int, default=0)
     p.add_argument("--item", type=int, default=None)
-    p.add_argument("--top-n", type=int, default=None)
-    p.add_argument("--session-top-cut", type=int, default=None)
+    p.add_argument("--top-n", type=positive, default=None)
+    p.add_argument("--session-top-cut", type=non_negative, default=None)
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("estimate", parents=[common], help="fit one specification")
@@ -297,21 +304,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-seed", type=int, default=0)
     p.add_argument("--item", type=int, default=None)
     p.add_argument("--no-sample", action="store_true",
-                   help="skip one-row-per-request sampling")
-    p.add_argument("--session-top-cut", type=int, default=4)
+                   help="skip one-row-per-request sampling (an --item slice keeps "
+                   "one row per request regardless)")
+    p.add_argument("--session-top-cut", type=non_negative, default=4)
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("diagnose", parents=[common], help="per-item first-stage forest plot")
     p.add_argument("data")
-    p.add_argument("--top-n", type=int, default=30)
+    p.add_argument("--top-n", type=positive, default=30)
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("report", parents=[common], help="per-item effects across specs")
     p.add_argument("data")
     p.add_argument("--specs", default="spec1,spec2,spec3")
-    p.add_argument("--top-n", type=int, default=5)
-    p.add_argument("--k1", type=int, default=2)
-    p.add_argument("--k2", type=int, default=1)
+    p.add_argument("--top-n", type=positive, default=5)
+    p.add_argument("--k1", type=positive, default=2)
+    p.add_argument("--k2", type=positive, default=1)
     p.add_argument("--sample-seed", type=int, default=0)
     p.set_defaults(func=cmd_report)
     return parser

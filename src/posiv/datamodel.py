@@ -50,7 +50,6 @@ SESSION_SCHEMA: tuple[tuple[str, str, bool], ...] = (
     ("invite_total", "int", True),
 )
 
-_INT_KINDS = {"int"}
 _UINT64_MAX = 2**64 - 1
 
 
@@ -67,19 +66,6 @@ class EdgeObservation:
     reason: str | None = None
     relevance_score: float | None = None
     session_depth: int | None = None
-
-
-@dataclass(frozen=True)
-class SessionObservation:
-    """One request aggregated: top/bottom slot counts and the outcome total."""
-
-    request_id: int
-    user_id: int
-    arm: str | None
-    reason_mode: str | None
-    n_top_spot: int
-    n_bottom_spot: int
-    invite_total: int
 
 
 class Dataset:
@@ -393,11 +379,12 @@ def load_dataset(path: str, schema_map: Mapping[str, str] | None = None) -> Data
 
     _require_constant_arm_per_user(data)
 
-    ds = Dataset(data, schema, "", n_dropped=dropped)
-    n_dup = ds.n_rows - len(set(ds.row_tuples()))
-    ds.n_duplicates = n_dup
-    ds.provenance = f"load:{path} dropped={dropped} duplicates={n_dup}"
-    return ds
+    rows = Dataset(data, schema).row_tuples()
+    n_dup = len(rows) - len(set(rows))
+    return Dataset(
+        data, schema, f"load:{path} dropped={dropped} duplicates={n_dup}",
+        n_dropped=dropped, n_duplicates=n_dup,
+    )
 
 
 def _format_cell(kind: str, value) -> str:

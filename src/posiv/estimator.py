@@ -253,13 +253,52 @@ def fit_ols(design: DesignMatrix, label: str | None = None) -> FitResult:
     return _inference("OLS", design, names, coef, m, resid, fact.bread(), label)
 
 
-def _first_stage_fits(design: DesignMatrix):
-    """OLS of each endogenous column on [Z, X]; shared by 2SLS/ILS/reports."""
+def _first_stage(design: DesignMatrix):
+    """OLS of each endogenous column on one factorization of [Z, X], shared by
+    2SLS, ILS and first_stage. Returns (fact, gamma, fitted, FirstStageReport)."""
     p = np.hstack([design.z, design.x])
     fact = _Factorization(p, "instrument")
     gamma = fact.solve(design.w)  # (p_z + p_x, p_w)
     fitted = p @ gamma
-    return p, fact, gamma, fitted
+    bread = fact.bread()
+    p_z = design.z.shape[1]
+    equations = []
+    n_groups = 0
+    for j, name in enumerate(design.w_names):
+        resid = design.w[:, j] - fitted[:, j]
+        cov, n_groups = cluster_cov(p, resid, design.clusters, bread)
+        coef_z = gamma[:p_z, j]
+        cov_zz = cov[:p_z, :p_z]
+        se_z = np.sqrt(np.clip(np.diag(cov_zz), 0.0, None))
+        try:
+            solved = np.linalg.solve(cov_zz, coef_z)
+        except np.linalg.LinAlgError:
+            solved = np.linalg.pinv(cov_zz) @ coef_z
+        f_stat = float(coef_z @ solved) / p_z
+        p_value = float(sstats.f.sf(f_stat, p_z, n_groups - 1))
+        tcrit = float(sstats.t.ppf(0.975, n_groups - 1))
+        ci_low = coef_z - tcrit * se_z
+        ci_high = coef_z + tcrit * se_z
+        if ci_high[0] < 0.0:
+            label = "negative"
+        elif ci_low[0] > 0.0:
+            label = "positive"
+        else:
+            label = "null"
+        equations.append(
+            FirstStageEquation(
+                endogenous=name,
+                instrument_names=design.z_names,
+                coef=coef_z,
+                se=se_z,
+                ci_low=ci_low,
+                ci_high=ci_high,
+                f_stat=f_stat,
+                p_value=p_value,
+                classification=label,
+            )
+        )
+    return fact, gamma, fitted, FirstStageReport(tuple(equations), design.n_obs, n_groups)
 
 
 def fit_2sls(design: DesignMatrix, label: str | None = None) -> FitResult:
@@ -270,14 +309,13 @@ def fit_2sls(design: DesignMatrix, label: str | None = None) -> FitResult:
         raise Underidentified(
             f"{design.z.shape[1]} instruments for {design.w.shape[1]} endogenous columns"
         )
-    _, _, gamma, w_hat = _first_stage_fits(design)
+    _, _, w_hat, report = _first_stage(design)
     m2 = np.hstack([w_hat, design.x])
     names = design.w_names + design.x_names
     fact2 = _Factorization(m2, "projected design")
     coef = fact2.solve(design.y)
     structural = design.y - np.hstack([design.w, design.x]) @ coef
 
-    report = first_stage(design)
     fs_f = {eq.endogenous: eq.f_stat for eq in report.equations}
     notes: tuple[str, ...] = ()
     weakest = min(fs_f.values()) if fs_f else math.inf
@@ -303,12 +341,9 @@ def fit_ils(design: DesignMatrix, label: str | None = None) -> FitResult:
             f"ILS needs exactly 1 endogenous and 1 instrument column, got "
             f"{design.w.shape[1]} and {design.z.shape[1]}"
         )
-    p, fact_p, gamma, w_hat = _first_stage_fits(design)
-    pi = float(gamma[0, 0])
-
-    fs_resid = design.w[:, 0] - w_hat[:, 0]
-    fs_cov, _ = cluster_cov(p, fs_resid, design.clusters, fact_p.bread())
-    se_pi = math.sqrt(max(fs_cov[0, 0], 0.0))
+    fact_p, gamma, w_hat, report = _first_stage(design)
+    eq = report.equations[0]
+    pi, se_pi = float(eq.coef[0]), float(eq.se[0])
     if se_pi > 0 and abs(pi) / se_pi < ILS_ZERO_T:
         raise ZeroFirstStage(
             f"first-stage coefficient {pi:.3g} (se {se_pi:.3g}) is "
@@ -341,45 +376,7 @@ def first_stage(design: DesignMatrix) -> FirstStageReport:
     """
     if design.z.shape[1] == 0:
         raise Underidentified("design has no instruments")
-    p, fact, gamma, fitted = _first_stage_fits(design)
-    p_z = design.z.shape[1]
-    equations = []
-    n_groups = 0
-    for j, name in enumerate(design.w_names):
-        resid = design.w[:, j] - fitted[:, j]
-        cov, n_groups = cluster_cov(p, resid, design.clusters, fact.bread())
-        coef_z = gamma[:p_z, j]
-        cov_zz = cov[:p_z, :p_z]
-        se_z = np.sqrt(np.clip(np.diag(cov_zz), 0.0, None))
-        try:
-            solved = np.linalg.solve(cov_zz, coef_z)
-        except np.linalg.LinAlgError:
-            solved = np.linalg.pinv(cov_zz) @ coef_z
-        f_stat = float(coef_z @ solved) / p_z
-        p_value = float(sstats.f.sf(f_stat, p_z, n_groups - 1))
-        tcrit = float(sstats.t.ppf(0.975, n_groups - 1))
-        ci_low = coef_z - tcrit * se_z
-        ci_high = coef_z + tcrit * se_z
-        if ci_high[0] < 0.0:
-            label = "negative"
-        elif ci_low[0] > 0.0:
-            label = "positive"
-        else:
-            label = "null"
-        equations.append(
-            FirstStageEquation(
-                endogenous=name,
-                instrument_names=design.z_names,
-                coef=coef_z,
-                se=se_z,
-                ci_low=ci_low,
-                ci_high=ci_high,
-                f_stat=f_stat,
-                p_value=p_value,
-                classification=label,
-            )
-        )
-    return FirstStageReport(tuple(equations), design.n_obs, n_groups)
+    return _first_stage(design)[3]
 
 
 def _position_coefficient(fit: FitResult) -> float:

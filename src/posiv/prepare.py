@@ -104,8 +104,8 @@ def sample_one_per_request(ds: Dataset, seed: int) -> Dataset:
     )
 
 
-def slice_by_item(ds: Dataset, item_id: int) -> Dataset:
-    """Rows of one item, at most one per request (hash rule with seed 0)."""
+def slice_by_item(ds: Dataset, item_id: int, seed: int = 0) -> Dataset:
+    """Rows of one item, at most one per request (hash rule with this seed)."""
     items = ds.column("item_id")
     mask = items == np.uint64(item_id)
     if not mask.any():
@@ -113,7 +113,7 @@ def slice_by_item(ds: Dataset, item_id: int) -> Dataset:
     sliced = ds.subset(mask, provenance=f"{ds.provenance} | item={item_id}")
     req = sliced.column("request_id")
     if len(np.unique(req)) < len(req):
-        winners = _winner_per_request(req, seed=0)
+        winners = _winner_per_request(req, seed)
         sliced = sliced.subset(winners, provenance=sliced.provenance)
     return sliced
 

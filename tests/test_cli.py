@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from posiv.cli import main
-from posiv.datamodel import write_dataset
+from posiv.datamodel import Dataset, write_dataset
 from posiv.simulator import SimConfig, simulate
 from posiv.tables import STAR_NOTE, format_value
 
@@ -328,3 +328,48 @@ def test_report_singleton(ads_outdir, tmp_path, capsys):
     lines = (out / "effects.csv").read_text(encoding="utf-8").splitlines()
     assert len(lines) - 1 == 1
     assert "se n/a" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagnose", "--top-n", "0"],
+    ["prepare", "--top-n", "0"],
+    ["report", "--top-n", "0"],
+    ["report", "--k1", "0"],
+    ["report", "--k2", "-1"],
+    ["prepare", "--session-top-cut", "-1"],
+    ["estimate", "--spec", "spec1", "--session-top-cut", "-1"],
+    ["diagnose", "--top-n", "many"],
+    ["diagnose", "--seed", "3"],
+    ["estimate", "--spec", "spec1", "--format", "csv"],
+])
+def test_bad_arguments_exit_2_before_any_work(ads_outdir, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], str(ads_outdir / "dataset.csv"), *argv[1:], "--out", str(out)])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sample_seed_chooses_among_repeats_in_item_slices(tmp_path):
+    # every item shown in a request appears there twice, at two positions
+    # with opposite outcomes, so a per-item slice must pick one row each
+    ds, _ = simulate(SimConfig(**ADS_CONFIG))
+    twin = {name: ds.column(name) for name in ds.column_names}
+    twin["position"] = twin["position"] % ADS_CONFIG["slots_per_request"] + 1
+    twin["outcome"] = 1 - twin["outcome"]
+    data = tmp_path / "repeated.csv"
+    doubled = {name: np.concatenate([ds.column(name), twin[name]]) for name in twin}
+    write_dataset(Dataset(doubled, ds.schema), str(data))
+
+    outputs = {}
+    for seed in ("0", "3"):
+        rep, prep = tmp_path / f"rep{seed}", tmp_path / f"prep{seed}"
+        assert main(["report", str(data), "--specs", "spec1", "--top-n", "2",
+                     "--sample-seed", seed, "--out", str(rep)]) == 0
+        assert main(["prepare", str(data), "--item", "1", "--sample-seed", seed,
+                     "--out", str(prep)]) == 0
+        outputs[seed] = [(rep / "effects.csv").read_bytes(),
+                         (prep / "prepared.csv").read_bytes()]
+    assert outputs["0"][0] != outputs["3"][0]
+    assert outputs["0"][1] != outputs["3"][1]

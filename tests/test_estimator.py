@@ -115,6 +115,31 @@ def test_2sls_matches_projected_pinv_oracle():
         assert _rel_err(got, want) < 1e-10
 
 
+@pytest.mark.parametrize("fit, n_svd", [
+    (fit_ols, 1),
+    (fit_2sls, 2),  # [Z, X] once for the projection and the F report, then [W_hat, X]
+    (fit_ils, 2),
+    (first_stage, 1),
+])
+def test_factorization_count(monkeypatch, fit, n_svd):
+    rng = np.random.default_rng(8)
+    n = 200
+    z = (rng.random(n) < 0.5).astype(float)
+    w = 2.0 * z + rng.normal(size=n)
+    y = 1.0 - 0.5 * w + rng.normal(size=n)
+    d = make_design(y, w, z, rng.normal(size=n), clusters=np.arange(n) % 25)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    fit(d)
+    assert len(calls) == n_svd
+
+
 def test_2sls_with_endogenous_in_instruments_equals_ols():
     rng = np.random.default_rng(5)
     n = 150
