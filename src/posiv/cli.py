@@ -125,9 +125,8 @@ def cmd_prepare(args) -> int:
     out = _outdir(args)
     if args.top_n is not None:
         items = prepare.top_items(ds, args.top_n)
-        counts = {
-            int(i): int((ds.column("item_id") == np.uint64(i)).sum()) for i in items
-        }
+        ids, n_rows = np.unique(ds.column("item_id"), return_counts=True)
+        counts = dict(zip(ids.tolist(), n_rows.tolist()))
         path = out / "top_items.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")

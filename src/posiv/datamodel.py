@@ -11,9 +11,12 @@ hashed with FNV-1a so fixtures stay portable.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
+import operator
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -218,34 +221,6 @@ def parse_id(value: str) -> int:
     return fnv1a64(value)
 
 
-def _parse_cell(kind: str, name: str, value: str):
-    """Parse one CSV cell. Returns None for an absent optional value.
-
-    Raises ValueError when the value fails type or range validation.
-    """
-    if value == "":
-        return None
-    if kind == "id":
-        return parse_id(value)
-    if kind == "int":
-        n = int(value)
-        if name == "outcome" and n not in (0, 1):
-            raise ValueError("outcome not binary")
-        if name in ("position", "session_depth") and n < 1:
-            raise ValueError(f"{name} below 1")
-        if name in ("n_top_spot", "n_bottom_spot", "invite_total") and n < 0:
-            raise ValueError(f"{name} negative")
-        return n
-    if kind == "float":
-        x = float(value)
-        if not math.isfinite(x):
-            raise ValueError("non-finite value")
-        if name == "relevance_score" and not (0.0 <= x <= 1.0):
-            raise ValueError("relevance_score outside [0, 1]")
-        return x
-    return value
-
-
 def _require_constant_arm_per_user(data: Mapping[str, np.ndarray]) -> None:
     if "arm" not in data or len(data["arm"]) == 0:
         return
@@ -262,49 +237,120 @@ def _require_constant_arm_per_user(data: Mapping[str, np.ndarray]) -> None:
         )
 
 
-def _read_records(path: str) -> tuple[list[str], list[dict[str, str]]]:
-    """Raw records from CSV (by extension .jsonl/.ndjson: JSON lines)."""
+def _read_columns(path: str) -> tuple[list[str], dict[str, Sequence[str]]]:
+    """Header and raw cells by column name from CSV (by extension
+    .jsonl/.ndjson: JSON lines).
+
+    CSV keeps the csv.DictReader conventions: blank rows are skipped, short
+    rows padded with "", extra cells ignored, and of repeated header names the
+    last column wins. A JSON line's absent key or null value is "".
+    """
+    # Reading allocates a list per row and transposing an iterator per row;
+    # with the cyclic collector running, those allocations trigger
+    # collections that rescan every row read so far.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         if str(path).endswith((".jsonl", ".ndjson")):
-            records = []
-            keys: list[str] = []
             with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    obj = json.loads(line)
-                    rec = {
-                        k: ("" if v is None else str(v)) for k, v in obj.items()
-                    }
-                    for k in rec:
-                        if k not in keys:
-                            keys.append(k)
-                    records.append(rec)
-            return keys, records
+                records = [json.loads(line) for line in fh if line.strip()]
+            if not all(isinstance(rec, dict) for rec in records):
+                raise InputError(f"JSON line in {path!r} is not an object")
+            header = list(dict.fromkeys(k for rec in records for k in rec))
+            return header, {
+                key: ["" if (v := rec.get(key)) is None else str(v) for rec in records]
+                for key in header
+            }
         with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                return [], []
-            return list(reader.fieldnames), [dict(r) for r in reader]
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = list(filter(None, reader))
+        width = len(header)
+        if set(map(len, rows)) - {width}:  # some row is short or long
+            rows = [row[:width] + [""] * (width - len(row)) for row in rows]
+        columns = list(zip(*rows)) or [()] * width
+        return header, dict(zip(header, columns))
     except OSError as exc:
         raise IoFailure(f"cannot read {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON line in {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path!r} is not UTF-8: {exc}") from exc
+    finally:
+        if collecting:
+            gc.enable()
 
 
-def _validate_edge_row(values: dict) -> None:
-    if values.get("arm") is None and "arm" in values:
-        raise ValueError("arm empty")
-    depth, pos = values.get("session_depth"), values["position"]
-    if depth is not None and depth < pos:
-        raise ValueError("session_depth below position")
+def _id_column(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """uint64 ids and a mask of the cells that drop their row: empty, or a
+    value parse_id rejects. parse_id runs once per distinct string."""
+    values, failed = [], []
+    distinct = dict.fromkeys(cells)
+    for text in distinct:
+        try:
+            values.append(parse_id(text) if text else 0)
+            failed.append(not text)
+        except ValueError:  # a digit that int() rejects, such as "²"
+            values.append(0)
+            failed.append(True)
+    codes = dict(zip(distinct, range(len(distinct))))
+    index = np.fromiter(map(codes.__getitem__, cells), dtype=np.intp, count=len(cells))
+    return np.array(values, dtype=np.uint64)[index], np.array(failed, dtype=bool)[index]
 
 
-def _validate_session_row(values: dict) -> None:
-    size = values["n_top_spot"] + values["n_bottom_spot"]
-    if values["invite_total"] > size:
-        raise ValueError("invite_total exceeds session size")
+def _number_column(
+    kind: str, name: str, cells: Sequence[str], missing: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """int64 or float64 values (0 where missing) and a mask of the present
+    cells that drop their row.
+
+    Python's own int/float convert the present cells in one pass; if that
+    raises, the column is redone cell by cell and each cell that int/float
+    rejects, or that overflows int64, fails alone. Then the range rules apply.
+    """
+    dtype, convert = (np.float64, float) if kind == "float" else (np.int64, int)
+    values = np.zeros(len(cells), dtype=dtype)
+    failed = np.zeros(len(cells), dtype=bool)
+    present = np.flatnonzero(~missing)
+    try:
+        values[present] = np.array(
+            list(map(convert, compress(cells, (~missing).tolist()))), dtype=dtype
+        )
+    except (ValueError, OverflowError):
+        for i in present.tolist():
+            try:
+                values[i] = convert(cells[i])
+            except (ValueError, OverflowError):
+                failed[i] = True
+    if kind == "float":
+        failed |= ~np.isfinite(values)
+        if name == "relevance_score":
+            failed |= (values < 0.0) | (values > 1.0)
+    elif name == "outcome":
+        failed |= (values != 0) & (values != 1)
+    elif name in ("position", "session_depth"):
+        failed |= values < 1
+    elif name in ("n_top_spot", "n_bottom_spot", "invite_total"):
+        failed |= values < 0
+    return values, failed & ~missing
+
+
+def _count_duplicates(data: Mapping[str, np.ndarray]) -> int:
+    """Number of rows equal to an earlier row in every column, with NaN equal
+    to NaN and -0.0 equal to 0.0 as in row_tuples, from one lexsort."""
+    keys = []
+    for arr in data.values():
+        if arr.dtype.kind == "f":
+            canon = arr + 0.0
+            canon[np.isnan(canon)] = np.nan
+            keys.append(canon.view(np.uint64))
+        elif arr.dtype.kind in "ui":
+            keys.append(arr.astype(np.uint64, copy=False))
+        else:
+            keys.append(np.unique(arr, return_inverse=True)[1].astype(np.uint64))
+    table = np.stack(keys)
+    table = table[:, np.lexsort(table)]
+    return int((table[:, 1:] == table[:, :-1]).all(axis=0).sum())
 
 
 def load_dataset(path: str, schema_map: Mapping[str, str] | None = None) -> Dataset:
@@ -316,7 +362,7 @@ def load_dataset(path: str, schema_map: Mapping[str, str] | None = None) -> Data
     lands in the provenance tag. For edge files an absent user_id falls back
     to request_id, so each request is its own cluster.
     """
-    header, records = _read_records(path)
+    header, table = _read_columns(path)
 
     session = (schema_map or {}).get("n_top_spot", "n_top_spot") in header
     schema = SESSION_SCHEMA if session else EDGE_SCHEMA
@@ -324,79 +370,84 @@ def load_dataset(path: str, schema_map: Mapping[str, str] | None = None) -> Data
     if schema_map:
         colmap.update({k: v for k, v in schema_map.items() if k in colmap})
 
-    required = [n for n, _, req in schema if req]
-    for name in required:
-        if colmap[name] not in header:
+    for name, _, req in schema:
+        if req and colmap[name] not in header:
             raise MissingColumn(
                 f"required field {name!r} (column {colmap[name]!r}) absent from {path!r}"
             )
-    present = [n for n, _, _ in schema if colmap[n] in header]
 
-    kinds = {n: k for n, k, _ in schema}
-    parsed: dict[str, list] = {n: [] for n in present}
-    dropped = 0
-    for rec in records:
-        try:
-            values = {}
-            for name in present:
-                cell = rec.get(colmap[name])
-                values[name] = _parse_cell(kinds[name], name, cell if cell is not None else "")
-            for name in required:
-                if values[name] is None:
-                    raise ValueError(f"{name} empty")
-            if session:
-                _validate_session_row(values)
-            else:
-                _validate_edge_row(values)
-        except (ValueError, TypeError):
-            dropped += 1
+    values: dict[str, np.ndarray | Sequence[str]] = {}
+    missing: dict[str, np.ndarray] = {}
+    n = len(table[colmap["request_id"]])
+    drop = np.zeros(n, dtype=bool)
+    for name, kind, req in schema:
+        if colmap[name] not in header:
             continue
-        for name in present:
-            parsed[name].append(values[name])
+        cells = table[colmap[name]]
+        empty = (
+            np.fromiter(map(operator.not_, cells), dtype=bool, count=n)
+            if "" in cells else np.zeros(n, dtype=bool)
+        )
+        if kind == "id":
+            values[name], failed = _id_column(cells)
+        elif kind == "str":
+            values[name], failed = cells, np.zeros(n, dtype=bool)
+        else:
+            values[name], failed = _number_column(kind, name, cells, empty)
+        missing[name] = empty
+        drop |= failed | (empty if req else False)
+    if session:
+        # Counts of kept rows are >= 0, so their uint64 sum is exact where an
+        # int64 sum of two large counts would wrap.
+        size = values["n_top_spot"].view(np.uint64) + values["n_bottom_spot"].view(np.uint64)
+        drop |= values["invite_total"].view(np.uint64) > size
+    else:
+        if "arm" in missing:
+            drop |= missing["arm"]
+        if "session_depth" in values:  # compared as int64, exact above 2**53
+            drop |= ~missing["session_depth"] & (values["session_depth"] < values["position"])
 
-    if not parsed.get("request_id"):
+    keep = ~drop
+    dropped = int(drop.sum())
+    if dropped == n:
         raise EmptyDataset(f"no valid rows in {path!r} ({dropped} dropped)")
 
-    int_columns = {"position", "outcome", "n_top_spot", "n_bottom_spot", "invite_total"}
     data: dict[str, np.ndarray] = {}
-    for name in present:
-        kind = kinds[name]
-        vals = parsed[name]
-        if kind == "id":
-            data[name] = np.array(vals, dtype=np.uint64)
-        elif kind == "int" and name in int_columns:
-            data[name] = np.array(vals, dtype=np.int64)
-        elif kind == "int":
-            data[name] = np.array(
-                [math.nan if v is None else float(v) for v in vals]
-            )
-        elif kind == "float":
-            data[name] = np.array([math.nan if v is None else v for v in vals])
+    for name, kind, _ in schema:
+        if name not in values:
+            continue
+        if kind == "str":
+            data[name] = np.array(list(compress(values[name], keep.tolist())))
+        elif kind == "float" or name == "session_depth":  # NaN marks an empty cell
+            data[name] = np.where(missing[name], math.nan, values[name])[keep]
         else:
-            data[name] = np.array(["" if v is None else v for v in vals])
+            data[name] = values[name][keep]
     if "user_id" not in data:
         data["user_id"] = data["request_id"].copy()
 
     _require_constant_arm_per_user(data)
 
-    rows = Dataset(data, schema).row_tuples()
-    n_dup = len(rows) - len(set(rows))
+    n_dup = _count_duplicates(data)
     return Dataset(
         data, schema, f"load:{path} dropped={dropped} duplicates={n_dup}",
         n_dropped=dropped, n_duplicates=n_dup,
     )
 
 
-def _format_cell(kind: str, value) -> str:
-    if kind == "id":
-        return str(int(value))
-    if kind == "int":
-        if isinstance(value, float) or (hasattr(value, "dtype") and value.dtype.kind == "f"):
-            return "" if math.isnan(float(value)) else str(int(value))
-        return str(int(value))
+def _format_column(kind: str, col: np.ndarray) -> list[str]:
+    """CSV cells of one column: ids and ints as integers, floats as repr, and
+    "" for NaN (an absent optional value)."""
+    if kind == "str" or (kind != "float" and col.dtype.kind in "iu"):
+        return list(map(str, col.tolist()))
+    col = col.astype(np.float64, copy=False)
+    absent = np.isnan(col)
     if kind == "float":
-        return "" if math.isnan(float(value)) else repr(float(value))
-    return str(value)
+        cells = list(map(repr, col.tolist()))
+    else:
+        cells = list(map(str, map(int, np.where(absent, 0.0, col).tolist())))
+    for i in np.flatnonzero(absent).tolist():
+        cells[i] = ""
+    return cells
 
 
 def write_dataset(ds: Dataset, path: str) -> None:
@@ -406,14 +457,11 @@ def write_dataset(ds: Dataset, path: str) -> None:
     """
     kinds = {n: k for n, k, _ in ds.schema}
     names = list(ds.column_names)
+    columns = [_format_column(kinds[n], ds.column(n)) for n in names]
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(names)
-            columns = [ds.column(n) for n in names]
-            for i in range(ds.n_rows):
-                writer.writerow(
-                    [_format_cell(kinds[n], col[i]) for n, col in zip(names, columns)]
-                )
+            writer.writerows(zip(*columns))
     except OSError as exc:
         raise IoFailure(f"cannot write {path!r}: {exc}") from exc

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sstats
 
 from .errors import (
     Collinear,
@@ -216,7 +215,9 @@ def _inference(
     with np.errstate(divide="ignore", invalid="ignore"):
         se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
         t_stat = coef / se
-    p_value = 2.0 * sstats.t.sf(np.abs(t_stat), df=n_groups - 1)
+    from scipy import special  # deferred: ~0.3 s of import a CLI run without fits skips
+
+    p_value = 2.0 * special.stdtr(n_groups - 1, -np.abs(t_stat))
     ssr = float(structural_resid @ structural_resid)
     tss = float(((y - y.mean()) ** 2).sum())
     r_squared = 1.0 - ssr / tss if tss > 0 else math.nan
@@ -256,6 +257,8 @@ def fit_ols(design: DesignMatrix, label: str | None = None) -> FitResult:
 def _first_stage(design: DesignMatrix):
     """OLS of each endogenous column on one factorization of [Z, X], shared by
     2SLS, ILS and first_stage. Returns (fact, gamma, fitted, FirstStageReport)."""
+    from scipy import special  # deferred, as in _inference
+
     p = np.hstack([design.z, design.x])
     fact = _Factorization(p, "instrument")
     gamma = fact.solve(design.w)  # (p_z + p_x, p_w)
@@ -275,8 +278,10 @@ def _first_stage(design: DesignMatrix):
         except np.linalg.LinAlgError:
             solved = np.linalg.pinv(cov_zz) @ coef_z
         f_stat = float(coef_z @ solved) / p_z
-        p_value = float(sstats.f.sf(f_stat, p_z, n_groups - 1))
-        tcrit = float(sstats.t.ppf(0.975, n_groups - 1))
+        # fdtrc is NaN below 0 where f.sf is 1; a near-singular cov_zz can
+        # leave F a rounding error below 0.
+        p_value = float(special.fdtrc(p_z, n_groups - 1, max(f_stat, 0.0)))
+        tcrit = float(special.stdtrit(n_groups - 1, 0.975))
         ci_low = coef_z - tcrit * se_z
         ci_high = coef_z + tcrit * se_z
         if ci_high[0] < 0.0:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import posiv
 from posiv.cli import main
 from posiv.datamodel import Dataset, write_dataset
 from posiv.simulator import SimConfig, simulate
@@ -208,6 +213,9 @@ def test_prepare_sample_and_sessions(tmp_path):
     lines = (out3 / "top_items.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "item_id,n_rows"
     assert len(lines) == 8
+    for line in lines[1:]:
+        item, n_rows = map(int, line.split(","))
+        assert n_rows == int((ds.column("item_id") == np.uint64(item)).sum())
 
 
 def test_diagnose_forest_and_csv(ads_outdir, tmp_path):
@@ -373,3 +381,14 @@ def test_sample_seed_chooses_among_repeats_in_item_slices(tmp_path):
                          (prep / "prepared.csv").read_bytes()]
     assert outputs["0"][0] != outputs["3"][0]
     assert outputs["0"][1] != outputs["3"][1]
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    """scipy.stats costs most of a second at start-up and the CLI needs only
+    scipy.special's distribution functions."""
+    src = str(Path(posiv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run(
+        [sys.executable, "-c", "import posiv.cli, sys; assert 'scipy.stats' not in sys.modules"],
+        env=env, check=True,
+    )
