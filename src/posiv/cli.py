@@ -12,6 +12,7 @@ import csv
 import json
 import sys
 import warnings
+from collections import Counter
 from dataclasses import fields as dc_fields
 from pathlib import Path
 
@@ -74,7 +75,7 @@ def _outdir(args) -> Path:
     return out
 
 
-def _fit_for(spec: ModelSpec, design, label: str) -> estimator.FitResult:
+def _fit_for(spec: ModelSpec, design, label: str | None = None):
     if spec.method == "OLS":
         return estimator.fit_ols(design, label)
     if spec.method == "ILS":
@@ -170,44 +171,55 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+def _status(result) -> str:
+    return type(result).__name__ if isinstance(result, EstimationError) else "ok"
+
+
+def _failures(statuses: list[str]) -> str:
+    failed = Counter(s for s in statuses if s != "ok")
+    detail = "".join(f", {name}={n}" for name, n in sorted(failed.items()))
+    return f"failed items: {sum(failed.values())} of {len(statuses)}{detail}"
+
+
 def cmd_diagnose(args) -> int:
     ds = _load(args.data, _read_config(args.config))
     items = prepare.top_items(ds, args.top_n)
     spec = ModelSpec("first-stage", "edge", "outcome", ("position",), "arm", ())
-    rows = []
-    for item in items:
-        sliced = prepare.slice_by_item(ds, item)
-        design = prepare.build_design(sliced, spec)
-        eq = estimator.first_stage(design).equation("position")
-        rows.append(
-            (
-                str(item),
-                float(eq.coef[0]),
-                float(eq.se[0]),
-                float(eq.ci_low[0]),
-                float(eq.ci_high[0]),
-                eq.classification,
-            )
-        )
+    design = prepare.build_design(prepare.slice_by_item(ds, items), spec, by_item=True)
+    reports = estimator.first_stage(design)
+    statuses = [_status(r) for r in reports]
+    rows = [
+        (label, r.equation("position"))
+        for label, r in zip(design.items.labels, reports) if not isinstance(r, EstimationError)
+    ]
     out = _outdir(args)
     csv_path = out / "first_stage.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["item_id", "coef", "se", "ci_low", "ci_high", "classification"])
-        for label, coef, se, lo, hi, cls in rows:
-            writer.writerow([label, repr(coef), repr(se), repr(lo), repr(hi), cls])
+        writer.writerow(["item_id", "coef", "se", "ci_low", "ci_high", "status", "classification"])
+        for label, report in zip(design.items.labels, reports):
+            if isinstance(report, EstimationError):
+                writer.writerow([label, "", "", "", "", _status(report), ""])
+                continue
+            eq = report.equation("position")
+            cells = (eq.coef, eq.se, eq.ci_low, eq.ci_high)
+            writer.writerow([label, *(repr(float(c[0])) for c in cells), "ok", eq.classification])
+    if not rows:
+        raise EstimationError(f"every item failed; {_failures(statuses)}; wrote {csv_path}")
     svg_path = out / "first_stage.svg"
     svg_path.write_text(
-        plots.forest_svg([(r[0], r[1], r[3], r[4], r[5]) for r in rows]),
+        plots.forest_svg([(label, float(eq.coef[0]), float(eq.ci_low[0]), float(eq.ci_high[0]),
+                           eq.classification) for label, eq in rows]),
         encoding="utf-8",
     )
     shares = {cls: 0 for cls in ("negative", "null", "positive")}
-    for r in rows:
-        shares[r[5]] += 1
+    for _, eq in rows:
+        shares[eq.classification] += 1
     print(
         f"wrote {csv_path} and {svg_path}; classes: "
         + ", ".join(f"{k}={v}" for k, v in shares.items())
     )
+    print(_failures(statuses))
     return 0
 
 
@@ -217,39 +229,42 @@ def cmd_report(args) -> int:
     if not spec_list:
         raise InputError("no specifications given")
     items = prepare.top_items(ds, args.top_n)
-    values: list[list[float]] = []
-    ses: list[list[float]] = []
-    fits_by_spec: dict[str, list[estimator.FitResult]] = {s.name: [] for s in spec_list}
-    for item in items:
-        sliced = prepare.slice_by_item(ds, item, args.sample_seed)
-        row_v, row_s = [], []
-        for spec in spec_list:
-            design = prepare.build_design(sliced, spec)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", WeakInstrumentWarning)
-                fit = _fit_for(spec, design, str(item))
-            fits_by_spec[spec.name].append(fit)
-            name = "position" if "position" in fit.names else fit.names[0]
-            row_v.append(fit.coefficient(name))
-            row_s.append(fit.se_of(name))
-        values.append(row_v)
-        ses.append(row_s)
+    sliced = prepare.slice_by_item(ds, items, args.sample_seed)
+    by_spec = []  # per spec: each item's FitResult or EstimationError
+    for spec in spec_list:
+        design = prepare.build_design(sliced, spec, by_item=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeakInstrumentWarning)
+            by_spec.append(_fit_for(spec, design))
+    labels = [str(item) for item in items]
+    per_item = list(zip(*by_spec))  # per item: one result per spec
+    # an item fails when any of its specs does, so every tau averages one item set
+    statuses = [next((s for s in map(_status, res) if s != "ok"), "ok") for res in per_item]
 
     out = _outdir(args)
     csv_path = out / "effects.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["item_id", "spec", "coef", "se"])
-        for i, item in enumerate(items):
-            for g, spec in enumerate(spec_list):
-                writer.writerow([item, spec.name, repr(values[i][g]), repr(ses[i][g])])
+        writer.writerow(["item_id", "spec", "coef", "se", "status"])
+        for label, results in zip(labels, per_item):
+            for spec, fit in zip(spec_list, results):
+                if isinstance(fit, EstimationError):
+                    writer.writerow([label, spec.name, "", "", _status(fit)])
+                else:
+                    name = _effect_name(fit)
+                    writer.writerow([label, spec.name, repr(fit.coefficient(name)),
+                                     repr(fit.se_of(name)), "ok"])
+    ok = [i for i, status in enumerate(statuses) if status == "ok"]
+    if not ok:
+        raise EstimationError(f"every item failed; {_failures(statuses)}; wrote {csv_path}")
     svg_path = out / "effects.svg"
+    values = [[r.coefficient(_effect_name(r)) for r in per_item[i]] for i in ok]
     svg_path.write_text(
-        plots.bars_svg([str(i) for i in items], [s.name for s in spec_list], values),
+        plots.bars_svg([labels[i] for i in ok], [s.name for s in spec_list], values),
         encoding="utf-8",
     )
-    for spec in spec_list:
-        effect = estimator.aggregate_effect(fits_by_spec[spec.name], args.k1, args.k2)
+    for spec, fits in zip(spec_list, by_spec):
+        effect = estimator.aggregate_effect([fits[i] for i in ok], args.k1, args.k2)
         se_txt = "n/a" if effect.se is None else tables.format_value(effect.se)
         print(
             f"{spec.name}: tau({args.k1}->{args.k2}) = "
@@ -257,7 +272,12 @@ def cmd_report(args) -> int:
             f"{effect.n_items} items)"
         )
     print(f"wrote {csv_path} and {svg_path}")
+    print(_failures(statuses))
     return 0
+
+
+def _effect_name(fit: estimator.FitResult) -> str:
+    return "position" if "position" in fit.names else fit.names[0]
 
 
 def _int_at_least(low: int):

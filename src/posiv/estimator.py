@@ -16,6 +16,18 @@ M is the projected design [W_hat, X] while the residuals u are structural
 (computed from the original W), which is also why the reported R-squared can
 go negative: a coefficient pulled away from the OLS minimizer can fit worse
 than the outcome mean, and that is expected behavior, not an error.
+
+One stacked kernel does every fit. It works on (B, n, k) stacks of
+same-shape designs: one np.linalg.svd call factors all B matrices, the
+solves, breads and 1e12 checks run per matrix on the stack, the cluster
+score sums of all B come from one bincount, and one stdtr/fdtrc/stdtrit call
+gives every p-value and critical value. A design stacked by item
+(build_design(..., by_item=True)) is cut into shape buckets: the items with
+the same row count and instrument count. There is no zero padding, so each
+matrix LAPACK factors is the one a fit of that item alone would factor, and
+a large item costs memory only in its own bucket. An item that fails leaves
+its bucket with its EstimationError and the others go on. A single design is
+the B = 1 case: one bucket of one, where a failure raises.
 """
 
 from __future__ import annotations
@@ -30,6 +42,7 @@ import numpy as np
 from .errors import (
     Collinear,
     EmptyInput,
+    EstimationError,
     NotJustIdentified,
     TooFewClusters,
     Underdetermined,
@@ -147,27 +160,147 @@ class EffectEstimate:
     per_item: tuple[tuple[str, float], ...]
 
 
-class _Factorization:
-    """Thin SVD of a regressor matrix, shared by solve and sandwich bread."""
+class _Emptied(Exception):
+    """Every item of a stack has failed; nothing is left to fit."""
 
-    def __init__(self, m: np.ndarray, what: str):
-        n, k = m.shape
+
+def _take(keep: np.ndarray | None, value):
+    """An array or list over a stack's items, restricted to the items in keep."""
+    if keep is None:
+        return value
+    if isinstance(value, list):
+        return [value[i] for i in keep]
+    return value[keep]
+
+
+class _Stack:
+    """Same-shape designs of B items on a leading axis: y (B, n), w/z/x
+    (B, n, .), cluster codes (B, n), and the item positions they came from.
+
+    drop() takes failing items out of the stack and records their errors. In
+    a design that is not stacked by item it raises the error instead, so a
+    single fit fails as it always has.
+    """
+
+    def __init__(self, pos, labels, z_cols, y, w, z, x, codes, n_clusters, single):
+        self.pos, self.labels, self.z_cols = pos, labels, z_cols
+        self.y, self.w, self.z, self.x = y, w, z, x
+        self.codes, self.n_clusters = codes, n_clusters
+        self.single = single
+        self.failed: dict[int, EstimationError] = {}
+
+    def drop(self, bad: np.ndarray, error) -> np.ndarray | None:
+        """Fail the items flagged in bad with error(i); return the index of
+        the others, or None when no item failed."""
+        if not bad.any():
+            return None
+        if self.single:
+            raise error(0)
+        for i in np.flatnonzero(bad):
+            self.failed[int(self.pos[i])] = error(i)
+        if bad.all():
+            raise _Emptied
+        keep = np.flatnonzero(~bad)
+        for name in ("pos", "labels", "z_cols", "y", "w", "z", "x", "codes", "n_clusters"):
+            setattr(self, name, _take(keep, getattr(self, name)))
+        return keep
+
+    def fail_all(self, error: EstimationError) -> None:
+        self.drop(np.ones(len(self.pos), dtype=bool), lambda i: error)
+
+    def drop_too_few_clusters(self) -> np.ndarray | None:
+        return self.drop(self.n_clusters < 2, lambda i: TooFewClusters(
+            f"need at least 2 clusters, got {self.n_clusters[i]}"
+        ))
+
+
+def _stacks(design: DesignMatrix, label: str | None):
+    """The design's items grouped by exact shape (rows, instruments), one
+    _Stack per shape; a design not stacked by item is one stack of one."""
+    items = design.items
+    if items is None:
+        yield _Stack(
+            np.zeros(1, dtype=np.intp), [label if label is not None else design.label],
+            np.arange(design.z.shape[1])[None], design.y[None], design.w[None],
+            design.z[None], design.x[None], design.cluster_codes[None],
+            np.array([design.n_clusters]), single=True,
+        )
+        return
+    sizes, p_z = np.diff(items.bounds), items.z_cols.sum(axis=1)
+    built = np.flatnonzero([error is None for error in items.errors])
+    if not built.size:
+        return
+    shape = (sizes * (len(design.z_names) + 1) + p_z)[built]
+    by_shape = np.argsort(shape, kind="stable")
+    for pos in np.split(built[by_shape], np.flatnonzero(np.diff(shape[by_shape])) + 1):
+        rows = items.bounds[pos][:, None] + np.arange(sizes[pos[0]])
+        z_cols = np.nonzero(items.z_cols[pos])[1].reshape(len(pos), p_z[pos[0]])
+        yield _Stack(
+            pos, [items.labels[g] for g in pos], z_cols, design.y[rows],
+            design.w[rows], design.z[rows[:, :, None], z_cols[:, None, :]],
+            design.x[rows], design.cluster_codes[rows], items.n_clusters[pos],
+            single=False,
+        )
+
+
+def _per_item(design: DesignMatrix, kernel, label: str | None = None) -> list:
+    """Each item's kernel result, or the EstimationError it failed with, in
+    item order; a design not stacked by item has one item, which raises."""
+    results = [None] if design.items is None else list(design.items.errors)
+    for stack in _stacks(design, label):
+        try:
+            done = kernel(design, stack)
+        except _Emptied:
+            done = []
+        for g, result in zip(stack.pos, done):
+            results[g] = result
+        for g, error in stack.failed.items():
+            results[g] = error
+    return results
+
+
+def _unstack(design: DesignMatrix, results: list):
+    return results if design.items is not None else results[0]
+
+
+class _Factorization:
+    """Thin SVDs of a stack of same-shape regressor matrices, shared by solve
+    and sandwich bread. An item whose matrix reaches condition number 1e12
+    leaves the stack as Collinear; keep indexes the items that stay."""
+
+    def __init__(self, m: np.ndarray, what: str, stack: _Stack | None = None):
+        n, k = m.shape[-2:]
         if n < k:
             raise Underdetermined(f"{n} rows for {k} {what} columns")
         u_mat, s, vt = np.linalg.svd(m, full_matrices=False)
-        if k and (s[-1] <= 0.0 or s[0] / s[-1] >= CONDITION_LIMIT):
-            cond = math.inf if s[-1] <= 0.0 else s[0] / s[-1]
-            raise Collinear(f"{what} matrix condition number {cond:.3g} exceeds 1e12")
-        self.u, self.s, self.vt = u_mat, s, vt
-        self.shape = m.shape
+        self.keep = None
+        if k:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cond = np.where(s[:, -1] <= 0.0, math.inf, s[:, 0] / s[:, -1])
+
+            def collinear(i):
+                return Collinear(f"{what} matrix condition number {cond[i]:.3g} exceeds 1e12")
+
+            bad = cond >= CONDITION_LIMIT
+            if stack is None:
+                if bad.any():
+                    raise collinear(int(np.argmax(bad)))
+            else:
+                self.keep = stack.drop(bad, collinear)
+        self.u, self.s, self.vt = (_take(self.keep, a) for a in (u_mat, s, vt))
+
+    def take(self, keep: np.ndarray | None) -> None:
+        self.u, self.s, self.vt = (_take(keep, a) for a in (self.u, self.s, self.vt))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if rhs.ndim == 1:
-            return self.vt.T @ ((self.u.T @ rhs) / self.s)
-        return self.vt.T @ ((self.u.T @ rhs) / self.s[:, None])
+        """Per matrix: rhs (B, n) -> (B, k), or (B, n, r) -> (B, k, r)."""
+        u_t, v = self.u.swapaxes(-1, -2), self.vt.swapaxes(-1, -2)
+        if rhs.ndim == 2:
+            return (v @ ((u_t @ rhs[..., None])[..., 0] / self.s)[..., None])[..., 0]
+        return v @ ((u_t @ rhs) / self.s[..., None])
 
     def bread(self) -> np.ndarray:
-        return (self.vt.T / self.s**2) @ self.vt
+        return (self.vt.swapaxes(-1, -2) / self.s[:, None, :] ** 2) @ self.vt
 
 
 def cluster_cov(
@@ -175,163 +308,262 @@ def cluster_cov(
     residuals: np.ndarray,
     clusters: np.ndarray,
     bread: np.ndarray | None = None,
+    n_clusters=None,
 ) -> tuple[np.ndarray, int]:
     """CR1 cluster sandwich covariance for coefficients of y ~ m.
 
     Returns (covariance, G). With every observation its own cluster this
     reduces exactly to the HC1 heteroskedasticity-robust covariance.
+
+    m may also be a stack (B, n, k) of same-shape matrices with residuals
+    and clusters (B, n). Clusters are then codes 0..G_b-1 within each matrix,
+    n_clusters holds the B counts G_b, and (B, k, k) covariances come back
+    with the counts. The score sums of every matrix come from one bincount
+    over codes offset per matrix, which adds each cluster's scores in row
+    order.
     """
-    n, k = m.shape
-    _, inverse = np.unique(clusters, return_inverse=True)
-    n_groups = int(inverse.max()) + 1 if n else 0
-    if n_groups < 2:
-        raise TooFewClusters(f"need at least 2 clusters, got {n_groups}")
+    single = m.ndim == 2
+    if single:
+        if n_clusters is None:
+            ids, clusters = np.unique(clusters, return_inverse=True)
+            n_clusters = len(ids)
+        m, residuals, clusters = m[None], residuals[None], clusters[None]
+        bread = None if bread is None else bread[None]
+    n_groups = np.atleast_1d(n_clusters)
+    if n_groups.min() < 2:
+        raise TooFewClusters(f"need at least 2 clusters, got {n_groups.min()}")
     if bread is None:
         bread = _Factorization(m, "regressor").bread()
-    scores = m * residuals[:, None]
-    sums = np.zeros((n_groups, k))
-    np.add.at(sums, inverse, scores)
-    meat = sums.T @ sums
+    b, n, k = m.shape
+    scores = m * residuals[..., None]
+    offsets = np.cumsum(n_groups) - n_groups
+    slots = ((clusters + offsets[:, None]) * k)[..., None] + np.arange(k)
+    sums = np.bincount(
+        slots.ravel(), weights=scores.ravel(), minlength=int(n_groups.sum()) * k
+    ).reshape(-1, k)
+    meat = np.empty((b, k, k))
+    for g in np.unique(n_groups):  # one matmul per cluster count
+        of_g = np.flatnonzero(n_groups == g)
+        if len(of_g) == b:
+            blocks = sums.reshape(b, g, k)
+        else:
+            blocks = sums[offsets[of_g][:, None] + np.arange(g)]
+        meat[of_g] = blocks.swapaxes(-1, -2) @ blocks
     scale = (n_groups / (n_groups - 1.0)) * ((n - 1.0) / max(n - k, 1))
-    cov = bread @ meat @ bread * scale
-    return 0.5 * (cov + cov.T), n_groups
+    cov = bread @ meat @ bread * scale[:, None, None]
+    cov = 0.5 * (cov + cov.swapaxes(-1, -2))
+    return (cov[0], int(n_groups[0])) if single else (cov, n_groups)
 
 
 def _inference(
     method: str,
     design: DesignMatrix,
-    names: tuple[str, ...],
+    s: _Stack,
     coef: np.ndarray,
     m: np.ndarray,
     structural_resid: np.ndarray,
     bread: np.ndarray,
-    label: str | None,
-    extra_warnings: tuple[str, ...] = (),
-    first_stage_f: dict[str, float] | None = None,
-) -> FitResult:
-    y = design.y
-    n, k = m.shape
-    cov, n_groups = cluster_cov(m, structural_resid, design.clusters, bread)
+    notes: list | None = None,
+    first_stage_f: list | None = None,
+) -> list[FitResult]:
+    keep = s.drop_too_few_clusters()
+    coef, m, structural_resid, bread, notes, first_stage_f = (
+        _take(keep, v) for v in (coef, m, structural_resid, bread, notes, first_stage_f)
+    )
+    cov, n_groups = cluster_cov(m, structural_resid, s.codes, bread, s.n_clusters)
     with np.errstate(divide="ignore", invalid="ignore"):
-        se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+        se = np.sqrt(np.clip(np.diagonal(cov, axis1=-2, axis2=-1), 0.0, None))
         t_stat = coef / se
     from scipy import special  # deferred: ~0.3 s of import a CLI run without fits skips
 
-    p_value = 2.0 * special.stdtr(n_groups - 1, -np.abs(t_stat))
-    ssr = float(structural_resid @ structural_resid)
-    tss = float(((y - y.mean()) ** 2).sum())
-    r_squared = 1.0 - ssr / tss if tss > 0 else math.nan
+    p_value = 2.0 * special.stdtr((n_groups - 1)[:, None], -np.abs(t_stat))
+    ssr = (structural_resid[:, None, :] @ structural_resid[..., None])[:, 0, 0]
+    tss = ((s.y - s.y.mean(axis=-1, keepdims=True)) ** 2).sum(axis=-1)
+    n, k = m.shape[-2:]
     df_resid = n - k
-    rse = math.sqrt(ssr / max(df_resid, 1))
-    return FitResult(
-        method=method,
-        outcome=design.outcome_name,
-        names=names,
-        coef=coef,
-        cov=cov,
-        se=se,
-        t_stat=t_stat,
-        p_value=p_value,
-        stars=tuple(significance_stars(p) for p in p_value),
-        n_obs=n,
-        n_clusters=n_groups,
-        df_resid=df_resid,
-        r_squared=r_squared,
-        resid_std_error=rse,
-        label=label if label is not None else design.label,
-        warnings=extra_warnings,
-        first_stage_f=dict(first_stage_f or {}),
-    )
+    fits = []
+    for i, label in enumerate(s.labels):
+        fits.append(FitResult(
+            method=method,
+            outcome=design.outcome_name,
+            names=design.w_names + design.x_names,
+            coef=coef[i],
+            cov=cov[i],
+            se=se[i],
+            t_stat=t_stat[i],
+            p_value=p_value[i],
+            stars=tuple(significance_stars(p) for p in p_value[i]),
+            n_obs=n,
+            n_clusters=int(n_groups[i]),
+            df_resid=df_resid,
+            r_squared=float(1.0 - ssr[i] / tss[i]) if tss[i] > 0 else math.nan,
+            resid_std_error=math.sqrt(ssr[i] / max(df_resid, 1)),
+            label=label,
+            warnings=notes[i] if notes else (),
+            first_stage_f=first_stage_f[i] if first_stage_f else {},
+        ))
+    return fits
+
+
+def _ols(design: DesignMatrix, s: _Stack) -> list[FitResult]:
+    m = np.concatenate([s.w, s.x], axis=-1)
+    fact = _Factorization(m, "design", s)
+    m = _take(fact.keep, m)
+    coef = fact.solve(s.y)
+    resid = s.y - (m @ coef[..., None])[..., 0]
+    return _inference("OLS", design, s, coef, m, resid, fact.bread())
 
 
 def fit_ols(design: DesignMatrix, label: str | None = None) -> FitResult:
-    """Least squares of the outcome on [endogenous-as-ordinary, controls]."""
-    m = np.hstack([design.w, design.x])
-    names = design.w_names + design.x_names
-    fact = _Factorization(m, "design")
-    coef = fact.solve(design.y)
-    resid = design.y - m @ coef
-    return _inference("OLS", design, names, coef, m, resid, fact.bread(), label)
+    """Least squares of the outcome on [endogenous-as-ordinary, controls].
+
+    On a design stacked by item, a list of each item's FitResult or the
+    EstimationError it failed with, in item order (as for every fit here).
+    """
+    return _unstack(design, _per_item(design, _ols, label))
 
 
-def _first_stage(design: DesignMatrix):
-    """OLS of each endogenous column on one factorization of [Z, X], shared by
-    2SLS, ILS and first_stage. Returns (fact, gamma, fitted, FirstStageReport)."""
+def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve for each matrix of a stack, pinv for the singular ones."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.empty_like(b)
+        for i in range(len(b)):
+            try:
+                out[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                out[i] = np.linalg.pinv(a[i]) @ b[i]
+        return out
+
+
+def _first_stage(design: DesignMatrix, s: _Stack):
+    """OLS of each endogenous column on one factorization of [Z, X] per item,
+    shared by 2SLS, ILS and first_stage.
+
+    Returns (fact, gamma, fitted, FirstStageReports), one report per item
+    left in the stack."""
     from scipy import special  # deferred, as in _inference
 
-    p = np.hstack([design.z, design.x])
-    fact = _Factorization(p, "instrument")
-    gamma = fact.solve(design.w)  # (p_z + p_x, p_w)
+    p_z = s.z.shape[-1]
+    p = np.concatenate([s.z, s.x], axis=-1)
+    fact = _Factorization(p, "instrument", s)
+    p = _take(fact.keep, p)
+    if design.w_names:  # the first cluster sum comes before anything else can fail
+        keep = s.drop_too_few_clusters()
+        fact.take(keep)
+        p = _take(keep, p)
+    gamma = fact.solve(s.w)  # (B, p_z + p_x, p_w)
     fitted = p @ gamma
     bread = fact.bread()
-    p_z = design.z.shape[1]
-    equations = []
-    n_groups = 0
+    equations: list[list[FirstStageEquation]] = [[] for _ in s.labels]
     for j, name in enumerate(design.w_names):
-        resid = design.w[:, j] - fitted[:, j]
-        cov, n_groups = cluster_cov(p, resid, design.clusters, bread)
-        coef_z = gamma[:p_z, j]
-        cov_zz = cov[:p_z, :p_z]
-        se_z = np.sqrt(np.clip(np.diag(cov_zz), 0.0, None))
-        try:
-            solved = np.linalg.solve(cov_zz, coef_z)
-        except np.linalg.LinAlgError:
-            solved = np.linalg.pinv(cov_zz) @ coef_z
-        f_stat = float(coef_z @ solved) / p_z
+        resid = s.w[..., j] - fitted[..., j]
+        cov, n_groups = cluster_cov(p, resid, s.codes, bread, s.n_clusters)
+        coef_z = gamma[:, :p_z, j]
+        cov_zz = cov[:, :p_z, :p_z]
+        se_z = np.sqrt(np.clip(np.diagonal(cov_zz, axis1=-2, axis2=-1), 0.0, None))
+        solved = _solve_each(cov_zz, coef_z)
+        f_stat = (coef_z[:, None, :] @ solved[..., None])[:, 0, 0] / p_z
         # fdtrc is NaN below 0 where f.sf is 1; a near-singular cov_zz can
         # leave F a rounding error below 0.
-        p_value = float(special.fdtrc(p_z, n_groups - 1, max(f_stat, 0.0)))
-        tcrit = float(special.stdtrit(n_groups - 1, 0.975))
+        p_value = special.fdtrc(p_z, n_groups - 1, np.maximum(f_stat, 0.0))
+        tcrit = special.stdtrit(n_groups - 1, 0.975)[:, None]
         ci_low = coef_z - tcrit * se_z
         ci_high = coef_z + tcrit * se_z
-        if ci_high[0] < 0.0:
-            label = "negative"
-        elif ci_low[0] > 0.0:
-            label = "positive"
-        else:
-            label = "null"
-        equations.append(
-            FirstStageEquation(
-                endogenous=name,
-                instrument_names=design.z_names,
-                coef=coef_z,
-                se=se_z,
-                ci_low=ci_low,
-                ci_high=ci_high,
-                f_stat=f_stat,
-                p_value=p_value,
-                classification=label,
+        for i, eqs in enumerate(equations):
+            if ci_high[i, 0] < 0.0:
+                label = "negative"
+            elif ci_low[i, 0] > 0.0:
+                label = "positive"
+            else:
+                label = "null"
+            eqs.append(
+                FirstStageEquation(
+                    endogenous=name,
+                    instrument_names=tuple(design.z_names[c] for c in s.z_cols[i]),
+                    coef=coef_z[i],
+                    se=se_z[i],
+                    ci_low=ci_low[i],
+                    ci_high=ci_high[i],
+                    f_stat=float(f_stat[i]),
+                    p_value=float(p_value[i]),
+                    classification=label,
+                )
             )
+    n_obs = s.y.shape[-1]
+    n_groups = s.n_clusters if design.w_names else np.zeros(len(equations), dtype=int)
+    reports = [FirstStageReport(tuple(eqs), n_obs, int(g)) for eqs, g in zip(equations, n_groups)]
+    return fact, gamma, fitted, reports
+
+
+def _two_stage(design: DesignMatrix, s: _Stack) -> list[FitResult]:
+    p_w, p_z = design.w.shape[1], s.z.shape[-1]
+    if p_w == 0:
+        s.fail_all(Underidentified("no endogenous columns to instrument"))
+    if p_z < p_w:
+        s.fail_all(Underidentified(f"{p_z} instruments for {p_w} endogenous columns"))
+    _, _, w_hat, reports = _first_stage(design, s)
+    m2 = np.concatenate([w_hat, s.x], axis=-1)
+    fact2 = _Factorization(m2, "projected design", s)
+    m2, reports = _take(fact2.keep, m2), _take(fact2.keep, reports)
+    coef = fact2.solve(s.y)
+    structural = s.y - (np.concatenate([s.w, s.x], axis=-1) @ coef[..., None])[..., 0]
+
+    fs_f = [{eq.endogenous: eq.f_stat for eq in r.equations} for r in reports]
+    notes = []
+    for f in fs_f:
+        weakest = min(f.values()) if f else math.inf
+        notes.append(
+            (f"weak instruments: joint first-stage F = {weakest:.3g} < 10",)
+            if weakest < WEAK_F_THRESHOLD else ()
         )
-    return fact, gamma, fitted, FirstStageReport(tuple(equations), design.n_obs, n_groups)
+    return _inference("2SLS", design, s, coef, m2, structural, fact2.bread(), notes, fs_f)
 
 
 def fit_2sls(design: DesignMatrix, label: str | None = None) -> FitResult:
     """Two-stage least squares with structural residuals for inference."""
-    if design.w.shape[1] == 0:
-        raise Underidentified("no endogenous columns to instrument")
-    if design.z.shape[1] < design.w.shape[1]:
-        raise Underidentified(
-            f"{design.z.shape[1]} instruments for {design.w.shape[1]} endogenous columns"
-        )
-    _, _, w_hat, report = _first_stage(design)
-    m2 = np.hstack([w_hat, design.x])
-    names = design.w_names + design.x_names
-    fact2 = _Factorization(m2, "projected design")
-    coef = fact2.solve(design.y)
-    structural = design.y - np.hstack([design.w, design.x]) @ coef
+    fits = _per_item(design, _two_stage, label)
+    for fit in fits:
+        if isinstance(fit, FitResult) and fit.warnings:
+            warnings.warn(fit.warnings[0], WeakInstrumentWarning, stacklevel=2)
+    return _unstack(design, fits)
 
-    fs_f = {eq.endogenous: eq.f_stat for eq in report.equations}
-    notes: tuple[str, ...] = ()
-    weakest = min(fs_f.values()) if fs_f else math.inf
-    if weakest < WEAK_F_THRESHOLD:
-        message = f"weak instruments: joint first-stage F = {weakest:.3g} < 10"
-        warnings.warn(message, WeakInstrumentWarning, stacklevel=2)
-        notes = (message,)
-    return _inference(
-        "2SLS", design, names, coef, m2, structural, fact2.bread(), label,
-        extra_warnings=notes, first_stage_f=fs_f,
-    )
+
+def _indirect(design: DesignMatrix, s: _Stack) -> list[FitResult]:
+    p_w, p_z = design.w.shape[1], s.z.shape[-1]
+    if p_w != 1 or p_z != 1:
+        s.fail_all(NotJustIdentified(
+            f"ILS needs exactly 1 endogenous and 1 instrument column, got {p_w} and {p_z}"
+        ))
+    fact_p, gamma, w_hat, reports = _first_stage(design, s)
+    pi = gamma[:, 0, 0]
+    se_pi = np.array([r.equations[0].se[0] for r in reports])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        indistinct = (se_pi > 0) & (np.abs(pi) / se_pi < ILS_ZERO_T)
+
+    def zero(i):
+        if indistinct[i]:
+            return ZeroFirstStage(
+                f"first-stage coefficient {pi[i]:.3g} (se {se_pi[i]:.3g}) is "
+                "statistically indistinguishable from zero; the ILS ratio is undefined"
+            )
+        return ZeroFirstStage("first-stage coefficient is exactly zero")
+
+    keep = s.drop(indistinct | ((se_pi == 0.0) & (pi == 0.0)), zero)
+    fact_p.take(keep)
+    gamma, w_hat, pi = _take(keep, gamma), _take(keep, w_hat), _take(keep, pi)
+
+    rho = fact_p.solve(s.y)  # reduced form on [Z, X]
+    beta_w = rho[:, 0] / pi
+    beta_x = rho[:, 1:] - gamma[:, 1:, 0] * beta_w[:, None]
+    coef = np.concatenate([beta_w[:, None], beta_x], axis=1)
+
+    m2 = np.concatenate([w_hat, s.x], axis=-1)
+    fact2 = _Factorization(m2, "projected design", s)
+    m2, coef = _take(fact2.keep, m2), _take(fact2.keep, coef)
+    structural = s.y - (np.concatenate([s.w, s.x], axis=-1) @ coef[..., None])[..., 0]
+    return _inference("ILS", design, s, coef, m2, structural, fact2.bread())
 
 
 def fit_ils(design: DesignMatrix, label: str | None = None) -> FitResult:
@@ -341,32 +573,13 @@ def fit_ils(design: DesignMatrix, label: str | None = None) -> FitResult:
     from the two auxiliary regressions alone, which makes the numerical
     identity with fit_2sls a meaningful check rather than a tautology.
     """
-    if design.w.shape[1] != 1 or design.z.shape[1] != 1:
-        raise NotJustIdentified(
-            f"ILS needs exactly 1 endogenous and 1 instrument column, got "
-            f"{design.w.shape[1]} and {design.z.shape[1]}"
-        )
-    fact_p, gamma, w_hat, report = _first_stage(design)
-    eq = report.equations[0]
-    pi, se_pi = float(eq.coef[0]), float(eq.se[0])
-    if se_pi > 0 and abs(pi) / se_pi < ILS_ZERO_T:
-        raise ZeroFirstStage(
-            f"first-stage coefficient {pi:.3g} (se {se_pi:.3g}) is "
-            "statistically indistinguishable from zero; the ILS ratio is undefined"
-        )
-    if se_pi == 0.0 and pi == 0.0:
-        raise ZeroFirstStage("first-stage coefficient is exactly zero")
+    return _unstack(design, _per_item(design, _indirect, label))
 
-    rho = fact_p.solve(design.y)  # reduced form on [Z, X]
-    beta_w = rho[0] / pi
-    beta_x = rho[1:] - gamma[1:, 0] * beta_w
-    coef = np.concatenate([[beta_w], beta_x])
 
-    names = design.w_names + design.x_names
-    m2 = np.hstack([w_hat, design.x])
-    fact2 = _Factorization(m2, "projected design")
-    structural = design.y - np.hstack([design.w, design.x]) @ coef
-    return _inference("ILS", design, names, coef, m2, structural, fact2.bread(), label)
+def _first_stage_only(design: DesignMatrix, s: _Stack) -> list[FirstStageReport]:
+    if s.z.shape[-1] == 0:
+        s.fail_all(Underidentified("design has no instruments"))
+    return _first_stage(design, s)[3]
 
 
 def first_stage(design: DesignMatrix) -> FirstStageReport:
@@ -379,9 +592,7 @@ def first_stage(design: DesignMatrix) -> FirstStageReport:
     the column down, e.g. rank improves), entirely above -> positive,
     otherwise null.
     """
-    if design.z.shape[1] == 0:
-        raise Underidentified("design has no instruments")
-    return _first_stage(design)[3]
+    return _unstack(design, _per_item(design, _first_stage_only))
 
 
 def _position_coefficient(fit: FitResult) -> float:

@@ -5,11 +5,17 @@ across rows), per-item slicing, instrument expansion, and session-level
 aggregation. Everything is a pure function of its inputs; the sampling hash
 keys on (seed, request_id, within-request ordinal) so results do not depend
 on iteration order.
+
+The per-item analyses stack their items: slice_by_item takes a list of items
+and groups their rows with one stable argsort, and build_design(by_item=True)
+builds every item's design in one vectorized pass over those rows, each item
+with the semantics of a design built from its slice alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -17,6 +23,7 @@ from . import rng
 from .datamodel import SESSION_SCHEMA, Dataset
 from .errors import (
     ConstantColumn,
+    EstimationError,
     MissingColumn,
     Underdetermined,
     Underidentified,
@@ -25,12 +32,35 @@ from .errors import (
 from .specs import ModelSpec
 
 
+@dataclass(frozen=True)
+class ItemBlocks:
+    """Where each item of a design stacked by item lives.
+
+    Item g owns rows bounds[g]:bounds[g+1], its instruments are the design's
+    z columns where the mask z_cols[g] is set, and its cluster codes run over
+    0..n_clusters[g]-1. An item that could not be built owns no rows and
+    keeps the EstimationError it raised in errors[g].
+    """
+
+    labels: tuple[str, ...]
+    bounds: np.ndarray
+    z_cols: np.ndarray
+    n_clusters: np.ndarray
+    errors: tuple[EstimationError | None, ...]
+
+
 @dataclass
 class DesignMatrix:
     """Columns for one regression: outcome, endogenous, instruments, controls.
 
     x always ends with the constant column. Instruments are the excluded ones
-    only (controls are implicitly included in the first stage).
+    only (controls are implicitly included in the first stage). Clusters are
+    coded once, as integers 0..n_clusters-1 in the order of their ids.
+
+    A design built with by_item=True stacks one such design per item: its
+    arrays hold the items' rows one item after another, z holds every
+    instrument column any item uses, and `items` says which rows and columns
+    belong to which item.
     """
 
     y: np.ndarray
@@ -45,6 +75,9 @@ class DesignMatrix:
     outcome_name: str = "outcome"
     n_dropped: int = 0
     label: str | None = None
+    cluster_codes: np.ndarray | None = None
+    n_clusters: int = 0
+    items: ItemBlocks | None = None
 
     def __post_init__(self):
         n = len(self.y)
@@ -53,6 +86,8 @@ class DesignMatrix:
                 raise ValueError(f"{name} must be (n, k) with n == len(y)")
         if len(self.clusters) != n:
             raise ValueError("clusters length mismatch")
+        if self.items is not None:
+            return  # build_design has checked each item
         k_total = self.w.shape[1] + self.z.shape[1] + self.x.shape[1]
         if n < k_total:
             raise Underdetermined(f"{n} rows for {k_total} columns")
@@ -61,36 +96,48 @@ class DesignMatrix:
             raise Underidentified(
                 f"{self.z.shape[1]} instruments for {self.w.shape[1]} endogenous columns"
             )
+        if self.cluster_codes is None:
+            ids, self.cluster_codes = np.unique(self.clusters, return_inverse=True)
+            self.n_clusters = len(ids)
 
     @property
     def n_obs(self) -> int:
         return len(self.y)
 
 
-def _winner_per_request(request_ids: np.ndarray, seed: int) -> np.ndarray:
+def _winner_per_request(
+    request_ids: np.ndarray, seed: int, groups: np.ndarray | None = None
+) -> np.ndarray:
     """Indices of the kept row per request under the deterministic hash rule.
 
     Each row scores raw64(key(seed, request_id), ordinal) where the ordinal
-    counts that request's rows in dataset order; the max score wins. Returned
-    indices are in ascending dataset order.
+    counts that request's rows in dataset order; the max score wins. With
+    groups (an item per row), the rule runs within each (group, request).
+    Returned indices are in ascending dataset order.
     """
-    order = np.argsort(request_ids, kind="stable")
-    sorted_req = request_ids[order]
-    n = len(sorted_req)
-    new_group = np.empty(n, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = sorted_req[1:] != sorted_req[:-1]
-    group_start = np.maximum.accumulate(np.where(new_group, np.arange(n), 0))
-    ordinal = (np.arange(n) - group_start).astype(np.uint64)
+    if groups is None:
+        order = np.argsort(request_ids, kind="stable")
+        keys = (request_ids[order],)
+    else:
+        order = np.lexsort((request_ids, groups))
+        keys = (request_ids[order], groups[order])
+    n = len(order)
+    new_group = np.zeros(n + 1, dtype=bool)
+    new_group[[0, n]] = True
+    for key in keys:
+        new_group[1:n] |= key[1:] != key[:-1]
+    alone = new_group[:-1] & new_group[1:]  # a request with one row keeps it
+    shared = np.flatnonzero(~alone)
+    first = new_group[shared]
+    group_start = np.maximum.accumulate(np.where(first, np.arange(len(shared)), 0))
+    ordinal = (np.arange(len(shared)) - group_start).astype(np.uint64)
 
-    scores = rng.raw64(rng.stream_key(seed, rng.TAG_SAMPLE, sorted_req), ordinal)
-    # sort by (request asc, score desc, ordinal asc); first row per request wins
-    ranking = np.lexsort((ordinal, ~scores, sorted_req))
-    req_ranked = sorted_req[ranking]
-    first = np.empty(n, dtype=bool)
-    first[0] = True
-    first[1:] = req_ranked[1:] != req_ranked[:-1]
-    winners = order[ranking[first]]
+    req = keys[0][shared]
+    scores = rng.raw64(rng.stream_key(seed, rng.TAG_SAMPLE, req), ordinal)
+    # sort by (group, request asc, score desc, ordinal asc); the first row of
+    # each request wins, and requests keep their places in this order
+    ranking = np.lexsort((ordinal, ~scores, req, *(key[shared] for key in keys[1:])))
+    winners = np.concatenate([order[alone], order[shared[ranking[first]]]])
     return np.sort(winners)
 
 
@@ -104,18 +151,30 @@ def sample_one_per_request(ds: Dataset, seed: int) -> Dataset:
     )
 
 
-def slice_by_item(ds: Dataset, item_id: int, seed: int = 0) -> Dataset:
-    """Rows of one item, at most one per request (hash rule with this seed)."""
-    items = ds.column("item_id")
-    mask = items == np.uint64(item_id)
-    if not mask.any():
-        raise UnknownItem(f"item {item_id} not present")
-    sliced = ds.subset(mask, provenance=f"{ds.provenance} | item={item_id}")
-    req = sliced.column("request_id")
-    if len(np.unique(req)) < len(req):
-        winners = _winner_per_request(req, seed)
-        sliced = sliced.subset(winners, provenance=sliced.provenance)
-    return sliced
+def slice_by_item(ds: Dataset, items: int | Sequence[int], seed: int = 0) -> Dataset:
+    """Rows of one item, or of several one item after another in the order
+    given, at most one per (item, request) (hash rule with this seed).
+
+    An item's rows keep their dataset order, and each item's rows are exactly
+    those of slicing that item alone. One stable argsort of item_id finds them.
+    """
+    single = np.ndim(items) == 0
+    try:
+        wanted = np.array([items] if single else items, dtype=np.uint64)
+    except OverflowError:
+        raise UnknownItem(f"item {items} not present") from None
+    order = np.argsort(ds.column("item_id"), kind="stable")
+    sorted_items = ds.column("item_id")[order]
+    start = np.searchsorted(sorted_items, wanted, "left")
+    sizes = np.searchsorted(sorted_items, wanted, "right") - start
+    if not sizes.all():
+        raise UnknownItem(f"item {wanted[np.argmin(sizes)]} not present")
+    group = np.repeat(np.arange(len(wanted)), sizes)
+    offsets = np.cumsum(sizes) - sizes
+    rows = order[np.arange(len(group)) + np.repeat(start - offsets, sizes)]
+    winners = _winner_per_request(ds.column("request_id")[rows], seed, group)
+    tag = f"item={wanted[0]}" if single else f"items={len(wanted)}"
+    return ds.subset(rows[winners], provenance=f"{ds.provenance} | {tag}")
 
 
 def top_items(ds: Dataset, n: int) -> list[int]:
@@ -135,13 +194,34 @@ def _reason_column(ds: Dataset) -> str:
     raise MissingColumn("instrument expression needs a reason column")
 
 
-def build_design(ds: Dataset, spec: ModelSpec) -> DesignMatrix:
+def _reduce_items(ufunc, values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """ufunc.reduce over each item's rows; an item without rows gets 0."""
+    out = np.zeros(len(bounds) - 1, dtype=values.dtype)
+    has_rows = np.diff(bounds) > 0
+    if has_rows.any():
+        out[has_rows] = ufunc.reduceat(values, bounds[:-1][has_rows])
+    return out
+
+
+def _seen(item: np.ndarray, codes: np.ndarray, n_items: int, n_levels: int) -> np.ndarray:
+    """(n_items, n_levels) counts of each level's rows per item."""
+    flat = np.bincount(item * n_levels + codes, minlength=n_items * n_levels)
+    return flat.reshape(n_items, n_levels)
+
+
+def build_design(ds: Dataset, spec: ModelSpec, by_item: bool = False) -> DesignMatrix:
     """Materialize a ModelSpec against a Dataset.
 
     Rows missing any named value are dropped (and counted). The "arm*reason"
     expression expands to indicator products of each non-baseline arm level
     with every observed reason level; the baseline arm level (lowest id) is
     dropped, which with a binary arm leaves treatment-only indicators.
+
+    With by_item=True the design stacks one design per item of ds, each
+    built as if from that item's rows alone: its own drops, baseline arm
+    level, reason levels and clusters. Each item's rows must lie together,
+    as slice_by_item returns them. An item that cannot be built records its
+    EstimationError in design.items instead of raising.
     """
     needed = [spec.outcome, *spec.endogenous, *spec.controls]
     str_cols = []
@@ -165,8 +245,33 @@ def build_design(ds: Dataset, spec: ModelSpec) -> DesignMatrix:
 
     dropped = int(n - valid.sum())
     idx = np.flatnonzero(valid)
-    if idx.size == 0:
-        raise Underdetermined("no rows left after dropping missing values")
+    if by_item:
+        item_ids = ds.column("item_id")
+        run_start = np.ones(n, dtype=bool)
+        run_start[1:] = item_ids[1:] != item_ids[:-1]
+        heads = item_ids[run_start]
+        if len(np.unique(heads)) < len(heads):
+            raise ValueError("by_item needs each item's rows together, as slice_by_item gives")
+        labels = tuple(str(i) for i in heads.tolist())
+        item = (np.cumsum(run_start) - 1)[idx]
+    else:
+        labels = (None,)
+        item = np.zeros(idx.size, dtype=np.intp)
+    n_items = len(labels)
+    sizes = np.bincount(item, minlength=n_items)
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+
+    errors: list[EstimationError | None] = [None] * n_items
+
+    def fail(bad: np.ndarray, error) -> None:
+        # the first error an item meets is the one it reports
+        for g in np.flatnonzero(bad):
+            if errors[g] is None:
+                errors[g] = error(g)
+        if not by_item and errors[0] is not None:
+            raise errors[0]
+
+    fail(sizes == 0, lambda g: Underdetermined("no rows left after dropping missing values"))
 
     y = numeric[spec.outcome][idx]
     w = np.column_stack([numeric[c][idx] for c in spec.endogenous]) if spec.endogenous \
@@ -174,53 +279,89 @@ def build_design(ds: Dataset, spec: ModelSpec) -> DesignMatrix:
     controls = [numeric[c][idx] for c in spec.controls]
     x = np.column_stack(controls + [np.ones(idx.size)])
 
-    z_cols: list[np.ndarray] = []
-    z_names: list[str] = []
+    # instrument columns are indicators of (arm level, reason level) pairs
+    # (of arm levels alone for "arm"); uses[g] marks the pairs item g needs
+    pair = np.zeros(idx.size, dtype=np.intp)
+    pair_names: list[str] = []
+    uses = np.zeros((n_items, 0), dtype=bool)
     if spec.instruments != "none":
-        arm = strings["arm"][idx]
-        arm_levels = np.unique(arm)
-        if len(arm_levels) < 2:
-            raise ConstantColumn(
-                f"arm has a single level {arm_levels[0]!r}; the instrument is unusable"
-            )
-        treated_levels = arm_levels[1:]  # lowest level is the baseline
+        arm_levels, arm = np.unique(strings["arm"][idx], return_inverse=True)
+        arm_seen = _seen(item, arm, n_items, len(arm_levels)) > 0
+        baseline = _reduce_items(np.minimum, arm, bounds)  # lowest level is the baseline
+        fail(arm_seen.sum(axis=1) == 1, lambda g: ConstantColumn(
+            f"arm has a single level {arm_levels[baseline[g]]!r}; the instrument is unusable"
+        ))
+        treated = arm_seen & (np.arange(len(arm_levels)) != baseline[:, None])
         if spec.instruments == "arm":
-            for lvl in treated_levels:
-                z_cols.append((arm == lvl).astype(float))
-                z_names.append(f"arm={lvl}")
+            pair, uses = arm, treated
+            pair_names = [f"arm={lvl}" for lvl in arm_levels]
         else:
-            reason = strings[_reason_column(ds)][idx]
-            for lvl in treated_levels:
-                is_lvl = arm == lvl
-                for r in np.unique(reason):
-                    z_cols.append((is_lvl & (reason == r)).astype(float))
-                    z_names.append(f"arm={lvl}*reason={r}")
-    z = np.column_stack(z_cols) if z_cols else np.empty((idx.size, 0))
+            reason_levels, reason = np.unique(
+                strings[_reason_column(ds)][idx], return_inverse=True
+            )
+            reason_seen = _seen(item, reason, n_items, len(reason_levels)) > 0
+            pair = arm * len(reason_levels) + reason
+            uses = (treated[:, :, None] & reason_seen[:, None, :]).reshape(n_items, -1)
+            pair_names = [f"arm={lvl}*reason={r}" for lvl in arm_levels for r in reason_levels]
 
-    for names, mat, role in ((spec.endogenous, w, "endogenous"), (z_names, z, "instrument")):
-        for j, name in enumerate(names):
-            col = mat[:, j]
-            if col.max() == col.min():
-                raise ConstantColumn(f"{role} column {name!r} has zero variance")
+    for j, name in enumerate(spec.endogenous):
+        lo = _reduce_items(np.minimum, w[:, j], bounds)
+        fail(lo == _reduce_items(np.maximum, w[:, j], bounds), lambda g, name=name: ConstantColumn(
+            f"endogenous column {name!r} has zero variance"
+        ))
+    if uses.size:
+        # an item here has baseline rows, so its zero-variance columns are all 0
+        constant = uses & (_seen(item, pair, n_items, uses.shape[1]) == 0)
+        fail(constant.any(axis=1), lambda g: ConstantColumn(
+            f"instrument column {pair_names[np.argmax(constant[g])]!r} has zero variance"
+        ))
+    p_w, p_z, p_x = w.shape[1], uses.sum(axis=1), x.shape[1]
+    if spec.instruments != "none":
+        fail(p_z < p_w, lambda g: Underidentified(
+            f"{p_z[g]} instruments for {p_w} endogenous columns"
+        ))
+    fail(sizes < p_w + p_z + p_x, lambda g: Underdetermined(
+        f"{sizes[g]} rows for {p_w + p_z[g] + p_x} columns"
+    ))
 
-    if spec.instruments != "none" and z.shape[1] < w.shape[1]:
-        raise Underidentified(
-            f"{z.shape[1]} instruments for {w.shape[1]} endogenous columns"
-        )
+    built = np.array([e is None for e in errors])
+    if not built.all():  # failed items give up their rows
+        keep = built[item]
+        idx, item, pair, y, w, x = (a[keep] for a in (idx, item, pair, y, w, x))
+        sizes = np.where(built, sizes, 0)
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
+    in_use = np.flatnonzero(uses[built].any(axis=0))
+    z = (pair[:, None] == in_use).astype(float)
 
     clusters = ds.column(spec.cluster)[idx]
+    cluster_ids, codes = np.unique(clusters, return_inverse=True)
+    n_clusters = np.array([len(cluster_ids)])
+    if by_item:  # number each item's clusters 0.. in the order of their ids
+        pairs, codes = np.unique(item * len(cluster_ids) + codes, return_inverse=True)
+        n_clusters = np.bincount(pairs // max(len(cluster_ids), 1), minlength=n_items)
+        codes -= (np.cumsum(n_clusters) - n_clusters)[item]
+
     return DesignMatrix(
         y=y,
         w=w,
         z=z,
         x=x,
         w_names=tuple(spec.endogenous),
-        z_names=tuple(z_names),
+        z_names=tuple(pair_names[c] for c in in_use),
         x_names=tuple(spec.controls) + ("Constant",),
         clusters=clusters,
         row_index=idx,
         outcome_name=spec.outcome,
         n_dropped=dropped,
+        cluster_codes=codes,
+        n_clusters=0 if by_item else int(n_clusters[0]),
+        items=ItemBlocks(
+            labels=labels,
+            bounds=bounds,
+            z_cols=uses[:, in_use] & built[:, None],
+            n_clusters=n_clusters,
+            errors=tuple(errors),
+        ) if by_item else None,
     )
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ import pytest
 
 import posiv
 from posiv.cli import main
-from posiv.datamodel import Dataset, write_dataset
+from posiv.datamodel import Dataset, load_dataset, write_dataset
+from posiv.prepare import top_items
 from posiv.simulator import SimConfig, simulate
 from posiv.tables import STAR_NOTE, format_value
 
@@ -225,7 +227,7 @@ def test_diagnose_forest_and_csv(ads_outdir, tmp_path):
     ])
     assert code == 0
     lines = (out / "first_stage.csv").read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "item_id,coef,se,ci_low,ci_high,classification"
+    assert lines[0] == "item_id,coef,se,ci_low,ci_high,status,classification"
     assert len(lines) - 1 == 8  # min(top_n, items)
     svg = (out / "first_stage.svg").read_text(encoding="utf-8")
     assert svg.count("<circle") == 8
@@ -336,6 +338,57 @@ def test_report_singleton(ads_outdir, tmp_path, capsys):
     lines = (out / "effects.csv").read_text(encoding="utf-8").splitlines()
     assert len(lines) - 1 == 1
     assert "se n/a" in capsys.readouterr().out
+
+
+def _csv_rows(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_one_failing_item_leaves_the_others_reported(ads_outdir, tmp_path, capsys):
+    ds = load_dataset(str(ads_outdir / "dataset.csv"))
+    bad = str(top_items(ds, 1)[0])
+    single_arm = (ds.column("item_id") == int(bad)) & (ds.column("arm") == "treatment")
+    data = tmp_path / "one_bad.csv"
+    write_dataset(ds.subset(~single_arm), str(data))
+    n = ADS_CONFIG["n_items"]
+
+    rep = tmp_path / "rep"
+    assert main(["report", str(data), "--specs", "spec3,spec1,spec2", "--top-n", str(n),
+                 "--out", str(rep)]) == 0
+    out = capsys.readouterr().out
+    status = {(r["item_id"], r["spec"]): r for r in _csv_rows(rep / "effects.csv")}
+    assert len(status) == 3 * n
+    for spec in ("spec1", "spec2"):
+        row = status[(bad, spec)]
+        assert (row["status"], row["coef"]) == ("ConstantColumn", "")
+    assert status[(bad, "spec3")]["status"] == "ok"  # OLS needs no instrument
+    assert all(r["status"] == "ok" and r["coef"] for (i, _), r in status.items() if i != bad)
+    assert "spec1: tau(2->1)" in out and f"{n - 1} items)" in out
+    assert f"failed items: 1 of {n}, ConstantColumn=1" in out
+    assert (rep / "effects.svg").read_text(encoding="utf-8").count("<rect") == 1 + 3 * (n - 1) + 3
+
+    diag = tmp_path / "diag"
+    assert main(["diagnose", str(data), "--top-n", str(n), "--out", str(diag)]) == 0
+    rows = {r["item_id"]: r for r in _csv_rows(diag / "first_stage.csv")}
+    assert (rows[bad]["status"], rows[bad]["coef"], rows[bad]["classification"]) == (
+        "ConstantColumn", "", "")
+    assert all(r["status"] == "ok" and r["classification"] for i, r in rows.items() if i != bad)
+    assert (diag / "first_stage.svg").read_text(encoding="utf-8").count("<circle") == n - 1
+    assert f"failed items: 1 of {n}, ConstantColumn=1" in capsys.readouterr().out
+
+
+def test_every_item_failing_exits_1_and_input_errors_exit_2(tmp_path, capsys):
+    header = "request_id,user_id,item_id,position,outcome,arm\n"
+    rows = [f"{i},{i},{1 + i % 3},{1 + i % 4},0,control\n" for i in range(1, 40)]
+    data = tmp_path / "flat.csv"
+    data.write_text(header + "".join(rows), encoding="utf-8")
+    out = tmp_path / "diag"
+    assert main(["diagnose", str(data), "--out", str(out)]) == 1
+    assert "every item failed" in capsys.readouterr().err
+    assert [r["status"] for r in _csv_rows(out / "first_stage.csv")] == ["ConstantColumn"] * 3
+    # spec2 needs relevance_score, which this file lacks: the whole run is an input error
+    assert main(["report", str(data), "--specs", "spec1,spec2", "--out", str(tmp_path)]) == 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -160,6 +160,21 @@ def test_build_design_single_arm_level_is_constant_column():
         build_design(ds, get_spec("spec1"))
 
 
+def test_build_design_empty_interaction_column_is_constant():
+    # item 1 never shows reason r1 under treatment, so arm=treatment*reason=r1
+    # is all zero there; item 2 shows every arm and reason pair
+    rows = [edge(i, i, 1, 1 + i % 3, arm="control" if i % 2 else "treatment",
+                 reason="r1" if i % 4 == 3 else "r0", rel=0.5) for i in range(1, 41)]
+    rows += [edge(i, i, 2, 1 + i % 3, arm="control" if i % 2 else "treatment",
+                  reason=f"r{i // 2 % 2}", rel=0.5) for i in range(41, 81)]
+    ds = from_edges(rows)
+    with pytest.raises(ConstantColumn, match=r"arm=treatment\*reason=r1"):
+        build_design(slice_by_item(ds, 1), get_spec("spec4"))
+    stacked = build_design(slice_by_item(ds, [1, 2]), get_spec("spec4"), by_item=True)
+    assert isinstance(stacked.items.errors[0], ConstantColumn)
+    assert stacked.items.errors[1] is None and stacked.items.z_cols[1].sum() == 2
+
+
 def test_build_design_constant_endogenous_rejected():
     rows = [edge(i, i, 1, 1, arm="control" if i % 2 else "treatment", rel=0.5)
             for i in range(1, 40)]
