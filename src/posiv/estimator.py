@@ -23,11 +23,13 @@ solves, breads and 1e12 checks run per matrix on the stack, the cluster
 score sums of all B come from one bincount, and one stdtr/fdtrc/stdtrit call
 gives every p-value and critical value. A design stacked by item
 (build_design(..., by_item=True)) is cut into shape buckets: the items with
-the same row count and instrument count. There is no zero padding, so each
-matrix LAPACK factors is the one a fit of that item alone would factor, and
-a large item costs memory only in its own bucket. An item that fails leaves
-its bucket with its EstimationError and the others go on. A single design is
-the B = 1 case: one bucket of one, where a failure raises.
+the same row count and instrument count. There is no zero padding, and a
+bucket builds only its own items' instrument columns, so each matrix LAPACK
+factors is the one a fit of that item alone would factor, and a large item,
+or one with arm levels of its own, costs memory only in its own bucket. An
+item that fails leaves its bucket with its EstimationError and the others go
+on. A single design is the B = 1 case: one bucket of one, where a failure
+raises.
 """
 
 from __future__ import annotations
@@ -175,17 +177,18 @@ def _take(keep: np.ndarray | None, value):
 
 class _Stack:
     """Same-shape designs of B items on a leading axis: y (B, n), w/z/x
-    (B, n, .), cluster codes (B, n), and the item positions they came from.
+    (B, n, .), cluster codes (B, n) numbered 0.. within each item, and the
+    item positions they came from.
 
     drop() takes failing items out of the stack and records their errors. In
     a design that is not stacked by item it raises the error instead, so a
     single fit fails as it always has.
     """
 
-    def __init__(self, pos, labels, z_cols, y, w, z, x, codes, n_clusters, single):
-        self.pos, self.labels, self.z_cols = pos, labels, z_cols
+    def __init__(self, pos, labels, z_names, y, w, z, x, codes, single):
+        self.pos, self.labels, self.z_names = pos, labels, z_names
         self.y, self.w, self.z, self.x = y, w, z, x
-        self.codes, self.n_clusters = codes, n_clusters
+        self.codes, self.n_clusters = codes, codes.max(axis=-1) + 1
         self.single = single
         self.failed: dict[int, EstimationError] = {}
 
@@ -201,7 +204,7 @@ class _Stack:
         if bad.all():
             raise _Emptied
         keep = np.flatnonzero(~bad)
-        for name in ("pos", "labels", "z_cols", "y", "w", "z", "x", "codes", "n_clusters"):
+        for name in ("pos", "labels", "z_names", "y", "w", "z", "x", "codes", "n_clusters"):
             setattr(self, name, _take(keep, getattr(self, name)))
         return keep
 
@@ -216,30 +219,32 @@ class _Stack:
 
 def _stacks(design: DesignMatrix, label: str | None):
     """The design's items grouped by exact shape (rows, instruments), one
-    _Stack per shape; a design not stacked by item is one stack of one."""
+    _Stack per shape, each with its own instrument columns; a design not
+    stacked by item is one stack of one."""
     items = design.items
     if items is None:
+        codes = np.unique(design.clusters, return_inverse=True)[1]
         yield _Stack(
             np.zeros(1, dtype=np.intp), [label if label is not None else design.label],
-            np.arange(design.z.shape[1])[None], design.y[None], design.w[None],
-            design.z[None], design.x[None], design.cluster_codes[None],
-            np.array([design.n_clusters]), single=True,
+            [design.z_names], design.y[None], design.w[None], design.z[None],
+            design.x[None], codes[None], single=True,
         )
         return
-    sizes, p_z = np.diff(items.bounds), items.z_cols.sum(axis=1)
+    sizes, p_z = np.diff(items.bounds), np.diff(items.z_bounds)
     built = np.flatnonzero([error is None for error in items.errors])
     if not built.size:
         return
-    shape = (sizes * (len(design.z_names) + 1) + p_z)[built]
+    shape = (sizes * (p_z.max() + 1) + p_z)[built]
     by_shape = np.argsort(shape, kind="stable")
     for pos in np.split(built[by_shape], np.flatnonzero(np.diff(shape[by_shape])) + 1):
         rows = items.bounds[pos][:, None] + np.arange(sizes[pos[0]])
-        z_cols = np.nonzero(items.z_cols[pos])[1].reshape(len(pos), p_z[pos[0]])
+        z_cols = items.z_cols[items.z_bounds[pos][:, None] + np.arange(p_z[pos[0]])]
         yield _Stack(
-            pos, [items.labels[g] for g in pos], z_cols, design.y[rows],
-            design.w[rows], design.z[rows[:, :, None], z_cols[:, None, :]],
-            design.x[rows], design.cluster_codes[rows], items.n_clusters[pos],
-            single=False,
+            pos, [items.labels[g] for g in pos],
+            [tuple(items.z_names[c] for c in cols) for cols in z_cols.tolist()],
+            design.y[rows], design.w[rows],
+            (items.instrument[rows][..., None] == z_cols[:, None, :]).astype(float),
+            design.x[rows], items.codes[rows], single=False,
         )
 
 
@@ -308,7 +313,6 @@ def cluster_cov(
     residuals: np.ndarray,
     clusters: np.ndarray,
     bread: np.ndarray | None = None,
-    n_clusters=None,
 ) -> tuple[np.ndarray, int]:
     """CR1 cluster sandwich covariance for coefficients of y ~ m.
 
@@ -317,19 +321,16 @@ def cluster_cov(
 
     m may also be a stack (B, n, k) of same-shape matrices with residuals
     and clusters (B, n). Clusters are then codes 0..G_b-1 within each matrix,
-    n_clusters holds the B counts G_b, and (B, k, k) covariances come back
-    with the counts. The score sums of every matrix come from one bincount
-    over codes offset per matrix, which adds each cluster's scores in row
-    order.
+    every code used, and (B, k, k) covariances come back with the B counts
+    G_b. The score sums of every matrix come from one bincount over codes
+    offset per matrix, which adds each cluster's scores in row order.
     """
     single = m.ndim == 2
     if single:
-        if n_clusters is None:
-            ids, clusters = np.unique(clusters, return_inverse=True)
-            n_clusters = len(ids)
+        clusters = np.unique(clusters, return_inverse=True)[1]
         m, residuals, clusters = m[None], residuals[None], clusters[None]
         bread = None if bread is None else bread[None]
-    n_groups = np.atleast_1d(n_clusters)
+    n_groups = clusters.max(axis=-1, initial=-1) + 1
     if n_groups.min() < 2:
         raise TooFewClusters(f"need at least 2 clusters, got {n_groups.min()}")
     if bread is None:
@@ -370,7 +371,7 @@ def _inference(
     coef, m, structural_resid, bread, notes, first_stage_f = (
         _take(keep, v) for v in (coef, m, structural_resid, bread, notes, first_stage_f)
     )
-    cov, n_groups = cluster_cov(m, structural_resid, s.codes, bread, s.n_clusters)
+    cov, n_groups = cluster_cov(m, structural_resid, s.codes, bread)
     with np.errstate(divide="ignore", invalid="ignore"):
         se = np.sqrt(np.clip(np.diagonal(cov, axis1=-2, axis2=-1), 0.0, None))
         t_stat = coef / se
@@ -459,7 +460,7 @@ def _first_stage(design: DesignMatrix, s: _Stack):
     equations: list[list[FirstStageEquation]] = [[] for _ in s.labels]
     for j, name in enumerate(design.w_names):
         resid = s.w[..., j] - fitted[..., j]
-        cov, n_groups = cluster_cov(p, resid, s.codes, bread, s.n_clusters)
+        cov, n_groups = cluster_cov(p, resid, s.codes, bread)
         coef_z = gamma[:, :p_z, j]
         cov_zz = cov[:, :p_z, :p_z]
         se_z = np.sqrt(np.clip(np.diagonal(cov_zz, axis1=-2, axis2=-1), 0.0, None))
@@ -481,7 +482,7 @@ def _first_stage(design: DesignMatrix, s: _Stack):
             eqs.append(
                 FirstStageEquation(
                     endogenous=name,
-                    instrument_names=tuple(design.z_names[c] for c in s.z_cols[i]),
+                    instrument_names=s.z_names[i],
                     coef=coef_z[i],
                     se=se_z[i],
                     ci_low=ci_low[i],

@@ -36,16 +36,22 @@ from .specs import ModelSpec
 class ItemBlocks:
     """Where each item of a design stacked by item lives.
 
-    Item g owns rows bounds[g]:bounds[g+1], its instruments are the design's
-    z columns where the mask z_cols[g] is set, and its cluster codes run over
-    0..n_clusters[g]-1. An item that could not be built owns no rows and
-    keeps the EstimationError it raised in errors[g].
+    Item g owns rows bounds[g]:bounds[g+1]. codes numbers each item's
+    clusters 0.. in the order of their ids. Instrument columns are built per
+    item at fit time and never for the whole stack: instrument holds each
+    row's column as an index into z_names (-1 for a row in no column), and
+    item g's columns are z_cols[z_bounds[g]:z_bounds[g+1]]. An item that
+    could not be built owns no rows and keeps the EstimationError it raised
+    in errors[g].
     """
 
     labels: tuple[str, ...]
     bounds: np.ndarray
+    codes: np.ndarray
+    instrument: np.ndarray
+    z_names: tuple[str, ...]
     z_cols: np.ndarray
-    n_clusters: np.ndarray
+    z_bounds: np.ndarray
     errors: tuple[EstimationError | None, ...]
 
 
@@ -54,13 +60,11 @@ class DesignMatrix:
     """Columns for one regression: outcome, endogenous, instruments, controls.
 
     x always ends with the constant column. Instruments are the excluded ones
-    only (controls are implicitly included in the first stage). Clusters are
-    coded once, as integers 0..n_clusters-1 in the order of their ids.
+    only (controls are implicitly included in the first stage).
 
-    A design built with by_item=True stacks one such design per item: its
-    arrays hold the items' rows one item after another, z holds every
-    instrument column any item uses, and `items` says which rows and columns
-    belong to which item.
+    A design built with by_item=True stacks one design per item: its arrays
+    hold the items' rows one item after another, z has no columns and
+    `items` says which rows, clusters and instruments belong to which item.
     """
 
     y: np.ndarray
@@ -75,8 +79,6 @@ class DesignMatrix:
     outcome_name: str = "outcome"
     n_dropped: int = 0
     label: str | None = None
-    cluster_codes: np.ndarray | None = None
-    n_clusters: int = 0
     items: ItemBlocks | None = None
 
     def __post_init__(self):
@@ -96,9 +98,6 @@ class DesignMatrix:
             raise Underidentified(
                 f"{self.z.shape[1]} instruments for {self.w.shape[1]} endogenous columns"
             )
-        if self.cluster_codes is None:
-            ids, self.cluster_codes = np.unique(self.clusters, return_inverse=True)
-            self.n_clusters = len(ids)
 
     @property
     def n_obs(self) -> int:
@@ -152,29 +151,35 @@ def sample_one_per_request(ds: Dataset, seed: int) -> Dataset:
 
 
 def slice_by_item(ds: Dataset, items: int | Sequence[int], seed: int = 0) -> Dataset:
-    """Rows of one item, or of several one item after another in the order
-    given, at most one per (item, request) (hash rule with this seed).
+    """Rows of the given items (one id or several), one item after another
+    in the order given, at most one per (item, request) (hash rule with this
+    seed).
 
     An item's rows keep their dataset order, and each item's rows are exactly
-    those of slicing that item alone. One stable argsort of item_id finds them.
+    those of slicing that item alone. Each row's item is looked up among the
+    wanted ids, so slicing a few items costs little more than one pass over
+    the item column.
     """
-    single = np.ndim(items) == 0
     try:
-        wanted = np.array([items] if single else items, dtype=np.uint64)
+        wanted = np.atleast_1d(np.array(items, dtype=np.uint64))
     except OverflowError:
         raise UnknownItem(f"item {items} not present") from None
-    order = np.argsort(ds.column("item_id"), kind="stable")
-    sorted_items = ds.column("item_id")[order]
-    start = np.searchsorted(sorted_items, wanted, "left")
-    sizes = np.searchsorted(sorted_items, wanted, "right") - start
+    if not wanted.size or len(np.unique(wanted)) < wanted.size:
+        raise ValueError("items must be one or more distinct ids")
+    item_ids = ds.column("item_id")
+    by_id = np.argsort(wanted)
+    at = np.minimum(np.searchsorted(wanted[by_id], item_ids), len(wanted) - 1)
+    # the smallest integer type for item positions lets the stable sort run as a radix sort
+    group = by_id.astype(np.min_scalar_type(len(wanted)))[at]
+    rows = np.flatnonzero(wanted[group] == item_ids)
+    group = group[rows]
+    sizes = np.bincount(group, minlength=len(wanted))
     if not sizes.all():
         raise UnknownItem(f"item {wanted[np.argmin(sizes)]} not present")
-    group = np.repeat(np.arange(len(wanted)), sizes)
-    offsets = np.cumsum(sizes) - sizes
-    rows = order[np.arange(len(group)) + np.repeat(start - offsets, sizes)]
+    by_item = np.argsort(group, kind="stable")
+    rows, group = rows[by_item], group[by_item]
     winners = _winner_per_request(ds.column("request_id")[rows], seed, group)
-    tag = f"item={wanted[0]}" if single else f"items={len(wanted)}"
-    return ds.subset(rows[winners], provenance=f"{ds.provenance} | {tag}")
+    return ds.subset(rows[winners], provenance=f"{ds.provenance} | items={len(wanted)}")
 
 
 def top_items(ds: Dataset, n: int) -> list[int]:
@@ -203,10 +208,10 @@ def _reduce_items(ufunc, values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return out
 
 
-def _seen(item: np.ndarray, codes: np.ndarray, n_items: int, n_levels: int) -> np.ndarray:
-    """(n_items, n_levels) counts of each level's rows per item."""
-    flat = np.bincount(item * n_levels + codes, minlength=n_items * n_levels)
-    return flat.reshape(n_items, n_levels)
+def _pairs(item: np.ndarray, codes: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (item, level) pairs the rows show, sorted by item, then level."""
+    flat = np.unique(item * n_levels + codes)
+    return flat // n_levels, flat % n_levels
 
 
 def build_design(ds: Dataset, spec: ModelSpec, by_item: bool = False) -> DesignMatrix:
@@ -279,43 +284,62 @@ def build_design(ds: Dataset, spec: ModelSpec, by_item: bool = False) -> DesignM
     controls = [numeric[c][idx] for c in spec.controls]
     x = np.column_stack(controls + [np.ones(idx.size)])
 
-    # instrument columns are indicators of (arm level, reason level) pairs
-    # (of arm levels alone for "arm"); uses[g] marks the pairs item g needs
+    # instrument columns are indicators of (arm level, reason level) pairs,
+    # coded arm * n_reasons + reason ("arm" alone has one reason level);
+    # item g's columns are the pairs (col_item == g, col) it shows with an
+    # arm level other than its baseline
     pair = np.zeros(idx.size, dtype=np.intp)
-    pair_names: list[str] = []
-    uses = np.zeros((n_items, 0), dtype=bool)
+    col_item, col = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    p_z = np.zeros(n_items, dtype=np.intp)
+
+    def name(c: int) -> str:
+        a, r = divmod(c, len(reason_levels))
+        both = spec.instruments == "arm*reason"
+        return f"arm={arm_levels[a]}" + (f"*reason={reason_levels[r]}" if both else "")
+
     if spec.instruments != "none":
         arm_levels, arm = np.unique(strings["arm"][idx], return_inverse=True)
-        arm_seen = _seen(item, arm, n_items, len(arm_levels)) > 0
-        baseline = _reduce_items(np.minimum, arm, bounds)  # lowest level is the baseline
-        fail(arm_seen.sum(axis=1) == 1, lambda g: ConstantColumn(
-            f"arm has a single level {arm_levels[baseline[g]]!r}; the instrument is unusable"
-        ))
-        treated = arm_seen & (np.arange(len(arm_levels)) != baseline[:, None])
         if spec.instruments == "arm":
-            pair, uses = arm, treated
-            pair_names = [f"arm={lvl}" for lvl in arm_levels]
+            reason_levels, reason = np.array([""]), np.zeros(idx.size, dtype=np.intp)
         else:
             reason_levels, reason = np.unique(
                 strings[_reason_column(ds)][idx], return_inverse=True
             )
-            reason_seen = _seen(item, reason, n_items, len(reason_levels)) > 0
-            pair = arm * len(reason_levels) + reason
-            uses = (treated[:, :, None] & reason_seen[:, None, :]).reshape(n_items, -1)
-            pair_names = [f"arm={lvl}*reason={r}" for lvl in arm_levels for r in reason_levels]
+        pair = arm * len(reason_levels) + reason
+        col_item, col = _pairs(item, pair, len(arm_levels) * len(reason_levels))
+        col_arm, col_reason = np.divmod(col, len(reason_levels))
+        n_arms = np.bincount(_pairs(col_item, col_arm, len(arm_levels))[0], minlength=n_items)
+        baseline = _reduce_items(np.minimum, arm, bounds)  # lowest level is the baseline
+        fail(n_arms == 1, lambda g: ConstantColumn(
+            f"arm has a single level {arm_levels[baseline[g]]!r}; the instrument is unusable"
+        ))
+        n_reasons = np.bincount(
+            _pairs(col_item, col_reason, len(reason_levels))[0], minlength=n_items
+        )
+        p_z = np.maximum(n_arms - 1, 0) * n_reasons
+        treated = col_arm != baseline[col_item]
+        col_item, col = col_item[treated], col[treated]
 
-    for j, name in enumerate(spec.endogenous):
+    for j, endogenous in enumerate(spec.endogenous):
         lo = _reduce_items(np.minimum, w[:, j], bounds)
-        fail(lo == _reduce_items(np.maximum, w[:, j], bounds), lambda g, name=name: ConstantColumn(
-            f"endogenous column {name!r} has zero variance"
+        hi = _reduce_items(np.maximum, w[:, j], bounds)
+        fail(lo == hi, lambda g, e=endogenous: ConstantColumn(
+            f"endogenous column {e!r} has zero variance"
         ))
-    if uses.size:
-        # an item here has baseline rows, so its zero-variance columns are all 0
-        constant = uses & (_seen(item, pair, n_items, uses.shape[1]) == 0)
-        fail(constant.any(axis=1), lambda g: ConstantColumn(
-            f"instrument column {pair_names[np.argmax(constant[g])]!r} has zero variance"
-        ))
-    p_w, p_z, p_x = w.shape[1], uses.sum(axis=1), x.shape[1]
+    item_start = np.searchsorted(col_item, np.arange(n_items + 1))
+
+    def first_empty(g):
+        # the first (arm, reason) column, in code order, the item never shows
+        arms = np.setdiff1d(arm[bounds[g]:bounds[g + 1]], baseline[g])
+        reasons = np.unique(reason[bounds[g]:bounds[g + 1]])
+        every = (arms[:, None] * len(reason_levels) + reasons).ravel()
+        return every[~np.isin(every, col[item_start[g]:item_start[g + 1]])][0]
+
+    # an item here has baseline rows, so a column it never shows is all 0
+    fail(np.bincount(col_item, minlength=n_items) < p_z, lambda g: ConstantColumn(
+        f"instrument column {name(first_empty(g))!r} has zero variance"
+    ))
+    p_w, p_x = w.shape[1], x.shape[1]
     if spec.instruments != "none":
         fail(p_z < p_w, lambda g: Underidentified(
             f"{p_z[g]} instruments for {p_w} endogenous columns"
@@ -325,21 +349,34 @@ def build_design(ds: Dataset, spec: ModelSpec, by_item: bool = False) -> DesignM
     ))
 
     built = np.array([e is None for e in errors])
-    if not built.all():  # failed items give up their rows
+    if not built.all():  # failed items give up their rows and columns
         keep = built[item]
         idx, item, pair, y, w, x = (a[keep] for a in (idx, item, pair, y, w, x))
         sizes = np.where(built, sizes, 0)
         bounds = np.concatenate([[0], np.cumsum(sizes)])
-    in_use = np.flatnonzero(uses[built].any(axis=0))
-    z = (pair[:, None] == in_use).astype(float)
-
+        col_item, col = col_item[built[col_item]], col[built[col_item]]
+    in_use = np.unique(col)
+    z_names = tuple(name(c) for c in in_use.tolist())
     clusters = ds.column(spec.cluster)[idx]
-    cluster_ids, codes = np.unique(clusters, return_inverse=True)
-    n_clusters = np.array([len(cluster_ids)])
-    if by_item:  # number each item's clusters 0.. in the order of their ids
-        pairs, codes = np.unique(item * len(cluster_ids) + codes, return_inverse=True)
-        n_clusters = np.bincount(pairs // max(len(cluster_ids), 1), minlength=n_items)
-        codes -= (np.cumsum(n_clusters) - n_clusters)[item]
+    if by_item:
+        # number each item's clusters 0.. in the order of their ids
+        ids, codes = np.unique(clusters, return_inverse=True)
+        item_cluster, codes = np.unique(item * len(ids) + codes, return_inverse=True)
+        per_item = np.bincount(item_cluster // max(len(ids), 1), minlength=n_items)
+        at = np.searchsorted(in_use, pair)  # each row's column, -1 for none
+        items = ItemBlocks(
+            labels=labels,
+            bounds=bounds,
+            codes=codes - (np.cumsum(per_item) - per_item)[item],
+            instrument=np.where(np.append(in_use, -1)[at] == pair, at, -1),
+            z_names=z_names,
+            z_cols=np.searchsorted(in_use, col),
+            z_bounds=np.searchsorted(col_item, np.arange(n_items + 1)),
+            errors=tuple(errors),
+        )
+        z, z_names = np.empty((idx.size, 0)), ()
+    else:
+        items, z = None, (pair[:, None] == in_use).astype(float)
 
     return DesignMatrix(
         y=y,
@@ -347,21 +384,13 @@ def build_design(ds: Dataset, spec: ModelSpec, by_item: bool = False) -> DesignM
         z=z,
         x=x,
         w_names=tuple(spec.endogenous),
-        z_names=tuple(pair_names[c] for c in in_use),
+        z_names=z_names,
         x_names=tuple(spec.controls) + ("Constant",),
         clusters=clusters,
         row_index=idx,
         outcome_name=spec.outcome,
         n_dropped=dropped,
-        cluster_codes=codes,
-        n_clusters=0 if by_item else int(n_clusters[0]),
-        items=ItemBlocks(
-            labels=labels,
-            bounds=bounds,
-            z_cols=uses[:, in_use] & built[:, None],
-            n_clusters=n_clusters,
-            errors=tuple(errors),
-        ) if by_item else None,
+        items=items,
     )
 
 

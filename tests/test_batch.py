@@ -2,10 +2,12 @@
 time, against the one-item path it replaces (slice one item, build its
 design, fit it) on every item, spec and failure."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.special  # noqa: F401  (imported before any tracing; its import allocates)
 
 from posiv.cli import main
 from posiv.datamodel import Dataset, write_dataset
@@ -131,9 +133,56 @@ def test_batch_matches_one_item_at_a_time(mixed, seed, spec_name):
     assert isinstance(single_arm, ConstantColumn) == (spec.instruments != "none")
 
     built = [g for g, error in enumerate(design.items.errors) if error is None]
-    shapes = [(design.items.bounds[g + 1] - design.items.bounds[g], design.items.z_cols[g].sum())
-              for g in built]
+    rows, cols = np.diff(design.items.bounds), np.diff(design.items.z_bounds)
+    shapes = [(rows[g], cols[g]) for g in built]
     assert 1 < len(set(shapes)) < len(shapes)  # several buckets, some holding many items
+
+
+def _own_arm_labels(ds: Dataset, copies: int = 1) -> Dataset:
+    """ds with each item's arm levels renamed "<item>:<arm>", so that no two
+    items share an arm level, as in a log where every campaign names its own
+    test arms; with copies > 1 every item also comes again under new ids."""
+    columns = {name: np.concatenate([ds.column(name)] * copies) for name in ds.column_names}
+    ids = ds.column("item_id")
+    columns["item_id"] = np.concatenate([ids + np.uint64(k) * (ids.max() + 1)
+                                         for k in range(copies)])
+    columns["arm"] = np.char.add(columns["item_id"].astype(str), np.char.add(":", columns["arm"]))
+    return Dataset(columns, ds.schema, "own arm labels")
+
+
+@pytest.mark.parametrize("spec_name", ["spec1", "spec4", "spec5"])
+def test_items_with_their_own_arm_labels_fit_as_alone(mixed, spec_name):
+    ds, items = mixed
+    ds = _own_arm_labels(ds)
+    spec = get_spec(spec_name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        design = build_design(slice_by_item(ds, items, 3), spec, by_item=True)
+        batch = fit_2sls(design)
+        single = _one_by_one(ds, items, spec, fit_2sls, 3)
+    for got, want in zip(batch, single, strict=True):
+        _assert_same(got, want)
+    assert sum(isinstance(r, FitResult) for r in batch) > len(items) // 3
+
+
+def test_own_arm_labels_keep_memory_linear_in_rows(mixed):
+    """With an arm level per item, one instrument matrix over the whole stack
+    would hold rows x items cells (about 14x and 51x the data here for spec1
+    and spec4); each bucket builds only its own items' columns."""
+    ds = _own_arm_labels(mixed[0], copies=16)
+    sliced = slice_by_item(ds, top_items(ds, 10**6), 3)
+    data_bytes = sum(sliced.column(name).nbytes for name in sliced.column_names)
+    for spec in ("spec1", "spec4"):
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                fits = fit_2sls(build_design(sliced, get_spec(spec), by_item=True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(isinstance(fit, FitResult) for fit in fits) > 100
+        assert peak < 4 * data_bytes
 
 
 def test_sample_seed_changes_the_batch_as_it_does_one_item(mixed):
