@@ -14,10 +14,8 @@ import csv
 import gc
 import json
 import math
-import operator
 from dataclasses import dataclass
-from itertools import compress
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -237,17 +235,71 @@ def _require_constant_arm_per_user(data: Mapping[str, np.ndarray]) -> None:
         )
 
 
-def _read_columns(path: str) -> tuple[list[str], dict[str, Sequence[str]]]:
-    """Header and raw cells by column name from CSV (by extension
-    .jsonl/.ndjson: JSON lines).
+class _Cells(NamedTuple):
+    """One column's cells: cell i is the UTF-8 text data[start[i]:end[i]]."""
 
-    CSV keeps the csv.DictReader conventions: blank rows are skipped, short
-    rows padded with "", extra cells ignored, and of repeated header names the
-    last column wins. A JSON line's absent key or null value is "".
+    data: bytes
+    start: np.ndarray
+    end: np.ndarray
+
+
+def _encode(cells: Sequence[str]) -> _Cells:
+    # surrogatepass keeps a lone surrogate from a JSON escape, as _texts
+    # decodes it back.
+    blobs = [cell.encode("utf-8", "surrogatepass") for cell in cells]
+    lengths = np.fromiter(map(len, blobs), dtype=np.int64, count=len(blobs))
+    end = np.cumsum(lengths)
+    return _Cells(b"".join(blobs), end - lengths, end)
+
+
+def _split_plain(data: bytes) -> tuple[list[str], dict[str, _Cells]] | None:
+    """Header and cells of a plain CSV file, from one numpy scan for "," and
+    newline, or None when the file needs the csv module: it holds a quote or
+    a carriage return, its header or a row is blank, a row's width differs
+    from the header's, or a cell has more bytes than csv.field_size_limit().
+
+    In a plain file the csv module's cells are exactly the bytes between
+    separators, so both paths give the same cells. A cell has at least as
+    many bytes as characters, and the csv module counts characters against
+    the limit, so it decides every cell that might exceed it.
     """
-    # Reading allocates a list per row and transposing an iterator per row;
-    # with the cyclic collector running, those allocations trigger
-    # collections that rescan every row read so far.
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    if data.startswith(b"\n") or b'"' in data or b"\r" in data:
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    line_ends = np.flatnonzero(buf[ends] == ord("\n"))
+    width = int(line_ends[0]) + 1
+    if (
+        np.any(np.diff(line_ends) != width)
+        or np.any(np.diff(ends[line_ends]) == 1)  # blank line
+        or np.diff(ends, prepend=-1).max() - 1 > csv.field_size_limit()
+    ):
+        return None
+    if buf.max() >= 0x80:
+        data.decode("utf-8")  # raises on a file that is not UTF-8
+    header = data[: ends[width - 1]].decode("utf-8").split(",")
+    rows = len(ends) // width - 1
+    return header, {  # a cell starts one byte after the separator before it
+        name: _Cells(data, ends[width - 1 + j :: width][:rows] + 1, ends[width + j :: width])
+        for j, name in enumerate(header)
+    }
+
+
+def _read_columns(path: str) -> tuple[list[str], dict[str, _Cells]]:
+    """Header and cells by column name from CSV (by extension .jsonl/.ndjson:
+    JSON lines).
+
+    A plain CSV file is split from its bytes by _split_plain; any other goes
+    through csv.reader, and both give the same cells. CSV keeps the
+    csv.DictReader conventions: blank rows are skipped, short rows padded with
+    "", extra cells ignored, and of repeated header names the last column
+    wins. A cell longer than csv.field_size_limit() is an InputError. A JSON
+    line's absent key or null value is "".
+    """
+    # csv.reader allocates a list per row; with the cyclic collector running,
+    # those allocations trigger collections that rescan every row read so far.
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -258,9 +310,13 @@ def _read_columns(path: str) -> tuple[list[str], dict[str, Sequence[str]]]:
                 raise InputError(f"JSON line in {path!r} is not an object")
             header = list(dict.fromkeys(k for rec in records for k in rec))
             return header, {
-                key: ["" if (v := rec.get(key)) is None else str(v) for rec in records]
+                key: _encode(["" if (v := rec.get(key)) is None else str(v) for rec in records])
                 for key in header
             }
+        with open(path, "rb") as fh:
+            plain = _split_plain(fh.read())
+        if plain is not None:
+            return plain
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
@@ -269,9 +325,11 @@ def _read_columns(path: str) -> tuple[list[str], dict[str, Sequence[str]]]:
         if set(map(len, rows)) - {width}:  # some row is short or long
             rows = [row[:width] + [""] * (width - len(row)) for row in rows]
         columns = list(zip(*rows)) or [()] * width
-        return header, dict(zip(header, columns))
+        return header, dict(zip(header, map(_encode, columns)))
     except OSError as exc:
         raise IoFailure(f"cannot read {path!r}: {exc}") from exc
+    except csv.Error as exc:
+        raise InputError(f"cannot read {path!r} as CSV: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON line in {path!r}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -281,45 +339,83 @@ def _read_columns(path: str) -> tuple[list[str], dict[str, Sequence[str]]]:
             gc.enable()
 
 
-def _id_column(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+def _texts(cells: _Cells, index: np.ndarray) -> list[str]:
+    """The indexed cells as str, for the Python converters."""
+    data = cells.data
+    return [
+        data[s:e].decode("utf-8", "surrogatepass")
+        for s, e in zip(cells.start[index].tolist(), cells.end[index].tolist())
+    ]
+
+
+def _plain_digits(cells: _Cells, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """uint64 values and a mask of the plain cells: 1 to 20 ASCII digits with
+    a value up to `limit`, parsed in numpy one digit place at a time. Other
+    cells read 0."""
+    buf = np.frombuffer(cells.data, dtype=np.uint8)
+    length = cells.end - cells.start
+    plain = (length > 0) & (length <= 20)
+    value = np.zeros(len(length), dtype=np.uint64)
+    top = np.uint64(limit // 10)
+    for k in range(20):
+        rows = np.flatnonzero(plain & (length > k))
+        if not rows.size:
+            break
+        d, v = buf[cells.start[rows] + k] - np.uint8(ord("0")), value[rows]
+        value[rows] = v * np.uint64(10) + d
+        plain[rows] = (d < 10) & ((v < top) | ((v == top) & (d <= limit % 10)))
+    value[~plain] = 0
+    return value, plain
+
+
+def _id_column(cells: _Cells, empty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """uint64 ids and a mask of the cells that drop their row: empty, or a
-    value parse_id rejects. parse_id runs once per distinct string."""
-    values, failed = [], []
-    distinct = dict.fromkeys(cells)
-    for text in distinct:
+    value parse_id rejects. parse_id runs once per distinct cell that is
+    neither plain digits nor empty."""
+    values, plain = _plain_digits(cells, _UINT64_MAX)
+    failed = empty.copy()
+    index = np.flatnonzero(~plain & ~empty)
+    texts = _texts(cells, index)
+    parsed = dict.fromkeys(texts)
+    for text in parsed:
         try:
-            values.append(parse_id(text) if text else 0)
-            failed.append(not text)
+            parsed[text] = parse_id(text)
         except ValueError:  # a digit that int() rejects, such as "²"
-            values.append(0)
-            failed.append(True)
-    codes = dict(zip(distinct, range(len(distinct))))
-    index = np.fromiter(map(codes.__getitem__, cells), dtype=np.intp, count=len(cells))
-    return np.array(values, dtype=np.uint64)[index], np.array(failed, dtype=bool)[index]
+            pass
+    ids = list(map(parsed.__getitem__, texts))
+    failed[index] = [v is None for v in ids]
+    values[index] = np.array([0 if v is None else v for v in ids], dtype=np.uint64)
+    return values, failed
 
 
 def _number_column(
-    kind: str, name: str, cells: Sequence[str], missing: np.ndarray
+    kind: str, name: str, cells: _Cells, missing: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """int64 or float64 values (0 where missing) and a mask of the present
     cells that drop their row.
 
-    Python's own int/float convert the present cells in one pass; if that
-    raises, the column is redone cell by cell and each cell that int/float
+    Int cells of plain digits up to 2**63 - 1 are parsed in numpy. Python's
+    own int/float convert the other present cells in one pass; if
+    that raises, they are redone cell by cell and each cell that int/float
     rejects, or that overflows int64, fails alone. Then the range rules apply.
     """
-    dtype, convert = (np.float64, float) if kind == "float" else (np.int64, int)
-    values = np.zeros(len(cells), dtype=dtype)
-    failed = np.zeros(len(cells), dtype=bool)
-    present = np.flatnonzero(~missing)
+    if kind == "float":
+        dtype, convert = np.float64, float
+        values = np.zeros(len(missing), dtype=dtype)
+        index = np.flatnonzero(~missing)
+    else:
+        dtype, convert = np.int64, int
+        digits, plain = _plain_digits(cells, 2**63 - 1)
+        values = digits.view(np.int64)
+        index = np.flatnonzero(~plain & ~missing)
+    failed = np.zeros(len(missing), dtype=bool)
+    texts = _texts(cells, index)
     try:
-        values[present] = np.array(
-            list(map(convert, compress(cells, (~missing).tolist()))), dtype=dtype
-        )
+        values[index] = np.array(list(map(convert, texts)), dtype=dtype)
     except (ValueError, OverflowError):
-        for i in present.tolist():
+        for i, text in zip(index.tolist(), texts):
             try:
-                values[i] = convert(cells[i])
+                values[i] = convert(text)
             except (ValueError, OverflowError):
                 failed[i] = True
     if kind == "float":
@@ -333,6 +429,23 @@ def _number_column(
     elif name in ("n_top_spot", "n_bottom_spot", "invite_total"):
         failed |= values < 0
     return values, failed & ~missing
+
+
+def _str_column(cells: _Cells, keep: np.ndarray) -> np.ndarray:
+    """The kept cells as a <U array as wide as the longest kept cell. ASCII
+    cells are gathered into fixed-width bytes and cast; others are decoded."""
+    index = np.flatnonzero(keep)
+    start = cells.start[index]
+    length = cells.end[index] - start
+    width = max(1, int(length.max()))
+    buf = np.frombuffer(cells.data, dtype=np.uint8)
+    raw = np.zeros((len(index), width), dtype=np.uint8)
+    for k in range(width):
+        rows = np.flatnonzero(length > k)
+        raw[rows, k] = buf[start[rows] + k]
+    if raw.max() >= 0x80:
+        return np.array(_texts(cells, index))
+    return raw.view(f"S{width}").ravel().astype(f"U{width}")
 
 
 def _count_duplicates(data: Mapping[str, np.ndarray]) -> int:
@@ -376,20 +489,17 @@ def load_dataset(path: str, schema_map: Mapping[str, str] | None = None) -> Data
                 f"required field {name!r} (column {colmap[name]!r}) absent from {path!r}"
             )
 
-    values: dict[str, np.ndarray | Sequence[str]] = {}
+    values: dict[str, np.ndarray | _Cells] = {}
     missing: dict[str, np.ndarray] = {}
-    n = len(table[colmap["request_id"]])
+    n = len(table[colmap["request_id"]].start)
     drop = np.zeros(n, dtype=bool)
     for name, kind, req in schema:
         if colmap[name] not in header:
             continue
         cells = table[colmap[name]]
-        empty = (
-            np.fromiter(map(operator.not_, cells), dtype=bool, count=n)
-            if "" in cells else np.zeros(n, dtype=bool)
-        )
+        empty = cells.start == cells.end
         if kind == "id":
-            values[name], failed = _id_column(cells)
+            values[name], failed = _id_column(cells, empty)
         elif kind == "str":
             values[name], failed = cells, np.zeros(n, dtype=bool)
         else:
@@ -412,16 +522,20 @@ def load_dataset(path: str, schema_map: Mapping[str, str] | None = None) -> Data
     if dropped == n:
         raise EmptyDataset(f"no valid rows in {path!r} ({dropped} dropped)")
 
+    # The cells, and each parsed column once its final column is built, are
+    # freed before the duplicate count's temporaries.
+    del table, cells
     data: dict[str, np.ndarray] = {}
     for name, kind, _ in schema:
         if name not in values:
             continue
+        column = values.pop(name)
         if kind == "str":
-            data[name] = np.array(list(compress(values[name], keep.tolist())))
+            data[name] = _str_column(column, keep)
         elif kind == "float" or name == "session_depth":  # NaN marks an empty cell
-            data[name] = np.where(missing[name], math.nan, values[name])[keep]
+            data[name] = np.where(missing[name], math.nan, column)[keep]
         else:
-            data[name] = values[name][keep]
+            data[name] = column[keep]
     if "user_id" not in data:
         data["user_id"] = data["request_id"].copy()
 

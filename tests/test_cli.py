@@ -76,6 +76,18 @@ def test_missing_data_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["prepare", "diagnose"])
+def test_cell_over_the_csv_field_limit_exits_2(tmp_path, capsys, command):
+    data = tmp_path / "long.csv"
+    data.write_text(
+        "request_id,user_id,item_id,position,outcome,arm\n"
+        f"1,1,5,1,0,{'x' * 200_000}\n2,2,5,1,0,control\n",
+        encoding="utf-8",
+    )
+    assert main([command, str(data), "--out", str(tmp_path / "out")]) == 2
+    assert "field larger than field limit (131072)" in capsys.readouterr().err
+
+
 def test_estimate_table_and_json_agree(ads_outdir, tmp_path, capsys):
     out = tmp_path / "est"
     code = main([
