@@ -312,9 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prepare", parents=[common], help="sample/slice/aggregate a dataset")
     p.add_argument("data")
     p.add_argument("--sample-seed", type=int, default=0)
-    p.add_argument("--item", type=int, default=None)
-    p.add_argument("--top-n", type=positive, default=None)
-    p.add_argument("--session-top-cut", type=non_negative, default=None)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--item", type=int, default=None)
+    mode.add_argument("--top-n", type=positive, default=None)
+    mode.add_argument("--session-top-cut", type=non_negative, default=None)
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("estimate", parents=[common], help="fit one specification")

@@ -26,10 +26,13 @@ gives every p-value and critical value. A design stacked by item
 the same row count and instrument count. There is no zero padding, and a
 bucket builds only its own items' instrument columns, so each matrix LAPACK
 factors is the one a fit of that item alone would factor, and a large item,
-or one with arm levels of its own, costs memory only in its own bucket. An
-item that fails leaves its bucket with its EstimationError and the others go
-on. A single design is the B = 1 case: one bucket of one, where a failure
-raises.
+or one with arm levels of its own, costs memory only in its own bucket.
+
+Each kernel is one fit over a fixed stack. A check that fails raises for the
+items it flags; they report that EstimationError, and the bucket is fitted
+again without them, once per failing check, so an item leaves at the first
+check it fails and the others go on. A single design is the B = 1 case: one
+bucket of one, where a failure raises.
 """
 
 from __future__ import annotations
@@ -162,17 +165,12 @@ class EffectEstimate:
     per_item: tuple[tuple[str, float], ...]
 
 
-class _Emptied(Exception):
-    """Every item of a stack has failed; nothing is left to fit."""
+class _Failed(Exception):
+    """A check failed the items flagged in bad; error(i) is item i's error."""
 
-
-def _take(keep: np.ndarray | None, value):
-    """An array or list over a stack's items, restricted to the items in keep."""
-    if keep is None:
-        return value
-    if isinstance(value, list):
-        return [value[i] for i in keep]
-    return value[keep]
+    def __init__(self, bad: np.ndarray, error):
+        super().__init__()
+        self.bad, self.error = bad, error
 
 
 class _Stack:
@@ -180,39 +178,36 @@ class _Stack:
     (B, n, .), cluster codes (B, n) numbered 0.. within each item, and the
     item positions they came from.
 
-    drop() takes failing items out of the stack and records their errors. In
-    a design that is not stacked by item it raises the error instead, so a
-    single fit fails as it always has.
+    A kernel fits the whole stack or none of it: check() raises _Failed for
+    the items a check flags, and _per_item fits without(those items) again.
+    Each matrix of a batched svd, solve or matmul, and each cluster sum, is
+    computed on its own, so the items left get bit-identical numbers in the
+    smaller stack and pass the checks they passed before.
     """
 
-    def __init__(self, pos, labels, z_names, y, w, z, x, codes, single):
+    def __init__(self, pos, labels, z_names, y, w, z, x, codes):
         self.pos, self.labels, self.z_names = pos, labels, z_names
         self.y, self.w, self.z, self.x = y, w, z, x
         self.codes, self.n_clusters = codes, codes.max(axis=-1) + 1
-        self.single = single
-        self.failed: dict[int, EstimationError] = {}
 
-    def drop(self, bad: np.ndarray, error) -> np.ndarray | None:
-        """Fail the items flagged in bad with error(i); return the index of
-        the others, or None when no item failed."""
-        if not bad.any():
-            return None
-        if self.single:
-            raise error(0)
-        for i in np.flatnonzero(bad):
-            self.failed[int(self.pos[i])] = error(i)
-        if bad.all():
-            raise _Emptied
+    def without(self, bad: np.ndarray) -> _Stack:
         keep = np.flatnonzero(~bad)
-        for name in ("pos", "labels", "z_names", "y", "w", "z", "x", "codes", "n_clusters"):
-            setattr(self, name, _take(keep, getattr(self, name)))
-        return keep
+        return _Stack(
+            self.pos[keep], [self.labels[i] for i in keep], [self.z_names[i] for i in keep],
+            self.y[keep], self.w[keep], self.z[keep], self.x[keep], self.codes[keep],
+        )
+
+    @staticmethod
+    def check(bad: np.ndarray, error) -> None:
+        """Fail the items flagged in bad with error(i)."""
+        if bad.any():
+            raise _Failed(bad, error)
 
     def fail_all(self, error: EstimationError) -> None:
-        self.drop(np.ones(len(self.pos), dtype=bool), lambda i: error)
+        self.check(np.ones(len(self.pos), dtype=bool), lambda i: error)
 
-    def drop_too_few_clusters(self) -> np.ndarray | None:
-        return self.drop(self.n_clusters < 2, lambda i: TooFewClusters(
+    def check_clusters(self) -> None:
+        self.check(self.n_clusters < 2, lambda i: TooFewClusters(
             f"need at least 2 clusters, got {self.n_clusters[i]}"
         ))
 
@@ -225,9 +220,8 @@ def _stacks(design: DesignMatrix, label: str | None):
     if items is None:
         codes = np.unique(design.clusters, return_inverse=True)[1]
         yield _Stack(
-            np.zeros(1, dtype=np.intp), [label if label is not None else design.label],
-            [design.z_names], design.y[None], design.w[None], design.z[None],
-            design.x[None], codes[None], single=True,
+            np.zeros(1, dtype=np.intp), [label], [design.z_names], design.y[None],
+            design.w[None], design.z[None], design.x[None], codes[None],
         )
         return
     sizes, p_z = np.diff(items.bounds), np.diff(items.z_bounds)
@@ -244,23 +238,30 @@ def _stacks(design: DesignMatrix, label: str | None):
             [tuple(items.z_names[c] for c in cols) for cols in z_cols.tolist()],
             design.y[rows], design.w[rows],
             (items.instrument[rows][..., None] == z_cols[:, None, :]).astype(float),
-            design.x[rows], items.codes[rows], single=False,
+            design.x[rows], items.codes[rows],
         )
 
 
 def _per_item(design: DesignMatrix, kernel, label: str | None = None) -> list:
     """Each item's kernel result, or the EstimationError it failed with, in
-    item order; a design not stacked by item has one item, which raises."""
+    item order. A bucket with failing items is fitted again without them,
+    once per failing check; a design not stacked by item has one item, which
+    raises."""
     results = [None] if design.items is None else list(design.items.errors)
     for stack in _stacks(design, label):
-        try:
-            done = kernel(design, stack)
-        except _Emptied:
-            done = []
-        for g, result in zip(stack.pos, done):
-            results[g] = result
-        for g, error in stack.failed.items():
-            results[g] = error
+        while len(stack.pos):
+            try:
+                done = kernel(design, stack)
+            except _Failed as failed:
+                if design.items is None:
+                    raise failed.error(0) from None
+                for i in np.flatnonzero(failed.bad):
+                    results[stack.pos[i]] = failed.error(i)
+                stack = stack.without(failed.bad)
+            else:
+                for g, result in zip(stack.pos, done):
+                    results[g] = result
+                break
     return results
 
 
@@ -271,31 +272,19 @@ def _unstack(design: DesignMatrix, results: list):
 class _Factorization:
     """Thin SVDs of a stack of same-shape regressor matrices, shared by solve
     and sandwich bread. An item whose matrix reaches condition number 1e12
-    leaves the stack as Collinear; keep indexes the items that stay."""
+    fails as Collinear."""
 
-    def __init__(self, m: np.ndarray, what: str, stack: _Stack | None = None):
+    def __init__(self, m: np.ndarray, what: str):
         n, k = m.shape[-2:]
         if n < k:
             raise Underdetermined(f"{n} rows for {k} {what} columns")
-        u_mat, s, vt = np.linalg.svd(m, full_matrices=False)
-        self.keep = None
+        self.u, self.s, self.vt = np.linalg.svd(m, full_matrices=False)
         if k:
             with np.errstate(divide="ignore", invalid="ignore"):
-                cond = np.where(s[:, -1] <= 0.0, math.inf, s[:, 0] / s[:, -1])
-
-            def collinear(i):
-                return Collinear(f"{what} matrix condition number {cond[i]:.3g} exceeds 1e12")
-
-            bad = cond >= CONDITION_LIMIT
-            if stack is None:
-                if bad.any():
-                    raise collinear(int(np.argmax(bad)))
-            else:
-                self.keep = stack.drop(bad, collinear)
-        self.u, self.s, self.vt = (_take(self.keep, a) for a in (u_mat, s, vt))
-
-    def take(self, keep: np.ndarray | None) -> None:
-        self.u, self.s, self.vt = (_take(keep, a) for a in (self.u, self.s, self.vt))
+                cond = np.where(self.s[:, -1] <= 0.0, math.inf, self.s[:, 0] / self.s[:, -1])
+            _Stack.check(cond >= CONDITION_LIMIT, lambda i: Collinear(
+                f"{what} matrix condition number {cond[i]:.3g} exceeds 1e12"
+            ))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Per matrix: rhs (B, n) -> (B, k), or (B, n, r) -> (B, k, r)."""
@@ -334,7 +323,10 @@ def cluster_cov(
     if n_groups.min() < 2:
         raise TooFewClusters(f"need at least 2 clusters, got {n_groups.min()}")
     if bread is None:
-        bread = _Factorization(m, "regressor").bread()
+        try:
+            bread = _Factorization(m, "regressor").bread()
+        except _Failed as failed:
+            raise failed.error(int(np.argmax(failed.bad))) from None
     b, n, k = m.shape
     scores = m * residuals[..., None]
     offsets = np.cumsum(n_groups) - n_groups
@@ -367,10 +359,7 @@ def _inference(
     notes: list | None = None,
     first_stage_f: list | None = None,
 ) -> list[FitResult]:
-    keep = s.drop_too_few_clusters()
-    coef, m, structural_resid, bread, notes, first_stage_f = (
-        _take(keep, v) for v in (coef, m, structural_resid, bread, notes, first_stage_f)
-    )
+    s.check_clusters()
     cov, n_groups = cluster_cov(m, structural_resid, s.codes, bread)
     with np.errstate(divide="ignore", invalid="ignore"):
         se = np.sqrt(np.clip(np.diagonal(cov, axis1=-2, axis2=-1), 0.0, None))
@@ -408,8 +397,7 @@ def _inference(
 
 def _ols(design: DesignMatrix, s: _Stack) -> list[FitResult]:
     m = np.concatenate([s.w, s.x], axis=-1)
-    fact = _Factorization(m, "design", s)
-    m = _take(fact.keep, m)
+    fact = _Factorization(m, "design")
     coef = fact.solve(s.y)
     resid = s.y - (m @ coef[..., None])[..., 0]
     return _inference("OLS", design, s, coef, m, resid, fact.bread())
@@ -442,18 +430,14 @@ def _first_stage(design: DesignMatrix, s: _Stack):
     """OLS of each endogenous column on one factorization of [Z, X] per item,
     shared by 2SLS, ILS and first_stage.
 
-    Returns (fact, gamma, fitted, FirstStageReports), one report per item
-    left in the stack."""
+    Returns (fact, gamma, fitted, FirstStageReports), one report per item."""
     from scipy import special  # deferred, as in _inference
 
     p_z = s.z.shape[-1]
     p = np.concatenate([s.z, s.x], axis=-1)
-    fact = _Factorization(p, "instrument", s)
-    p = _take(fact.keep, p)
+    fact = _Factorization(p, "instrument")
     if design.w_names:  # the first cluster sum comes before anything else can fail
-        keep = s.drop_too_few_clusters()
-        fact.take(keep)
-        p = _take(keep, p)
+        s.check_clusters()
     gamma = fact.solve(s.w)  # (B, p_z + p_x, p_w)
     fitted = p @ gamma
     bread = fact.bread()
@@ -506,8 +490,7 @@ def _two_stage(design: DesignMatrix, s: _Stack) -> list[FitResult]:
         s.fail_all(Underidentified(f"{p_z} instruments for {p_w} endogenous columns"))
     _, _, w_hat, reports = _first_stage(design, s)
     m2 = np.concatenate([w_hat, s.x], axis=-1)
-    fact2 = _Factorization(m2, "projected design", s)
-    m2, reports = _take(fact2.keep, m2), _take(fact2.keep, reports)
+    fact2 = _Factorization(m2, "projected design")
     coef = fact2.solve(s.y)
     structural = s.y - (np.concatenate([s.w, s.x], axis=-1) @ coef[..., None])[..., 0]
 
@@ -551,18 +534,14 @@ def _indirect(design: DesignMatrix, s: _Stack) -> list[FitResult]:
             )
         return ZeroFirstStage("first-stage coefficient is exactly zero")
 
-    keep = s.drop(indistinct | ((se_pi == 0.0) & (pi == 0.0)), zero)
-    fact_p.take(keep)
-    gamma, w_hat, pi = _take(keep, gamma), _take(keep, w_hat), _take(keep, pi)
-
+    s.check(indistinct | ((se_pi == 0.0) & (pi == 0.0)), zero)
     rho = fact_p.solve(s.y)  # reduced form on [Z, X]
     beta_w = rho[:, 0] / pi
     beta_x = rho[:, 1:] - gamma[:, 1:, 0] * beta_w[:, None]
     coef = np.concatenate([beta_w[:, None], beta_x], axis=1)
 
     m2 = np.concatenate([w_hat, s.x], axis=-1)
-    fact2 = _Factorization(m2, "projected design", s)
-    m2, coef = _take(fact2.keep, m2), _take(fact2.keep, coef)
+    fact2 = _Factorization(m2, "projected design")
     structural = s.y - (np.concatenate([s.w, s.x], axis=-1) @ coef[..., None])[..., 0]
     return _inference("ILS", design, s, coef, m2, structural, fact2.bread())
 

@@ -75,10 +75,8 @@ class DesignMatrix:
     z_names: tuple[str, ...]
     x_names: tuple[str, ...]
     clusters: np.ndarray
-    row_index: np.ndarray
     outcome_name: str = "outcome"
     n_dropped: int = 0
-    label: str | None = None
     items: ItemBlocks | None = None
 
     def __post_init__(self):
@@ -387,7 +385,6 @@ def build_design(ds: Dataset, spec: ModelSpec, by_item: bool = False) -> DesignM
         z_names=z_names,
         x_names=tuple(spec.controls) + ("Constant",),
         clusters=clusters,
-        row_index=idx,
         outcome_name=spec.outcome,
         n_dropped=dropped,
         items=items,

@@ -253,8 +253,9 @@ def simulate(config: SimConfig) -> tuple[Dataset, SimTruth]:
         if pymk:
             cols["reason"].append(reason_labels[by_pos(reason_idx)])
         cols["relevance_score"].append(by_pos(obs))
-        cols["relevance_true"].append(by_pos(relevance))
-        cols["p_raw"].append(by_pos(p_raw))
+        if start < AUDIT_REQUESTS:
+            cols["relevance_true"].append(by_pos(relevance))
+            cols["p_raw"].append(by_pos(p_raw))
 
     data = {
         "request_id": np.concatenate(cols["request_id"]),

@@ -29,7 +29,6 @@ def make_design(y, w, z, x_controls, clusters, w_names=None, z_names=None, x_nam
         z_names=tuple(z_names or [f"z{i}" for i in range(z.shape[1])]),
         x_names=tuple(x_names or [f"x{i}" for i in range(xc.shape[1])]) + ("Constant",),
         clusters=np.asarray(clusters, dtype=np.uint64),
-        row_index=np.arange(n),
     )
 
 

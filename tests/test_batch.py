@@ -31,12 +31,19 @@ FITS = {"OLS": fit_ols, "2SLS": fit_2sls, "ILS": fit_ils}
 def _mixed_items() -> Dataset:
     """An ads log with a reason per row, cut into items of three sizes that
     see five, four or three reason levels, so several items share each
-    (rows, instruments) shape. The first item has a single arm level and the
-    second only four rows. Even items repeat their first four requests at
-    another position with the other outcome, so the per-(item, request) hash
-    rule has choices to make."""
+    (rows, instruments) shape. Three items fail or thin out in ways the
+    others do not:
+    - the first item's rows all come from one user, so it has a single arm
+      level and spec3 fails it with TooFewClusters at fit time;
+    - the second item's rows all sit at one position, so spec3 fails it as
+      Collinear at fit time;
+    - the third item shows a reason on only four rows, two per arm and one
+      per reason, so spec4 fits it on four rows and spec5 has too few.
+    Even items repeat their first four requests at another position with the
+    other outcome, so the per-(item, request) hash rule has choices to make."""
     ds, _ = simulate(SimConfig(**CONFIG))
     item, arm = ds.column("item_id"), ds.column("arm")
+    user, position = ds.column("user_id").copy(), ds.column("position").copy()
     levels = np.array([f"r{i}" for i in range(5)])
     reason = levels[(ds.column("request_id") * 7 + item) % 5]
     kept, twins = [], []
@@ -45,16 +52,21 @@ def _mixed_items() -> Dataset:
         rows = rows[~np.isin(reason[rows], levels[5 - (k // 3) % 3:])]
         if k == 0:
             rows = rows[arm[rows] == arm[rows][0]]
-        if k == 1:  # two rows per arm, one per reason: spec4 fits, spec5 has too few rows
-            rows = np.concatenate([rows[arm[rows] == a][:2] for a in np.unique(arm[rows])])
-            reason[rows] = ["r0", "r1", "r0", "r1"]
         rows = rows[:SIZES[k % 3]]
+        if k == 0:
+            user[rows] = user[rows[0]]
+        if k == 1:
+            position[rows] = 3
+        if k == 2:
+            shown = np.concatenate([rows[arm[rows] == a][:2] for a in np.unique(arm[rows])])
+            reason[rows] = ""
+            reason[shown] = ["r0", "r1", "r0", "r1"]
         kept.append(rows)
         if k % 2 == 0:
             twins.append(rows[:4])
     rows, twin = np.concatenate(kept), np.concatenate(twins)
     columns = {name: ds.column(name) for name in ds.column_names}
-    columns["reason"] = reason
+    columns.update(user_id=user, position=position, reason=reason)
     data = {name: np.concatenate([col[rows], col[twin]]) for name, col in columns.items()}
     data["position"][rows.size:] = data["position"][rows.size:] % 5 + 1
     data["outcome"][rows.size:] = 1 - data["outcome"][rows.size:]
@@ -136,6 +148,35 @@ def test_batch_matches_one_item_at_a_time(mixed, seed, spec_name):
     rows, cols = np.diff(design.items.bounds), np.diff(design.items.z_bounds)
     shapes = [(rows[g], cols[g]) for g in built]
     assert 1 < len(set(shapes)) < len(shapes)  # several buckets, some holding many items
+
+
+def test_a_bucket_is_fitted_again_once_per_failing_check(mixed, monkeypatch):
+    """Items that fail one check leave their bucket together: ILS fits each
+    bucket once more per failing check, not once more per failing item."""
+    ds, items = mixed
+    design = build_design(slice_by_item(ds, items, 0), ILS, by_item=True)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    fits = fit_ils(design)
+    rows, cols = np.diff(design.items.bounds), np.diff(design.items.z_bounds)
+    buckets: dict[tuple, list] = {}
+    for g, error in enumerate(design.items.errors):
+        if error is None:
+            buckets.setdefault((rows[g], cols[g]), []).append(fits[g])
+    failed = [[r for r in fitted if isinstance(r, EstimationError)] for fitted in buckets.values()]
+    checks = [len({type(error) for error in f}) for f in failed]  # ZeroFirstStage only, here
+    # a pass factors [Z, X] and the projected design at most once each
+    per_check = 2 * sum(1 + c for c in checks)
+    # refitting once per item: one factorization per failed pass, two in the last
+    per_item = sum(len(f) + 2 for f in failed)
+    assert per_check < per_item
+    assert len(calls) <= per_check
 
 
 def _own_arm_labels(ds: Dataset, copies: int = 1) -> Dataset:

@@ -45,6 +45,9 @@ def test_determinism_and_chunking_independence(monkeypatch):
     ds2, t2 = simulate(cfg)
     assert ds1 == ds2
     np.testing.assert_array_equal(t1.slopes, t2.slopes)
+    assert t1.audit.keys() == t2.audit.keys()
+    for name in t1.audit:
+        np.testing.assert_array_equal(t1.audit[name], t2.audit[name])
     buf1, buf2 = io.StringIO(), io.StringIO()
     # byte-identical CSV output
     import tempfile, os
