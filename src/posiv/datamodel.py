@@ -26,7 +26,7 @@ from .errors import (
     MissingColumn,
     MixedArmsWithinUser,
 )
-from .rng import fnv1a64
+from .rng import FNV_OFFSET, FNV_PRIME, fnv1a64, mix64
 
 # column kinds: id (uint64), int (int64), count (int64 >= 0), float, str
 EDGE_SCHEMA: tuple[tuple[str, str, bool], ...] = (
@@ -370,11 +370,34 @@ def _plain_digits(cells: _Cells, limit: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _id_column(cells: _Cells, empty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """uint64 ids and a mask of the cells that drop their row: empty, or a
-    value parse_id rejects. parse_id runs once per distinct cell that is
-    neither plain digits nor empty."""
+    value parse_id rejects.
+
+    Plain digits are parsed in numpy, and so is the parse_id of an ASCII cell
+    with a byte outside 0-9: its FNV-1a hash, taken one byte place at a time
+    over the cells still live, longest first so that they are a prefix. Once
+    fewer than 64 are live, a numpy pass costs more than hashing their next
+    byte in Python, so they join the other cells, which parse_id reads once
+    per distinct text."""
     values, plain = _plain_digits(cells, _UINT64_MAX)
     failed = empty.copy()
     index = np.flatnonzero(~plain & ~empty)
+    index = index[np.argsort(cells.start[index] - cells.end[index], kind="stable")]
+    start = cells.start[index]
+    length = cells.end[index] - start
+    buf = np.frombuffer(cells.data, dtype=np.uint8)
+    hashes = np.full(len(index), FNV_OFFSET, dtype=np.uint64)
+    is_digits, is_ascii = np.ones(len(index), dtype=bool), np.ones(len(index), dtype=bool)
+    k, live = 0, len(index)
+    while (live := np.count_nonzero(length[:live] > k)) >= 64:
+        b = buf[start[:live] + k]
+        hashes[:live] = (hashes[:live] ^ b) * np.uint64(FNV_PRIME)
+        is_digits[:live] &= b - np.uint8(ord("0")) < 10
+        is_ascii[:live] &= b < 0x80
+        k += 1
+    hashed = is_ascii & ~is_digits
+    hashed[:live] = False
+    values[index[hashed]] = hashes[hashed]
+    index = index[~hashed]
     texts = _texts(cells, index)
     parsed = dict.fromkeys(texts)
     for text in parsed:
@@ -450,8 +473,12 @@ def _str_column(cells: _Cells, keep: np.ndarray) -> np.ndarray:
 
 def _count_duplicates(data: Mapping[str, np.ndarray]) -> int:
     """Number of rows equal to an earlier row in every column, with NaN equal
-    to NaN and -0.0 equal to 0.0 as in row_tuples, from one lexsort."""
-    keys = []
+    to NaN and -0.0 equal to 0.0 as in row_tuples.
+
+    Equal rows hash alike, so only the rows whose hash of the number columns
+    repeats are compared exactly: one lexsort of their number keys and their
+    string codes."""
+    keys, texts = [], []
     for arr in data.values():
         if arr.dtype.kind == "f":
             canon = arr + 0.0
@@ -460,7 +487,14 @@ def _count_duplicates(data: Mapping[str, np.ndarray]) -> int:
         elif arr.dtype.kind in "ui":
             keys.append(arr.astype(np.uint64, copy=False))
         else:
-            keys.append(np.unique(arr, return_inverse=True)[1].astype(np.uint64))
+            texts.append(arr)
+    row_hash = mix64(keys[0])
+    for key in keys[1:]:
+        row_hash = mix64(row_hash ^ key)
+    tied = np.sort(row_hash)
+    rows = np.flatnonzero(np.isin(row_hash, tied[1:][tied[1:] == tied[:-1]]))
+    keys = [key[rows] for key in keys]
+    keys += [np.unique(arr[rows], return_inverse=True)[1].astype(np.uint64) for arr in texts]
     table = np.stack(keys)
     table = table[:, np.lexsort(table)]
     return int((table[:, 1:] == table[:, :-1]).all(axis=0).sum())

@@ -17,6 +17,10 @@ GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
+# FNV-1a 64-bit offset basis and prime (Fowler, Noll & Vo).
+FNV_OFFSET = 0xCBF29CE484222325
+FNV_PRIME = 0x100000001B3
+
 # Purpose tags keep the per-entity streams disjoint across uses of one seed.
 TAG_ARM = 0x01
 TAG_SLOPE = 0x02
@@ -83,8 +87,8 @@ def normal(key, counter=0) -> np.ndarray:
 
 def fnv1a64(text: str) -> int:
     """FNV-1a 64-bit hash of the UTF-8 encoding; used for non-numeric ids."""
-    h = 0xCBF29CE484222325
+    h = FNV_OFFSET
     for byte in text.encode("utf-8"):
         h ^= byte
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+        h = (h * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
     return h

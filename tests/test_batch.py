@@ -11,7 +11,7 @@ import scipy.special  # noqa: F401  (imported before any tracing; its import all
 
 from posiv.cli import main
 from posiv.datamodel import Dataset, write_dataset
-from posiv.errors import ConstantColumn, EstimationError
+from posiv.errors import ConstantColumn, EstimationError, TooFewClusters
 from posiv.estimator import FirstStageReport, FitResult, first_stage, fit_2sls, fit_ils, fit_ols
 from posiv.prepare import build_design, slice_by_item, top_items
 from posiv.simulator import SimConfig, simulate
@@ -204,6 +204,31 @@ def test_items_with_their_own_arm_labels_fit_as_alone(mixed, spec_name):
     for got, want in zip(batch, single, strict=True):
         _assert_same(got, want)
     assert sum(isinstance(r, FitResult) for r in batch) > len(items) // 3
+
+
+def test_items_refitted_in_a_bucket_keep_their_own_instrument_names(mixed):
+    """A bucket of items that each name their own arms, one of which fails
+    at fit time (all its rows from one user: TooFewClusters) ahead of the
+    others: the items fitted again keep their own instrument names."""
+    ds, items = mixed
+    ds = _own_arm_labels(ds)
+    lone = np.unique(ds.column("item_id"))[3]
+    columns = {name: ds.column(name) for name in ds.column_names}
+    rows = columns["item_id"] == lone
+    columns["user_id"] = np.where(rows, columns["user_id"][rows][0], columns["user_id"])
+    ds = Dataset(columns, ds.schema, "one user for one item")
+    spec = get_spec("spec1")
+    design = build_design(slice_by_item(ds, items, 0), spec, by_item=True)
+    batch = first_stage(design)
+    g = design.items.labels.index(str(lone))
+    assert isinstance(batch[g], TooFewClusters)
+    shape = np.diff(design.items.bounds), np.diff(design.items.z_bounds)
+    later = [h for h in range(g + 1, len(batch)) if design.items.errors[h] is None
+             and (shape[0][h], shape[1][h]) == (shape[0][g], shape[1][g])]
+    names = {batch[h].equations[0].instrument_names for h in later}
+    assert len(names) == len(later) > 1  # the bucket refits items with names of their own
+    for got, want in zip(batch, _one_by_one(ds, items, spec, first_stage, 0), strict=True):
+        _assert_same(got, want)
 
 
 def test_own_arm_labels_keep_memory_linear_in_rows(mixed):

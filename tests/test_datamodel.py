@@ -8,11 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from posiv import datamodel
 from posiv.datamodel import (
     EDGE_SCHEMA,
     SESSION_SCHEMA,
     Dataset,
     EdgeObservation,
+    _count_duplicates,
+    _id_column,
+    _read_columns,
     _require_constant_arm_per_user,
     _split_plain,
     from_edges,
@@ -726,22 +730,150 @@ def test_cell_over_the_csv_field_limit_is_an_input_error(tmp_path, quoted):
                 load_dataset(str(path))
 
 
-def test_load_peak_memory_is_a_small_multiple_of_the_columns(tmp_path):
-    """tracemalloc peak of one load of a plain 20k-row pymk file, against
-    the bytes of the columns it returns (3.9x when this bound was set; the
-    csv.reader load it replaced peaked at 7.9x)."""
-    ds, _ = simulate(SimConfig(n_users=2000, n_items=100, slots_per_request=10,
-                               n_reasons=22, seed=1))
-    path = tmp_path / "pymk.csv"
+def _with_text_ids(ds: Dataset, path) -> Dataset:
+    """Write ds with its user and item ids as labels (user-000123,
+    campaign-00042), as in a log keyed by text; returns ds with the ids
+    those labels load as."""
     write_dataset(ds, str(path))
-    tracemalloc.start()
-    try:
-        got = load_dataset(str(path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got == ds and got.n_rows == 20_000
-    assert peak <= 5 * sum(got.column(n).nbytes for n in got.column_names)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    names = lines[0].split(",")
+    forms = {names.index("user_id"): "user-{:06d}", names.index("item_id"): "campaign-{:05d}"}
+    rows = [line.split(",") for line in lines[1:]]
+    for row in rows:
+        for j, form in forms.items():
+            row[j] = form.format(int(row[j]))
+    path.write_text("".join(",".join(row) + "\n" for row in [names, *rows]), encoding="utf-8")
+    columns = {name: ds.column(name) for name in ds.column_names}
+    for j in forms:
+        columns[names[j]] = np.array([fnv1a64(row[j]) for row in rows], dtype=np.uint64)
+    return Dataset(columns, ds.schema)
+
+
+def test_load_peak_memory_is_a_small_multiple_of_the_columns(tmp_path):
+    """tracemalloc peak of one load of a plain 20k-row file, against the
+    bytes of the columns it returns: a pymk file with numeric ids (3.9x when
+    this bound was set; the csv.reader load it replaced peaked at 7.9x), and
+    an ads file whose user and item ids are text (4.6x)."""
+    for mode in ("pymk", "ads"):
+        ds, _ = simulate(SimConfig(n_users=2000, n_items=100, slots_per_request=10,
+                                   n_reasons=22, marketplace_mode=mode, seed=1))
+        path = tmp_path / f"{mode}.csv"
+        if mode == "pymk":
+            write_dataset(ds, str(path))
+        else:
+            ds = _with_text_ids(ds, path)
+        tracemalloc.start()
+        try:
+            got = load_dataset(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == ds and got.n_rows == 20_000, mode
+        assert peak <= 5 * sum(got.column(n).nbytes for n in got.column_names), mode
+
+
+def _random_id_cells(rng, n):
+    """n id cells of 1 to 64 characters: ASCII text, all-digit (leading
+    zeros included, so a long cell can still be a small number), and text
+    with non-ASCII characters, some of them digits that are not 0-9."""
+    ascii_chars = [chr(c) for c in range(0x20, 0x7F) if chr(c) not in ',"']
+    other = ["é", "²", "٣", "€", "𝟘", "ß", "a", "7"]
+    cells = []
+    for kind, length in zip(rng.integers(0, 3, n), rng.integers(1, 65, n)):
+        if kind == 0:
+            cells.append("".join(rng.choice(ascii_chars, length)))
+        elif kind == 1:
+            zeros = int(rng.integers(0, length + 1))
+            cells.append("0" * zeros + "".join(rng.choice(list("0123456789"), length - zeros)))
+        else:
+            cells.append("".join(rng.choice(other + ascii_chars[:4], length)))
+    return cells
+
+
+@pytest.mark.parametrize("front_end", ["plain", "csv.reader", "jsonl"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_id_column_matches_parse_id(tmp_path, front_end, seed):
+    """Each id cell loads as parse_id reads it, or drops its row where
+    parse_id raises, over enough cells that most are hashed in numpy and the
+    longest are left to Python."""
+    rng = np.random.default_rng(seed)
+    cells = _random_id_cells(rng, 3000)
+    cells += ["0000000000000000000000001", "99999999999999999999", "18446744073709551615",
+              "18446744073709551616", "²", "٣", "user-000001", "x" * 500] * 20
+    if front_end == "jsonl":
+        cells.append("\ud800")  # a lone surrogate from a JSON escape: parse_id raises
+        path = tmp_path / "ids.jsonl"
+        path.write_text("".join(json.dumps({"item_id": c}) + "\n" for c in cells),
+                        encoding="utf-8")
+    else:
+        path = tmp_path / "ids.csv"
+        header = "item_id" if front_end == "plain" else '"item_id"'
+        path.write_text(header + "\n" + "".join(c + "\n" for c in cells), encoding="utf-8")
+        assert (_split_plain(path.read_bytes()) is not None) == (front_end == "plain")
+    column = _read_columns(str(path))[1]["item_id"]
+    values, failed = _id_column(column, column.start == column.end)
+    want = []
+    for cell in cells:
+        try:
+            want.append(parse_id(cell))
+        except ValueError:
+            want.append(None)
+    assert failed.tolist() == [w is None for w in want]
+    assert values[~failed].tolist() == [w for w in want if w is not None]
+    assert len(set(map(len, cells))) == 65 and None in want
+
+
+@st.composite
+def _tied_tables(draw):
+    """Columns of every edge kind over few values, so rows tie often, plus
+    rows that tie on every number and differ in a string column, in A, B, A
+    order (a duplicate the number columns alone cannot tell)."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    pick = lambda values: draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    data = {
+        "request_id": np.array(pick([0, 1, 2**64 - 1]), dtype=np.uint64),
+        "user_id": np.array(pick([0, 1]), dtype=np.uint64),
+        "item_id": np.array(pick([5]), dtype=np.uint64),
+        "position": np.array(pick([1, 2, -1]), dtype=np.int64),
+        "outcome": np.array(pick([0, 1]), dtype=np.int64),
+        "arm": np.array(pick(["A", "B"])),
+        "reason": np.array(pick(["", "r", "é"])),
+        "relevance_score": np.array(pick([0.0, -0.0, math.nan, 0.5])),
+        "session_depth": np.array(pick([math.nan, 3.0])),
+    }
+    for i in draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=3)):
+        for name in data:
+            value = data[name][i]
+            data[name] = np.concatenate([data[name], [value, value, value]]).astype(data[name].dtype)
+        data["arm"][-3:] = ["A", "B", "A"]
+    return data
+
+
+def _rowwise_duplicates(data):
+    rows = Dataset(data, EDGE_SCHEMA).row_tuples()
+    return len(rows) - len(set(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tied_tables())
+def test_count_duplicates_matches_rowwise_reference(data):
+    assert _count_duplicates(data) == _rowwise_duplicates(data)
+
+
+def test_count_duplicates_with_every_row_hashed_alike(tmp_path, monkeypatch):
+    """With a constant row hash every row is a candidate, so the count comes
+    from the exact comparison alone."""
+    monkeypatch.setattr(datamodel, "mix64", lambda x: np.zeros(len(x), dtype=np.uint64))
+    ds, _ = simulate(SimConfig(n_users=150, n_items=15, slots_per_request=5, seed=3))
+    path = tmp_path / "pymk.csv"
+    _with_injected_rows(ds, path, seed=7)
+    assert _assert_loads_like_rowwise(path).n_duplicates >= 10
+    path = tmp_path / "duplicates.csv"
+    path.write_text(LOADER_CORPUS["duplicates.csv"], encoding="utf-8")
+    assert _assert_loads_like_rowwise(path).n_duplicates == 5
+    arm = np.array(["A", "B", "A"])
+    data = {name: np.zeros(3, dtype=np.uint64) for name in ("request_id", "user_id", "item_id")}
+    assert _count_duplicates({**data, "arm": arm}) == 1
 
 
 def test_writer_matches_rowwise_reference_bytes(tmp_path):
