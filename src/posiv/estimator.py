@@ -1,10 +1,16 @@
 """OLS, 2SLS, and ILS fitting with cluster-robust inference.
 
-Numerics: every least-squares problem is solved through one thin SVD of the
-regressor matrix (an orthogonal, rank-revealing factorization); normal
-equations are never formed to solve. The same factorization supplies the
-sandwich bread (M'M)^{-1} = V diag(1/s^2) V'. A condition number at or above
-1e12 raises Collinear.
+Numerics: each fit makes one R-only QR of the augmented matrix
+A = [regressors M, right-hand sides] = QR and reads every stage from R;
+normal equations are never formed to solve. For the leading k x k block R_11
+(M has k columns), M'M = R_11'R_11, so an SVD of the small R_11 has the
+singular values and right vectors of M. It gives the condition check (a
+condition number at or above 1e12 raises Collinear), the solves
+R_11 b = R_12 and the sandwich bread (M'M)^{-1} = V diag(1/s^2) V'. OLS
+factors [W, X, y]. The first stage factors [Z, X, W, y], which gives the
+first-stage coefficients and the reduced form of y at once; the second stage
+of 2SLS and ILS factors only the k-row block of that R which holds
+[W_hat, X, y] projected on [Z, X], so no n-row matrix is factored twice.
 
 Covariance is the CR1 cluster sandwich:
 
@@ -18,7 +24,7 @@ go negative: a coefficient pulled away from the OLS minimizer can fit worse
 than the outcome mean, and that is expected behavior, not an error.
 
 One stacked kernel does every fit. It works on (B, n, k) stacks of
-same-shape designs: one np.linalg.svd call factors all B matrices, the
+same-shape designs: one np.linalg.qr call factors all B matrices, the
 solves, breads and 1e12 checks run per matrix on the stack, the cluster
 score sums of all B come from one bincount, and one stdtr/fdtrc/stdtrit call
 gives every p-value and critical value. A design stacked by item
@@ -180,9 +186,9 @@ class _Stack:
 
     A kernel fits the whole stack or none of it: check() raises _Failed for
     the items a check flags, and _per_item fits without(those items) again.
-    Each matrix of a batched svd, solve or matmul, and each cluster sum, is
-    computed on its own, so the items left get bit-identical numbers in the
-    smaller stack and pass the checks they passed before.
+    Each matrix of a batched qr, svd, solve or matmul, and each cluster sum,
+    is computed on its own, so the items left get bit-identical numbers in
+    the smaller stack and pass the checks they passed before.
     """
 
     def __init__(self, pos, labels, z_names, y, w, z, x, codes):
@@ -270,28 +276,27 @@ def _unstack(design: DesignMatrix, results: list):
 
 
 class _Factorization:
-    """Thin SVDs of a stack of same-shape regressor matrices, shared by solve
-    and sandwich bread. An item whose matrix reaches condition number 1e12
-    fails as Collinear."""
+    """One R-only QR of a stack of same-shape [M, right-hand sides], of which
+    only the k rows R[..., :k, :] are kept (M has k columns), and an SVD of
+    their k x k leading block R_11. Since M'M = R_11'R_11, that SVD gives
+    the condition check, solve and sandwich bread. An item whose M reaches
+    condition number 1e12 fails as Collinear."""
 
-    def __init__(self, m: np.ndarray, what: str):
-        n, k = m.shape[-2:]
-        if n < k:
-            raise Underdetermined(f"{n} rows for {k} {what} columns")
-        self.u, self.s, self.vt = np.linalg.svd(m, full_matrices=False)
-        if k:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cond = np.where(self.s[:, -1] <= 0.0, math.inf, self.s[:, 0] / self.s[:, -1])
-            _Stack.check(cond >= CONDITION_LIMIT, lambda i: Collinear(
-                f"{what} matrix condition number {cond[i]:.3g} exceeds 1e12"
-            ))
+    def __init__(self, a: np.ndarray, k: int, what: str):
+        if a.shape[-2] < k:
+            raise Underdetermined(f"{a.shape[-2]} rows for {k} {what} columns")
+        self.r = np.linalg.qr(a, mode="r")[..., :k, :]
+        self.u, self.s, self.vt = np.linalg.svd(self.r[..., :k])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = np.where(self.s[:, -1] <= 0.0, math.inf, self.s[:, 0] / self.s[:, -1])
+        _Stack.check(cond >= CONDITION_LIMIT, lambda i: Collinear(
+            f"{what} matrix condition number {cond[i]:.3g} exceeds 1e12"
+        ))
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Per matrix: rhs (B, n) -> (B, k), or (B, n, r) -> (B, k, r)."""
-        u_t, v = self.u.swapaxes(-1, -2), self.vt.swapaxes(-1, -2)
-        if rhs.ndim == 2:
-            return (v @ ((u_t @ rhs[..., None])[..., 0] / self.s)[..., None])[..., 0]
-        return v @ ((u_t @ rhs) / self.s[..., None])
+    def solve(self) -> np.ndarray:
+        """Per matrix, the (k, r) coefficients of the r right-hand sides on M."""
+        rhs = self.r[..., self.r.shape[-2]:]
+        return self.vt.swapaxes(-1, -2) @ ((self.u.swapaxes(-1, -2) @ rhs) / self.s[..., None])
 
     def bread(self) -> np.ndarray:
         return (self.vt.swapaxes(-1, -2) / self.s[:, None, :] ** 2) @ self.vt
@@ -324,7 +329,7 @@ def cluster_cov(
         raise TooFewClusters(f"need at least 2 clusters, got {n_groups.min()}")
     if bread is None:
         try:
-            bread = _Factorization(m, "regressor").bread()
+            bread = _Factorization(m, m.shape[-1], "regressor").bread()
         except _Failed as failed:
             raise failed.error(int(np.argmax(failed.bad))) from None
     b, n, k = m.shape
@@ -354,12 +359,12 @@ def _inference(
     s: _Stack,
     coef: np.ndarray,
     m: np.ndarray,
-    structural_resid: np.ndarray,
     bread: np.ndarray,
     notes: list | None = None,
     first_stage_f: list | None = None,
 ) -> list[FitResult]:
     s.check_clusters()
+    structural_resid = s.y - (np.concatenate([s.w, s.x], axis=-1) @ coef[..., None])[..., 0]
     cov, n_groups = cluster_cov(m, structural_resid, s.codes, bread)
     with np.errstate(divide="ignore", invalid="ignore"):
         se = np.sqrt(np.clip(np.diagonal(cov, axis1=-2, axis2=-1), 0.0, None))
@@ -397,10 +402,8 @@ def _inference(
 
 def _ols(design: DesignMatrix, s: _Stack) -> list[FitResult]:
     m = np.concatenate([s.w, s.x], axis=-1)
-    fact = _Factorization(m, "design")
-    coef = fact.solve(s.y)
-    resid = s.y - (m @ coef[..., None])[..., 0]
-    return _inference("OLS", design, s, coef, m, resid, fact.bread())
+    fact = _Factorization(np.concatenate([m, s.y[..., None]], axis=-1), m.shape[-1], "design")
+    return _inference("OLS", design, s, fact.solve()[..., 0], m, fact.bread())
 
 
 def fit_ols(design: DesignMatrix, label: str | None = None) -> FitResult:
@@ -412,33 +415,23 @@ def fit_ols(design: DesignMatrix, label: str | None = None) -> FitResult:
     return _unstack(design, _per_item(design, _ols, label))
 
 
-def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve for each matrix of a stack, pinv for the singular ones."""
-    try:
-        return np.linalg.solve(a, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        out = np.empty_like(b)
-        for i in range(len(b)):
-            try:
-                out[i] = np.linalg.solve(a[i], b[i])
-            except np.linalg.LinAlgError:
-                out[i] = np.linalg.pinv(a[i]) @ b[i]
-        return out
-
-
 def _first_stage(design: DesignMatrix, s: _Stack):
-    """OLS of each endogenous column on one factorization of [Z, X] per item,
-    shared by 2SLS, ILS and first_stage.
+    """OLS of each endogenous column and of the outcome on [Z, X], from one
+    factorization of [Z, X, W, y] per item, shared by 2SLS, ILS and
+    first_stage.
 
-    Returns (fact, gamma, fitted, FirstStageReports), one report per item."""
+    Returns (fact, solved, fitted, FirstStageReports), one report per item;
+    solved holds gamma, the first-stage coefficients, then the reduced form."""
     from scipy import special  # deferred, as in _inference
 
-    p_z = s.z.shape[-1]
-    p = np.concatenate([s.z, s.x], axis=-1)
-    fact = _Factorization(p, "instrument")
+    p_z, p_w = s.z.shape[-1], s.w.shape[-1]
+    a = np.concatenate([s.z, s.x, s.w, s.y[..., None]], axis=-1)
+    k = p_z + s.x.shape[-1]
+    fact = _Factorization(a, k, "instrument")
     if design.w_names:  # the first cluster sum comes before anything else can fail
         s.check_clusters()
-    gamma = fact.solve(s.w)  # (B, p_z + p_x, p_w)
+    solved = fact.solve()  # (B, p_z + p_x, p_w + 1)
+    p, gamma = a[..., :k], solved[..., :p_w]
     fitted = p @ gamma
     bread = fact.bread()
     equations: list[list[FirstStageEquation]] = [[] for _ in s.labels]
@@ -448,8 +441,11 @@ def _first_stage(design: DesignMatrix, s: _Stack):
         coef_z = gamma[:, :p_z, j]
         cov_zz = cov[:, :p_z, :p_z]
         se_z = np.sqrt(np.clip(np.diagonal(cov_zz, axis1=-2, axis2=-1), 0.0, None))
-        solved = _solve_each(cov_zz, coef_z)
-        f_stat = (coef_z[:, None, :] @ solved[..., None])[:, 0, 0] / p_z
+        try:
+            wald = np.linalg.solve(cov_zz, coef_z[..., None])
+        except np.linalg.LinAlgError:  # a cov_zz exactly singular: F by pinv for the stack
+            wald = np.linalg.pinv(cov_zz, hermitian=True) @ coef_z[..., None]
+        f_stat = (coef_z[:, None, :] @ wald)[:, 0, 0] / p_z
         # fdtrc is NaN below 0 where f.sf is 1; a near-singular cov_zz can
         # leave F a rounding error below 0.
         p_value = special.fdtrc(p_z, n_groups - 1, np.maximum(f_stat, 0.0))
@@ -479,7 +475,19 @@ def _first_stage(design: DesignMatrix, s: _Stack):
     n_obs = s.y.shape[-1]
     n_groups = s.n_clusters if design.w_names else np.zeros(len(equations), dtype=int)
     reports = [FirstStageReport(tuple(eqs), n_obs, int(g)) for eqs, g in zip(equations, n_groups)]
-    return fact, gamma, fitted, reports
+    return fact, solved, fitted, reports
+
+
+def _projected(s: _Stack, first: _Factorization, w_hat: np.ndarray):
+    """The second-stage design [W_hat, X] and its factorization. For the
+    first k = p_z + p_x columns Q_P of the first stage's Q, W_hat = Q_P R_PW,
+    X = Q_P R_PX and Q_P'y = R_Py, so the k-row block [R_PW, R_PX, R_Py] of
+    its R is factored in place of n rows."""
+    r, p_z = first.r, s.z.shape[-1]
+    k = r.shape[-2]
+    block = np.concatenate([r[..., k:-1], r[..., p_z:k], r[..., -1:]], axis=-1)
+    m2 = np.concatenate([w_hat, s.x], axis=-1)
+    return m2, _Factorization(block, m2.shape[-1], "projected design")
 
 
 def _two_stage(design: DesignMatrix, s: _Stack) -> list[FitResult]:
@@ -488,11 +496,9 @@ def _two_stage(design: DesignMatrix, s: _Stack) -> list[FitResult]:
         s.fail_all(Underidentified("no endogenous columns to instrument"))
     if p_z < p_w:
         s.fail_all(Underidentified(f"{p_z} instruments for {p_w} endogenous columns"))
-    _, _, w_hat, reports = _first_stage(design, s)
-    m2 = np.concatenate([w_hat, s.x], axis=-1)
-    fact2 = _Factorization(m2, "projected design")
-    coef = fact2.solve(s.y)
-    structural = s.y - (np.concatenate([s.w, s.x], axis=-1) @ coef[..., None])[..., 0]
+    first, _, w_hat, reports = _first_stage(design, s)
+    m2, fact2 = _projected(s, first, w_hat)
+    coef = fact2.solve()[..., 0]
 
     fs_f = [{eq.endogenous: eq.f_stat for eq in r.equations} for r in reports]
     notes = []
@@ -502,7 +508,7 @@ def _two_stage(design: DesignMatrix, s: _Stack) -> list[FitResult]:
             (f"weak instruments: joint first-stage F = {weakest:.3g} < 10",)
             if weakest < WEAK_F_THRESHOLD else ()
         )
-    return _inference("2SLS", design, s, coef, m2, structural, fact2.bread(), notes, fs_f)
+    return _inference("2SLS", design, s, coef, m2, fact2.bread(), notes, fs_f)
 
 
 def fit_2sls(design: DesignMatrix, label: str | None = None) -> FitResult:
@@ -520,8 +526,8 @@ def _indirect(design: DesignMatrix, s: _Stack) -> list[FitResult]:
         s.fail_all(NotJustIdentified(
             f"ILS needs exactly 1 endogenous and 1 instrument column, got {p_w} and {p_z}"
         ))
-    fact_p, gamma, w_hat, reports = _first_stage(design, s)
-    pi = gamma[:, 0, 0]
+    first, solved, w_hat, reports = _first_stage(design, s)
+    pi = solved[:, 0, 0]
     se_pi = np.array([r.equations[0].se[0] for r in reports])
     with np.errstate(divide="ignore", invalid="ignore"):
         indistinct = (se_pi > 0) & (np.abs(pi) / se_pi < ILS_ZERO_T)
@@ -535,15 +541,12 @@ def _indirect(design: DesignMatrix, s: _Stack) -> list[FitResult]:
         return ZeroFirstStage("first-stage coefficient is exactly zero")
 
     s.check(indistinct | ((se_pi == 0.0) & (pi == 0.0)), zero)
-    rho = fact_p.solve(s.y)  # reduced form on [Z, X]
+    rho = solved[..., -1]  # reduced form on [Z, X]
     beta_w = rho[:, 0] / pi
-    beta_x = rho[:, 1:] - gamma[:, 1:, 0] * beta_w[:, None]
+    beta_x = rho[:, 1:] - solved[:, 1:, 0] * beta_w[:, None]
     coef = np.concatenate([beta_w[:, None], beta_x], axis=1)
-
-    m2 = np.concatenate([w_hat, s.x], axis=-1)
-    fact2 = _Factorization(m2, "projected design")
-    structural = s.y - (np.concatenate([s.w, s.x], axis=-1) @ coef[..., None])[..., 0]
-    return _inference("ILS", design, s, coef, m2, structural, fact2.bread())
+    m2, fact2 = _projected(s, first, w_hat)
+    return _inference("ILS", design, s, coef, m2, fact2.bread())
 
 
 def fit_ils(design: DesignMatrix, label: str | None = None) -> FitResult:

@@ -33,10 +33,7 @@ def _header(title: str) -> list[str]:
     ]
 
 
-def forest_svg(
-    entries: Sequence[tuple[str, float, float, float, str]],
-    title: str = "First-stage effect of treatment on position",
-) -> str:
+def forest_svg(entries: Sequence[tuple[str, float, float, float, str]]) -> str:
     """Forest plot: one (label, coef, ci_low, ci_high, classification) per row."""
     if not entries:
         raise ValueError("no entries to plot")
@@ -54,7 +51,7 @@ def forest_svg(
         return MARGIN_LEFT + (v - lo) / (hi - lo) * plot_w
 
     step = plot_h / len(entries)
-    parts = _header(title)
+    parts = _header("First-stage effect of treatment on position")
     zero_x = sx(0.0)
     parts.append(
         f'<line x1="{_fmt(zero_x)}" y1="{_fmt(MARGIN_TOP)}" x2="{_fmt(zero_x)}" '
@@ -87,7 +84,6 @@ def bars_svg(
     item_labels: Sequence[str],
     group_labels: Sequence[str],
     values: Sequence[Sequence[float]],
-    title: str = "Position effect by item and specification",
 ) -> str:
     """Grouped bar chart: values[i][g] for item i, group (spec) g."""
     if not item_labels or not group_labels:
@@ -108,7 +104,7 @@ def bars_svg(
     slot = plot_w / n_items
     bar = slot * 0.8 / n_groups
 
-    parts = _header(title)
+    parts = _header("Position effect by item and specification")
     zero_y = sy(0.0)
     parts.append(
         f'<line x1="{_fmt(MARGIN_LEFT)}" y1="{_fmt(zero_y)}" '

@@ -32,6 +32,24 @@ def make_design(y, w, z, x_controls, clusters, w_names=None, z_names=None, x_nam
     )
 
 
+def projected_collinear(rng, n, collinear=True):
+    """(y, w, instrument, z, x) for two endogenous columns, w2 = 2*w1 + e
+    where e is orthogonal to [Z, X]: [Z, X] and [W, X] are well conditioned,
+    but the projections of w1 and w2 on [Z, X] are collinear. With
+    collinear=False, w2 is instrumented on its own. z holds the dummies of
+    the two treated arms; instrument is each row's arm, -1 for the baseline."""
+    instrument = np.arange(n) % 3 - 1
+    z = (instrument[:, None] == np.arange(2)).astype(float)
+    x = rng.normal(size=n)
+    p = np.column_stack([z, x, np.ones(n)])
+    w1 = z @ np.array([1.0, -0.7]) + rng.normal(size=n)
+    e = rng.normal(size=n)
+    e -= p @ np.linalg.lstsq(p, e, rcond=None)[0]
+    w2 = 2.0 * w1 + e if collinear else z @ np.array([-0.4, 0.9]) + rng.normal(size=n)
+    y = 0.5 - 0.3 * w1 + 0.2 * w2 + x + rng.normal(size=n)
+    return y, np.column_stack([w1, w2]), instrument, z, x
+
+
 def table1_rows():
     """The six example observations: two requests of three items each."""
     spec = [
@@ -48,6 +66,22 @@ def table1_rows():
         )
         for resp, item, req, pos in spec
     ]
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """The shapes of the matrices passed to np.linalg.qr and np.linalg.svd,
+    recorded per function name while a test runs."""
+    shapes = {"qr": [], "svd": []}
+    for name, calls in shapes.items():
+        real = getattr(np.linalg, name)
+
+        def counting(a, *args, _real=real, _calls=calls, **kwargs):
+            _calls.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return shapes
 
 
 @pytest.fixture

@@ -11,11 +11,13 @@ import scipy.special  # noqa: F401  (imported before any tracing; its import all
 
 from posiv.cli import main
 from posiv.datamodel import Dataset, write_dataset
-from posiv.errors import ConstantColumn, EstimationError, TooFewClusters
+from posiv.errors import Collinear, ConstantColumn, EstimationError, TooFewClusters
 from posiv.estimator import FirstStageReport, FitResult, first_stage, fit_2sls, fit_ils, fit_ols
-from posiv.prepare import build_design, slice_by_item, top_items
+from posiv.prepare import DesignMatrix, ItemBlocks, build_design, slice_by_item, top_items
 from posiv.simulator import SimConfig, simulate
 from posiv.specs import ModelSpec, get_spec
+
+from conftest import make_design, projected_collinear
 
 CONFIG = dict(
     n_users=1800, n_items=18, requests_per_user=1, slots_per_request=5,
@@ -150,19 +152,11 @@ def test_batch_matches_one_item_at_a_time(mixed, seed, spec_name):
     assert 1 < len(set(shapes)) < len(shapes)  # several buckets, some holding many items
 
 
-def test_a_bucket_is_fitted_again_once_per_failing_check(mixed, monkeypatch):
+def test_a_bucket_is_fitted_again_once_per_failing_check(mixed, factorizations):
     """Items that fail one check leave their bucket together: ILS fits each
     bucket once more per failing check, not once more per failing item."""
     ds, items = mixed
     design = build_design(slice_by_item(ds, items, 0), ILS, by_item=True)
-    calls = []
-    svd = np.linalg.svd
-
-    def counting_svd(*args, **kwargs):
-        calls.append(args[0].shape)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     fits = fit_ils(design)
     rows, cols = np.diff(design.items.bounds), np.diff(design.items.z_bounds)
     buckets: dict[tuple, list] = {}
@@ -171,12 +165,44 @@ def test_a_bucket_is_fitted_again_once_per_failing_check(mixed, monkeypatch):
             buckets.setdefault((rows[g], cols[g]), []).append(fits[g])
     failed = [[r for r in fitted if isinstance(r, EstimationError)] for fitted in buckets.values()]
     checks = [len({type(error) for error in f}) for f in failed]  # ZeroFirstStage only, here
-    # a pass factors [Z, X] and the projected design at most once each
-    per_check = 2 * sum(1 + c for c in checks)
-    # refitting once per item: one factorization per failed pass, two in the last
-    per_item = sum(len(f) + 2 for f in failed)
+    per_check = sum(1 + c for c in checks)  # a pass factors its n rows once
+    per_item = sum(len(f) + 1 for f in failed)  # refitting once per item
     assert per_check < per_item
-    assert len(calls) <= per_check
+    tall = [shape for shape in factorizations["qr"] if shape[-2] in rows]
+    assert len(buckets) <= len(tall) <= per_check
+    assert all(shape[-2] == shape[-1] not in rows for shape in factorizations["svd"])
+
+
+def test_a_collinear_projected_design_fails_only_its_item():
+    """One item of a bucket of three has endogenous columns whose
+    projections on [Z, X] are collinear: it fails at the projected design's
+    condition check, and the other two fit as they do alone."""
+    rng = np.random.default_rng(12)
+    n, bad = 150, 1
+    parts = [projected_collinear(rng, n, collinear=g == bad) for g in range(3)]
+    clusters = np.arange(n) % 30
+    alone = [fit_2sls(make_design(y, w, z, x, clusters, z_names=(f"z{2 * g}", f"z{2 * g + 1}")),
+                      str(g)) for g, (y, w, _, z, x) in enumerate(parts) if g != bad]
+    items = ItemBlocks(
+        labels=("0", "1", "2"), bounds=np.arange(4) * n, codes=np.tile(clusters, 3),
+        instrument=np.concatenate([np.where(p[2] < 0, -1, p[2] + 2 * g)
+                                   for g, p in enumerate(parts)]),
+        z_names=tuple(f"z{c}" for c in range(6)), z_cols=np.arange(6),
+        z_bounds=np.arange(4) * 2, errors=(None,) * 3,
+    )
+    x = np.concatenate([p[4] for p in parts])
+    design = DesignMatrix(
+        y=np.concatenate([p[0] for p in parts]), w=np.concatenate([p[1] for p in parts]),
+        z=np.empty((3 * n, 0)), x=np.column_stack([x, np.ones(3 * n)]),
+        w_names=("w0", "w1"), z_names=(), x_names=("x0", "Constant"),
+        clusters=np.concatenate([clusters + 100 * g for g in range(3)]).astype(np.uint64),
+        items=items,
+    )
+    fits = fit_2sls(design)
+    assert isinstance(fits[bad], Collinear)
+    assert "projected design matrix condition number" in str(fits[bad])
+    for got, want in zip([fits[0], fits[2]], alone, strict=True):
+        _assert_same(got, want)
 
 
 def _own_arm_labels(ds: Dataset, copies: int = 1) -> Dataset:
@@ -258,7 +284,7 @@ def test_sample_seed_changes_the_batch_as_it_does_one_item(mixed):
     assert not np.array_equal(a.y, b.y)
 
 
-def test_report_factors_each_shape_bucket_once(mixed, tmp_path, monkeypatch, capsys):
+def test_report_factors_each_shape_bucket_once(mixed, tmp_path, factorizations, capsys):
     ds, _ = mixed
     ids = np.unique(ds.column("item_id"))
     ds = ds.subset(~np.isin(ds.column("item_id"), ids[:2]))  # every item left fits
@@ -266,17 +292,10 @@ def test_report_factors_each_shape_bucket_once(mixed, tmp_path, monkeypatch, cap
     data = tmp_path / "mixed.csv"
     write_dataset(ds, str(data))
     sizes = {slice_by_item(ds, item).n_rows for item in items}
-    calls = []
-    svd = np.linalg.svd
-
-    def counting_svd(*args, **kwargs):
-        calls.append(args[0].shape)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     assert main(["report", str(data), "--specs", "spec1,spec2,spec3", "--top-n", "99",
                  "--out", str(tmp_path / "rep")]) == 0
-    per_fit = 2 + 2 + 1  # 2SLS, 2SLS, OLS
     assert len(sizes) == 3 < len(items)
-    assert len(calls) <= len(sizes) * per_fit  # one item at a time: len(items) * per_fit
+    tall = [shape for shape in factorizations["qr"] if shape[-2] in sizes]
+    assert len(tall) == len(sizes) * 3  # one QR per bucket and spec; one item at a time: len(items) * 3
+    assert all(shape[-2] == shape[-1] not in sizes for shape in factorizations["svd"])
     assert f"failed items: 0 of {len(items)}" in capsys.readouterr().out

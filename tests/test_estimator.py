@@ -27,7 +27,7 @@ from posiv.estimator import (
     significance_stars,
 )
 
-from conftest import make_design
+from conftest import make_design, projected_collinear
 
 
 def _rel_err(a, b):
@@ -115,29 +115,48 @@ def test_2sls_matches_projected_pinv_oracle():
         assert _rel_err(got, want) < 1e-10
 
 
-@pytest.mark.parametrize("fit, n_svd", [
+@pytest.mark.parametrize("fit, n_qr", [
     (fit_ols, 1),
-    (fit_2sls, 2),  # [Z, X] once for the projection and the F report, then [W_hat, X]
+    (fit_2sls, 2),  # [Z, X, W, y] once, then the k-row block of its R for the second stage
     (fit_ils, 2),
     (first_stage, 1),
 ])
-def test_factorization_count(monkeypatch, fit, n_svd):
+def test_factorization_count(factorizations, fit, n_qr):
+    """Each fit factors its n rows once, in one R-only QR of [regressors,
+    right-hand sides]; every SVD is of a small square block of an R."""
     rng = np.random.default_rng(8)
     n = 200
     z = (rng.random(n) < 0.5).astype(float)
     w = 2.0 * z + rng.normal(size=n)
     y = 1.0 - 0.5 * w + rng.normal(size=n)
     d = make_design(y, w, z, rng.normal(size=n), clusters=np.arange(n) % 25)
-    calls = []
-    svd = np.linalg.svd
-
-    def counting_svd(*args, **kwargs):
-        calls.append(args[0].shape)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     fit(d)
-    assert len(calls) == n_svd
+    assert len(factorizations["qr"]) == n_qr
+    assert [shape[-2] for shape in factorizations["qr"]].count(n) == 1
+    assert factorizations["svd"]
+    assert all(shape[-2] == shape[-1] < n for shape in factorizations["svd"])
+
+
+def test_2sls_collinear_projected_design():
+    y, w, _, z, x = projected_collinear(np.random.default_rng(10), 240)
+    d = make_design(y, w, z, x, clusters=np.arange(240) % 30)
+    first_stage(d)
+    fit_ols(d)
+    with pytest.raises(Collinear, match="projected design matrix condition number"):
+        fit_2sls(d)
+
+
+def test_first_stage_f_by_pseudo_inverse_when_cov_is_singular(monkeypatch):
+    y, w, _, z, x = projected_collinear(np.random.default_rng(11), 240, collinear=False)
+    d = make_design(y, w, z, x, clusters=np.arange(240) % 30)
+    want = [eq.f_stat for eq in first_stage(d).equations]
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    for eq, f in zip(first_stage(d).equations, want, strict=True):
+        assert _rel_err(eq.f_stat, f) < 1e-10
 
 
 def test_2sls_with_endogenous_in_instruments_equals_ols():
