@@ -69,6 +69,14 @@ def _resolve_spec(token: str) -> ModelSpec:
     return parse_spec(text)
 
 
+def _spec_argument(token: str) -> ModelSpec:
+    """argparse type of estimate's --spec, so a bad spec exits 2 before any work."""
+    try:
+        return _resolve_spec(token)
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -149,13 +157,12 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    spec = _resolve_spec(args.spec)
     ds = _load(args.data, _read_config(args.config))
-    ds = _estimation_dataset(ds, spec, args)
-    design = prepare.build_design(ds, spec)
+    ds = _estimation_dataset(ds, args.spec, args)
+    design = prepare.build_design(ds, args.spec)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", WeakInstrumentWarning)
-        fit = _fit_for(spec, design, spec.name)
+        fit = _fit_for(args.spec, design, args.spec.name)
     for w in caught:
         if issubclass(w.category, WeakInstrumentWarning):
             print(f"warning: {w.message}", file=sys.stderr)
@@ -251,14 +258,14 @@ def cmd_report(args) -> int:
                 if isinstance(fit, EstimationError):
                     writer.writerow([label, spec.name, "", "", _status(fit)])
                 else:
-                    name = _effect_name(fit)
+                    name = estimator.effect_name(fit)
                     writer.writerow([label, spec.name, repr(fit.coefficient(name)),
                                      repr(fit.se_of(name)), "ok"])
     ok = [i for i, status in enumerate(statuses) if status == "ok"]
     if not ok:
         raise EstimationError(f"every item failed; {_failures(statuses)}; wrote {csv_path}")
     svg_path = out / "effects.svg"
-    values = [[r.coefficient(_effect_name(r)) for r in per_item[i]] for i in ok]
+    values = [[r.coefficient(estimator.effect_name(r)) for r in per_item[i]] for i in ok]
     svg_path.write_text(
         plots.bars_svg([labels[i] for i in ok], [s.name for s in spec_list], values),
         encoding="utf-8",
@@ -274,10 +281,6 @@ def cmd_report(args) -> int:
     print(f"wrote {csv_path} and {svg_path}")
     print(_failures(statuses))
     return 0
-
-
-def _effect_name(fit: estimator.FitResult) -> str:
-    return "position" if "position" in fit.names else fit.names[0]
 
 
 def _int_at_least(low: int):
@@ -320,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", parents=[common], help="fit one specification")
     p.add_argument("data")
-    p.add_argument("--spec", required=True, help="built-in name or JSON file")
+    p.add_argument("--spec", required=True, type=_spec_argument,
+                   help="built-in name or JSON file")
     p.add_argument("--sample-seed", type=int, default=0)
     p.add_argument("--item", type=int, default=None)
     p.add_argument("--no-sample", action="store_true",
@@ -349,6 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "estimate" and args.spec.level == "session" and (
+            args.item is not None or args.no_sample):
+        parser.error(f"--item and --no-sample do not apply to session-level spec {args.spec.name}")
     try:
         return args.func(args)
     except InputError as exc:

@@ -26,8 +26,9 @@ than the outcome mean, and that is expected behavior, not an error.
 One stacked kernel does every fit. It works on (B, n, k) stacks of
 same-shape designs: one np.linalg.qr call factors all B matrices, the
 solves, breads and 1e12 checks run per matrix on the stack, the cluster
-score sums of all B come from one bincount, and one stdtr/fdtrc/stdtrit call
-gives every p-value and critical value. A design stacked by item
+score sums of all B come from one bincount, one stdtr call in _inference
+gives every t-test p-value, and first_stage() alone calls fdtrc and stdtrit
+for its F p-values and CI critical values. A design stacked by item
 (build_design(..., by_item=True)) is cut into shape buckets: the items with
 the same row count and instrument count. There is no zero padding, and a
 bucket builds only its own items' instrument columns, so each matrix LAPACK
@@ -230,6 +231,8 @@ def _stacks(design: DesignMatrix, label: str | None):
             design.w[None], design.z[None], design.x[None], codes[None],
         )
         return
+    if label is not None:
+        raise ValueError("a design stacked by item takes its labels from its items")
     sizes, p_z = np.diff(items.bounds), np.diff(items.z_bounds)
     built = np.flatnonzero([error is None for error in items.errors])
     if not built.size:
@@ -366,19 +369,20 @@ def _inference(
     s.check_clusters()
     structural_resid = s.y - (np.concatenate([s.w, s.x], axis=-1) @ coef[..., None])[..., 0]
     cov, n_groups = cluster_cov(m, structural_resid, s.codes, bread)
+    ssr = (structural_resid[:, None, :] @ structural_resid[..., None])[:, 0, 0]
+    tss = ((s.y - s.y.mean(axis=-1, keepdims=True)) ** 2).sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         se = np.sqrt(np.clip(np.diagonal(cov, axis1=-2, axis2=-1), 0.0, None))
         t_stat = coef / se
+        r_squared = np.where(tss > 0, 1.0 - ssr / tss, math.nan)
     from scipy import special  # deferred: ~0.3 s of import a CLI run without fits skips
 
     p_value = 2.0 * special.stdtr((n_groups - 1)[:, None], -np.abs(t_stat))
-    ssr = (structural_resid[:, None, :] @ structural_resid[..., None])[:, 0, 0]
-    tss = ((s.y - s.y.mean(axis=-1, keepdims=True)) ** 2).sum(axis=-1)
     n, k = m.shape[-2:]
     df_resid = n - k
-    fits = []
-    for i, label in enumerate(s.labels):
-        fits.append(FitResult(
+    resid_std_error = np.sqrt(ssr / max(df_resid, 1))
+    return [
+        FitResult(
             method=method,
             outcome=design.outcome_name,
             names=design.w_names + design.x_names,
@@ -391,13 +395,14 @@ def _inference(
             n_obs=n,
             n_clusters=int(n_groups[i]),
             df_resid=df_resid,
-            r_squared=float(1.0 - ssr[i] / tss[i]) if tss[i] > 0 else math.nan,
-            resid_std_error=math.sqrt(ssr[i] / max(df_resid, 1)),
+            r_squared=float(r_squared[i]),
+            resid_std_error=float(resid_std_error[i]),
             label=label,
             warnings=notes[i] if notes else (),
             first_stage_f=first_stage_f[i] if first_stage_f else {},
-        ))
-    return fits
+        )
+        for i, label in enumerate(s.labels)
+    ]
 
 
 def _ols(design: DesignMatrix, s: _Stack) -> list[FitResult]:
@@ -420,10 +425,10 @@ def _first_stage(design: DesignMatrix, s: _Stack):
     factorization of [Z, X, W, y] per item, shared by 2SLS, ILS and
     first_stage.
 
-    Returns (fact, solved, fitted, FirstStageReports), one report per item;
-    solved holds gamma, the first-stage coefficients, then the reduced form."""
-    from scipy import special  # deferred, as in _inference
-
+    Returns (fact, solved, fitted, coef, se, f_stat): solved holds gamma, the
+    first-stage coefficients, then the reduced form; coef and se (B, p_w, p_z)
+    are each endogenous column's instrument coefficients and their
+    cluster-robust standard errors, f_stat (B, p_w) their joint F."""
     p_z, p_w = s.z.shape[-1], s.w.shape[-1]
     a = np.concatenate([s.z, s.x, s.w, s.y[..., None]], axis=-1)
     k = p_z + s.x.shape[-1]
@@ -434,48 +439,17 @@ def _first_stage(design: DesignMatrix, s: _Stack):
     p, gamma = a[..., :k], solved[..., :p_w]
     fitted = p @ gamma
     bread = fact.bread()
-    equations: list[list[FirstStageEquation]] = [[] for _ in s.labels]
-    for j, name in enumerate(design.w_names):
-        resid = s.w[..., j] - fitted[..., j]
-        cov, n_groups = cluster_cov(p, resid, s.codes, bread)
-        coef_z = gamma[:, :p_z, j]
-        cov_zz = cov[:, :p_z, :p_z]
-        se_z = np.sqrt(np.clip(np.diagonal(cov_zz, axis1=-2, axis2=-1), 0.0, None))
+    coef = gamma[:, :p_z].swapaxes(-1, -2)
+    se, f_stat = np.empty_like(coef), np.empty(coef.shape[:-1])
+    for j in range(p_w):
+        cov_zz = cluster_cov(p, s.w[..., j] - fitted[..., j], s.codes, bread)[0][:, :p_z, :p_z]
+        se[:, j] = np.sqrt(np.clip(np.diagonal(cov_zz, axis1=-2, axis2=-1), 0.0, None))
         try:
-            wald = np.linalg.solve(cov_zz, coef_z[..., None])
+            wald = np.linalg.solve(cov_zz, coef[:, j, :, None])
         except np.linalg.LinAlgError:  # a cov_zz exactly singular: F by pinv for the stack
-            wald = np.linalg.pinv(cov_zz, hermitian=True) @ coef_z[..., None]
-        f_stat = (coef_z[:, None, :] @ wald)[:, 0, 0] / p_z
-        # fdtrc is NaN below 0 where f.sf is 1; a near-singular cov_zz can
-        # leave F a rounding error below 0.
-        p_value = special.fdtrc(p_z, n_groups - 1, np.maximum(f_stat, 0.0))
-        tcrit = special.stdtrit(n_groups - 1, 0.975)[:, None]
-        ci_low = coef_z - tcrit * se_z
-        ci_high = coef_z + tcrit * se_z
-        for i, eqs in enumerate(equations):
-            if ci_high[i, 0] < 0.0:
-                label = "negative"
-            elif ci_low[i, 0] > 0.0:
-                label = "positive"
-            else:
-                label = "null"
-            eqs.append(
-                FirstStageEquation(
-                    endogenous=name,
-                    instrument_names=s.z_names[i],
-                    coef=coef_z[i],
-                    se=se_z[i],
-                    ci_low=ci_low[i],
-                    ci_high=ci_high[i],
-                    f_stat=float(f_stat[i]),
-                    p_value=float(p_value[i]),
-                    classification=label,
-                )
-            )
-    n_obs = s.y.shape[-1]
-    n_groups = s.n_clusters if design.w_names else np.zeros(len(equations), dtype=int)
-    reports = [FirstStageReport(tuple(eqs), n_obs, int(g)) for eqs, g in zip(equations, n_groups)]
-    return fact, solved, fitted, reports
+            wald = np.linalg.pinv(cov_zz, hermitian=True) @ coef[:, j, :, None]
+        f_stat[:, j] = (coef[:, j, None, :] @ wald)[:, 0, 0] / p_z
+    return fact, solved, fitted, coef, se, f_stat
 
 
 def _projected(s: _Stack, first: _Factorization, w_hat: np.ndarray):
@@ -496,18 +470,16 @@ def _two_stage(design: DesignMatrix, s: _Stack) -> list[FitResult]:
         s.fail_all(Underidentified("no endogenous columns to instrument"))
     if p_z < p_w:
         s.fail_all(Underidentified(f"{p_z} instruments for {p_w} endogenous columns"))
-    first, _, w_hat, reports = _first_stage(design, s)
+    first, _, w_hat, _, _, f_stat = _first_stage(design, s)
     m2, fact2 = _projected(s, first, w_hat)
     coef = fact2.solve()[..., 0]
 
-    fs_f = [{eq.endogenous: eq.f_stat for eq in r.equations} for r in reports]
-    notes = []
-    for f in fs_f:
-        weakest = min(f.values()) if f else math.inf
-        notes.append(
-            (f"weak instruments: joint first-stage F = {weakest:.3g} < 10",)
-            if weakest < WEAK_F_THRESHOLD else ()
-        )
+    fs_f = [dict(zip(design.w_names, f)) for f in f_stat.tolist()]
+    notes = [
+        (f"weak instruments: joint first-stage F = {weakest:.3g} < 10",)
+        if weakest < WEAK_F_THRESHOLD else ()
+        for weakest in (min(f.values()) for f in fs_f)
+    ]
     return _inference("2SLS", design, s, coef, m2, fact2.bread(), notes, fs_f)
 
 
@@ -526,9 +498,8 @@ def _indirect(design: DesignMatrix, s: _Stack) -> list[FitResult]:
         s.fail_all(NotJustIdentified(
             f"ILS needs exactly 1 endogenous and 1 instrument column, got {p_w} and {p_z}"
         ))
-    first, solved, w_hat, reports = _first_stage(design, s)
-    pi = solved[:, 0, 0]
-    se_pi = np.array([r.equations[0].se[0] for r in reports])
+    first, solved, w_hat, _, se, _ = _first_stage(design, s)
+    pi, se_pi = solved[:, 0, 0], se[:, 0, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         indistinct = (se_pi > 0) & (np.abs(pi) / se_pi < ILS_ZERO_T)
 
@@ -562,7 +533,37 @@ def fit_ils(design: DesignMatrix, label: str | None = None) -> FitResult:
 def _first_stage_only(design: DesignMatrix, s: _Stack) -> list[FirstStageReport]:
     if s.z.shape[-1] == 0:
         s.fail_all(Underidentified("design has no instruments"))
-    return _first_stage(design, s)[3]
+    coef, se, f_stat = _first_stage(design, s)[3:]
+    from scipy import special  # deferred, as in _inference
+
+    df = (s.n_clusters - 1)[:, None]
+    # fdtrc is NaN below 0 where f.sf is 1; a near-singular cov_zz can
+    # leave F a rounding error below 0.
+    p_value = special.fdtrc(coef.shape[-1], df, np.maximum(f_stat, 0.0))
+    tcrit = special.stdtrit(df, 0.975)[..., None]
+    ci_low, ci_high = coef - tcrit * se, coef + tcrit * se
+    lead = np.select([ci_high[..., 0] < 0, ci_low[..., 0] > 0], ["negative", "positive"], "null")
+    return [
+        FirstStageReport(
+            equations=tuple(
+                FirstStageEquation(
+                    endogenous=name,
+                    instrument_names=s.z_names[i],
+                    coef=coef[i, j],
+                    se=se[i, j],
+                    ci_low=ci_low[i, j],
+                    ci_high=ci_high[i, j],
+                    f_stat=float(f_stat[i, j]),
+                    p_value=float(p_value[i, j]),
+                    classification=str(lead[i, j]),
+                )
+                for j, name in enumerate(design.w_names)
+            ),
+            n_obs=s.y.shape[-1],
+            n_clusters=int(s.n_clusters[i]) if design.w_names else 0,
+        )
+        for i in range(len(s.pos))
+    ]
 
 
 def first_stage(design: DesignMatrix) -> FirstStageReport:
@@ -578,10 +579,9 @@ def first_stage(design: DesignMatrix) -> FirstStageReport:
     return _unstack(design, _per_item(design, _first_stage_only))
 
 
-def _position_coefficient(fit: FitResult) -> float:
-    if "position" in fit.names:
-        return fit.coefficient("position")
-    return float(fit.coef[0])
+def effect_name(fit: FitResult) -> str:
+    """The coefficient of a fit's position effect: position, else the first."""
+    return "position" if "position" in fit.names else fit.names[0]
 
 
 def aggregate_effect(fits: Sequence[FitResult], k1: int, k2: int) -> EffectEstimate:
@@ -601,7 +601,7 @@ def aggregate_effect(fits: Sequence[FitResult], k1: int, k2: int) -> EffectEstim
         return (0, int(lbl)) if lbl.isdigit() else (1, lbl)
 
     fits.sort(key=sort_key)
-    taus = np.array([_position_coefficient(f) * (k2 - k1) for f in fits])
+    taus = np.array([f.coefficient(effect_name(f)) * (k2 - k1) for f in fits])
     labels = [f.label or "" for f in fits]
     tau_hat = float(taus.mean())
     se = float(taus.std(ddof=1) / math.sqrt(len(taus))) if len(taus) > 1 else None

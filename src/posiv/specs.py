@@ -10,7 +10,7 @@ analyses and are frozen so runs are reproducible by name.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .errors import InvalidSpec, ParseError
 
@@ -110,17 +110,8 @@ def get_spec(name: str) -> ModelSpec:
     raise InvalidSpec(f"no built-in spec named {name!r}")
 
 
-_FIELDS = (
-    "name", "level", "outcome", "endogenous", "instruments",
-    "controls", "cluster", "method", "preferred",
-)
-
-
 def spec_to_json(spec: ModelSpec) -> str:
-    d = asdict(spec)
-    d["endogenous"] = list(d["endogenous"])
-    d["controls"] = list(d["controls"])
-    return json.dumps(d, indent=2)
+    return json.dumps(asdict(spec), indent=2)
 
 
 def parse_spec(text: str) -> ModelSpec:
@@ -131,7 +122,7 @@ def parse_spec(text: str) -> ModelSpec:
         raise ParseError(f"malformed spec JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("spec JSON must be an object")
-    unknown = set(obj) - set(_FIELDS)
+    unknown = set(obj) - {f.name for f in fields(ModelSpec)}
     if unknown:
         raise InvalidSpec(f"unknown spec fields: {sorted(unknown)}")
     missing = {"name", "level", "outcome", "instruments"} - set(obj)

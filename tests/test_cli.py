@@ -416,6 +416,8 @@ def test_every_item_failing_exits_1_and_input_errors_exit_2(tmp_path, capsys):
     ["estimate", "--spec", "spec1", "--format", "csv"],
     ["prepare", "--item", "1", "--top-n", "3"],
     ["prepare", "--item", "1", "--session-top-cut", "4"],
+    ["estimate", "--spec", "specA2", "--item", "999999"],
+    ["estimate", "--spec", "specA1", "--no-sample"],
 ])
 def test_bad_arguments_exit_2_before_any_work(ads_outdir, tmp_path, capsys, argv):
     out = tmp_path / "out"

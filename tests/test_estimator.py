@@ -3,10 +3,13 @@ oracle (explicit pseudo-inverse, Wald ratio, double-loop cluster sums)."""
 
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import special
 
+from posiv import estimator
 from posiv.errors import (
     Collinear,
     EmptyInput,
@@ -18,6 +21,8 @@ from posiv.errors import (
     ZeroFirstStage,
 )
 from posiv.estimator import (
+    FirstStageReport,
+    FitResult,
     aggregate_effect,
     cluster_cov,
     first_stage,
@@ -26,6 +31,9 @@ from posiv.estimator import (
     fit_ols,
     significance_stars,
 )
+from posiv.prepare import build_design, slice_by_item, top_items
+from posiv.simulator import SimConfig, simulate
+from posiv.specs import ModelSpec, get_spec
 
 from conftest import make_design, projected_collinear
 
@@ -205,6 +213,18 @@ def test_2sls_underidentified():
         make_design(rng.normal(size=n), w, z, [], clusters=np.arange(n))
 
 
+def test_2sls_needs_an_endogenous_column_and_instruments():
+    rng = np.random.default_rng(7)
+    n = 50
+    y, w, z = rng.normal(size=n), rng.normal(size=n), rng.normal(size=n)
+    with pytest.raises(Underidentified, match="no endogenous columns"):
+        fit_2sls(make_design(y, [], z, w, clusters=np.arange(n)))
+    with pytest.raises(Underidentified, match="0 instruments for 1 endogenous"):
+        fit_2sls(make_design(y, w, [], [], clusters=np.arange(n)))
+    with pytest.raises(Underidentified, match="no instruments"):
+        first_stage(make_design(y, w, [], [], clusters=np.arange(n)))
+
+
 def test_2sls_weak_instrument_warns_not_fatal():
     rng = np.random.default_rng(8)
     n = 300
@@ -327,6 +347,15 @@ def test_cluster_cov_too_few_clusters():
         cluster_cov(m, np.zeros(5), np.zeros(5))
 
 
+def test_cluster_cov_checks_its_own_bread():
+    rng = np.random.default_rng(16)
+    with pytest.raises(Underdetermined, match="3 rows for 5 regressor columns"):
+        cluster_cov(rng.normal(size=(3, 5)), rng.normal(size=3), np.arange(3))
+    x = rng.normal(size=20)
+    with pytest.raises(Collinear, match="regressor matrix condition number"):
+        cluster_cov(np.column_stack([x, 2.0 * x]), rng.normal(size=20), np.arange(20) % 4)
+
+
 def test_duplicating_clusters_leaves_coefficients_unchanged():
     rng = np.random.default_rng(16)
     n = 50
@@ -374,6 +403,61 @@ def test_first_stage_classification():
         y = rng.normal(size=n)
         d = make_design(y, w, z, [], clusters=clusters)
         assert first_stage(d).equation("w0").classification == expected
+
+
+# ---------------------------------------------------------------- stacked by item
+
+
+ILS = ModelSpec("ils", "edge", "outcome", ("position",), "arm", (), method="ILS")
+
+
+@pytest.fixture(scope="module")
+def items_log():
+    ds, _ = simulate(SimConfig(
+        n_users=600, n_items=8, requests_per_user=1, slots_per_request=5,
+        instrument_strength=0.8, marketplace_mode="ads", seed=5,
+    ))
+    return slice_by_item(ds, top_items(ds, 8))
+
+
+@pytest.fixture
+def first_stage_work(monkeypatch):
+    """Calls of the first-stage report constructors and of the F and t
+    distribution functions, counted by name while a test runs."""
+    counts = Counter()
+    for owner, name in ((estimator, "FirstStageEquation"), (estimator, "FirstStageReport"),
+                        (special, "fdtrc"), (special, "stdtrit")):
+        def counting(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("fit, spec", [(fit_2sls, get_spec("spec1")), (fit_ils, ILS)])
+def test_stacked_iv_fits_build_no_first_stage_reports(items_log, first_stage_work, fit, spec):
+    """2SLS and ILS read the first-stage F and se as arrays; only
+    first_stage() builds reports and computes F p-values and CIs."""
+    design = build_design(items_log, spec, by_item=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WeakInstrumentWarning)
+        fits = fit(design)
+    assert sum(isinstance(f, FitResult) for f in fits) >= 6
+    assert first_stage_work == {}
+
+    reports = first_stage(design)
+    fitted = sum(isinstance(r, FirstStageReport) for r in reports)
+    assert fitted >= 6
+    assert first_stage_work["FirstStageReport"] == first_stage_work["FirstStageEquation"] == fitted
+    assert first_stage_work["fdtrc"] == first_stage_work["stdtrit"] >= 1
+
+
+def test_a_label_with_a_stacked_design_is_rejected(items_log):
+    design = build_design(items_log, get_spec("spec3"), by_item=True)
+    for fit in (fit_ols, fit_2sls, fit_ils):
+        with pytest.raises(ValueError, match="stacked by item"):
+            fit(design, "spec3")
 
 
 # ---------------------------------------------------------------- invariances
