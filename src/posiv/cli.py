@@ -56,25 +56,27 @@ def _load(path: str, config: dict) -> Dataset:
     return load_dataset(path, config.get("schema_map"))
 
 
-def _resolve_spec(token: str) -> ModelSpec:
-    names = {s.name for s in builtin_specs()}
-    if token in names:
+def _spec_argument(token: str) -> ModelSpec:
+    """argparse type of a spec, a built-in name or a JSON file, so a bad spec
+    exits 2 before any work."""
+    if token in {s.name for s in builtin_specs()}:
         return get_spec(token)
     try:
-        text = Path(token).read_text(encoding="utf-8")
+        return parse_spec(Path(token).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise InputError(
+        raise argparse.ArgumentTypeError(
             f"{token!r} is neither a built-in spec name nor a readable file: {exc}"
-        ) from exc
-    return parse_spec(text)
-
-
-def _spec_argument(token: str) -> ModelSpec:
-    """argparse type of estimate's --spec, so a bad spec exits 2 before any work."""
-    try:
-        return _resolve_spec(token)
+        ) from None
     except InputError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _specs_argument(text: str) -> list[ModelSpec]:
+    """argparse type of report's comma-separated --specs, as _spec_argument."""
+    specs = [_spec_argument(token.strip()) for token in text.split(",") if token.strip()]
+    if not specs:
+        raise argparse.ArgumentTypeError("no specifications given")
+    return specs
 
 
 def _outdir(args) -> Path:
@@ -93,9 +95,12 @@ def _fit_for(spec: ModelSpec, design, label: str | None = None):
 
 def _estimation_dataset(ds: Dataset, spec: ModelSpec, args) -> Dataset:
     if spec.level == "session":
-        if ds.is_session_level():
-            return ds
-        return prepare.aggregate_sessions(ds, args.session_top_cut)
+        if not ds.is_session_level():
+            top_cut = 4 if args.session_top_cut is None else args.session_top_cut
+            return prepare.aggregate_sessions(ds, top_cut)
+        if args.session_top_cut is not None:
+            raise InputError("--session-top-cut does not apply to a session-level data file")
+        return ds
     if args.item is not None:
         return prepare.slice_by_item(ds, args.item, args.sample_seed)
     if not args.no_sample:
@@ -232,13 +237,10 @@ def cmd_diagnose(args) -> int:
 
 def cmd_report(args) -> int:
     ds = _load(args.data, _read_config(args.config))
-    spec_list = [_resolve_spec(tok.strip()) for tok in args.specs.split(",") if tok.strip()]
-    if not spec_list:
-        raise InputError("no specifications given")
     items = prepare.top_items(ds, args.top_n)
     sliced = prepare.slice_by_item(ds, items, args.sample_seed)
     by_spec = []  # per spec: each item's FitResult or EstimationError
-    for spec in spec_list:
+    for spec in args.specs:
         design = prepare.build_design(sliced, spec, by_item=True)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WeakInstrumentWarning)
@@ -254,7 +256,7 @@ def cmd_report(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["item_id", "spec", "coef", "se", "status"])
         for label, results in zip(labels, per_item):
-            for spec, fit in zip(spec_list, results):
+            for spec, fit in zip(args.specs, results):
                 if isinstance(fit, EstimationError):
                     writer.writerow([label, spec.name, "", "", _status(fit)])
                 else:
@@ -267,10 +269,10 @@ def cmd_report(args) -> int:
     svg_path = out / "effects.svg"
     values = [[r.coefficient(estimator.effect_name(r)) for r in per_item[i]] for i in ok]
     svg_path.write_text(
-        plots.bars_svg([labels[i] for i in ok], [s.name for s in spec_list], values),
+        plots.bars_svg([labels[i] for i in ok], [s.name for s in args.specs], values),
         encoding="utf-8",
     )
-    for spec, fits in zip(spec_list, by_spec):
+    for spec, fits in zip(args.specs, by_spec):
         effect = estimator.aggregate_effect([fits[i] for i in ok], args.k1, args.k2)
         se_txt = "n/a" if effect.se is None else tables.format_value(effect.se)
         print(
@@ -330,7 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-sample", action="store_true",
                    help="skip one-row-per-request sampling (an --item slice keeps "
                    "one row per request regardless)")
-    p.add_argument("--session-top-cut", type=non_negative, default=4)
+    p.add_argument("--session-top-cut", type=non_negative, default=None,
+                   help="slots counted as top when a session-level spec aggregates "
+                   "an edge-level file (default 4)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_estimate)
 
@@ -341,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", parents=[common], help="per-item effects across specs")
     p.add_argument("data")
-    p.add_argument("--specs", default="spec1,spec2,spec3")
+    p.add_argument("--specs", type=_specs_argument, default="spec1,spec2,spec3")
     p.add_argument("--top-n", type=positive, default=5)
     p.add_argument("--k1", type=positive, default=2)
     p.add_argument("--k2", type=positive, default=1)
@@ -356,6 +360,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "estimate" and args.spec.level == "session" and (
             args.item is not None or args.no_sample):
         parser.error(f"--item and --no-sample do not apply to session-level spec {args.spec.name}")
+    if args.command == "estimate" and args.spec.level == "edge" and (
+            args.session_top_cut is not None):
+        parser.error(f"--session-top-cut does not apply to edge-level spec {args.spec.name}")
     try:
         return args.func(args)
     except InputError as exc:

@@ -25,10 +25,10 @@ than the outcome mean, and that is expected behavior, not an error.
 
 One stacked kernel does every fit. It works on (B, n, k) stacks of
 same-shape designs: one np.linalg.qr call factors all B matrices, the
-solves, breads and 1e12 checks run per matrix on the stack, the cluster
-score sums of all B come from one bincount, one stdtr call in _inference
-gives every t-test p-value, and first_stage() alone calls fdtrc and stdtrit
-for its F p-values and CI critical values. A design stacked by item
+solves, breads and 1e12 checks run per matrix on the stack, and the cluster
+score sums of all B come from one bincount. The kernel returns arrays; the
+t and F tails (posiv.tails, in numpy) and the result objects are made once
+per design, over every bucket's items together. A design stacked by item
 (build_design(..., by_item=True)) is cut into shape buckets: the items with
 the same row count and instrument count. There is no zero padding, and a
 bucket builds only its own items' instrument columns, so each matrix LAPACK
@@ -47,10 +47,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import tails
 from .errors import (
     Collinear,
     EmptyInput,
@@ -83,6 +85,11 @@ def significance_stars(p: float) -> str:
     if p < 0.1:
         return "*"
     return ""
+
+
+def stacked_stars(p: np.ndarray) -> np.ndarray:
+    """significance_stars of every p-value of an array at once (NaN gets "")."""
+    return np.select([p < 0.01, p < 0.05, p < 0.1], ["***", "**", "*"], "")
 
 
 @dataclass
@@ -251,16 +258,20 @@ def _stacks(design: DesignMatrix, label: str | None):
         )
 
 
-def _per_item(design: DesignMatrix, kernel, label: str | None = None) -> list:
-    """Each item's kernel result, or the EstimationError it failed with, in
-    item order. A bucket with failing items is fitted again without them,
-    once per failing check; a design not stacked by item has one item, which
-    raises."""
+def _per_item(design: DesignMatrix, kernel, build, label: str | None = None) -> list:
+    """Each item's result, or the EstimationError it failed with, in item
+    order. kernel fits one bucket's stack to arrays with the bucket's items
+    on the leading axis; a bucket with failing items is fitted again without
+    them, once per failing check. build(design, done) turns the (stack,
+    arrays) of every bucket that fitted into their items' results at once,
+    so each distribution function runs once per design, not per bucket. A
+    design not stacked by item has one item, which raises."""
     results = [None] if design.items is None else list(design.items.errors)
+    done = []
     for stack in _stacks(design, label):
         while len(stack.pos):
             try:
-                done = kernel(design, stack)
+                done.append((stack, kernel(design, stack)))
             except _Failed as failed:
                 if design.items is None:
                     raise failed.error(0) from None
@@ -268,9 +279,11 @@ def _per_item(design: DesignMatrix, kernel, label: str | None = None) -> list:
                     results[stack.pos[i]] = failed.error(i)
                 stack = stack.without(failed.bad)
             else:
-                for g, result in zip(stack.pos, done):
-                    results[g] = result
                 break
+    if done:
+        pos = np.concatenate([stack.pos for stack, _ in done])
+        for g, result in zip(pos.tolist(), build(design, done)):
+            results[g] = result
     return results
 
 
@@ -356,16 +369,30 @@ def cluster_cov(
     return (cov[0], int(n_groups[0])) if single else (cov, n_groups)
 
 
+class _Fits(NamedTuple):
+    """One bucket's fits as arrays, its items on the leading axis;
+    first_stage_f holds 2SLS's first-stage F per endogenous column (no
+    columns for OLS and ILS)."""
+
+    coef: np.ndarray
+    cov: np.ndarray
+    se: np.ndarray
+    t_stat: np.ndarray
+    n_clusters: np.ndarray
+    n_obs: np.ndarray
+    r_squared: np.ndarray
+    resid_std_error: np.ndarray
+    first_stage_f: np.ndarray
+
+
 def _inference(
-    method: str,
     design: DesignMatrix,
     s: _Stack,
     coef: np.ndarray,
     m: np.ndarray,
     bread: np.ndarray,
-    notes: list | None = None,
-    first_stage_f: list | None = None,
-) -> list[FitResult]:
+    first_stage_f: np.ndarray | None = None,
+) -> _Fits:
     s.check_clusters()
     structural_resid = s.y - (np.concatenate([s.w, s.x], axis=-1) @ coef[..., None])[..., 0]
     cov, n_groups = cluster_cov(m, structural_resid, s.codes, bread)
@@ -375,40 +402,51 @@ def _inference(
         se = np.sqrt(np.clip(np.diagonal(cov, axis1=-2, axis2=-1), 0.0, None))
         t_stat = coef / se
         r_squared = np.where(tss > 0, 1.0 - ssr / tss, math.nan)
-    from scipy import special  # deferred: ~0.3 s of import a CLI run without fits skips
-
-    p_value = 2.0 * special.stdtr((n_groups - 1)[:, None], -np.abs(t_stat))
     n, k = m.shape[-2:]
-    df_resid = n - k
-    resid_std_error = np.sqrt(ssr / max(df_resid, 1))
+    if first_stage_f is None:
+        first_stage_f = np.empty((len(s.pos), 0))
+    return _Fits(coef, cov, se, t_stat, n_groups, np.full(len(s.pos), n), r_squared,
+                 np.sqrt(ssr / max(n - k, 1)), first_stage_f)
+
+
+def _fit_results(method: str, design: DesignMatrix, done: list) -> list[FitResult]:
+    """The FitResults of every bucket's items, in bucket order: one stdtr
+    call gives all their p-values and one stacked_stars call their stars."""
+    fits = _Fits(*(np.concatenate(parts) for parts in zip(*(out for _, out in done))))
+    p_value = 2.0 * tails.stdtr((fits.n_clusters - 1)[:, None], -np.abs(fits.t_stat))
+    stars = stacked_stars(p_value).tolist()
+    weakest = fits.first_stage_f.min(axis=1, initial=math.inf)
+    labels = [label for stack, _ in done for label in stack.labels]
+    names = design.w_names + design.x_names
     return [
         FitResult(
             method=method,
             outcome=design.outcome_name,
-            names=design.w_names + design.x_names,
-            coef=coef[i],
-            cov=cov[i],
-            se=se[i],
-            t_stat=t_stat[i],
+            names=names,
+            coef=fits.coef[i],
+            cov=fits.cov[i],
+            se=fits.se[i],
+            t_stat=fits.t_stat[i],
             p_value=p_value[i],
-            stars=tuple(significance_stars(p) for p in p_value[i]),
-            n_obs=n,
-            n_clusters=int(n_groups[i]),
-            df_resid=df_resid,
-            r_squared=float(r_squared[i]),
-            resid_std_error=float(resid_std_error[i]),
+            stars=tuple(stars[i]),
+            n_obs=int(fits.n_obs[i]),
+            n_clusters=int(fits.n_clusters[i]),
+            df_resid=int(fits.n_obs[i]) - len(names),
+            r_squared=float(fits.r_squared[i]),
+            resid_std_error=float(fits.resid_std_error[i]),
             label=label,
-            warnings=notes[i] if notes else (),
-            first_stage_f=first_stage_f[i] if first_stage_f else {},
+            warnings=(f"weak instruments: joint first-stage F = {weakest[i]:.3g} < 10",)
+            if weakest[i] < WEAK_F_THRESHOLD else (),
+            first_stage_f=dict(zip(design.w_names, fits.first_stage_f[i].tolist())),
         )
-        for i, label in enumerate(s.labels)
+        for i, label in enumerate(labels)
     ]
 
 
-def _ols(design: DesignMatrix, s: _Stack) -> list[FitResult]:
+def _ols(design: DesignMatrix, s: _Stack) -> _Fits:
     m = np.concatenate([s.w, s.x], axis=-1)
     fact = _Factorization(np.concatenate([m, s.y[..., None]], axis=-1), m.shape[-1], "design")
-    return _inference("OLS", design, s, fact.solve()[..., 0], m, fact.bread())
+    return _inference(design, s, fact.solve()[..., 0], m, fact.bread())
 
 
 def fit_ols(design: DesignMatrix, label: str | None = None) -> FitResult:
@@ -417,7 +455,7 @@ def fit_ols(design: DesignMatrix, label: str | None = None) -> FitResult:
     On a design stacked by item, a list of each item's FitResult or the
     EstimationError it failed with, in item order (as for every fit here).
     """
-    return _unstack(design, _per_item(design, _ols, label))
+    return _unstack(design, _per_item(design, _ols, partial(_fit_results, "OLS"), label))
 
 
 def _first_stage(design: DesignMatrix, s: _Stack):
@@ -464,7 +502,7 @@ def _projected(s: _Stack, first: _Factorization, w_hat: np.ndarray):
     return m2, _Factorization(block, m2.shape[-1], "projected design")
 
 
-def _two_stage(design: DesignMatrix, s: _Stack) -> list[FitResult]:
+def _two_stage(design: DesignMatrix, s: _Stack) -> _Fits:
     p_w, p_z = design.w.shape[1], s.z.shape[-1]
     if p_w == 0:
         s.fail_all(Underidentified("no endogenous columns to instrument"))
@@ -472,27 +510,19 @@ def _two_stage(design: DesignMatrix, s: _Stack) -> list[FitResult]:
         s.fail_all(Underidentified(f"{p_z} instruments for {p_w} endogenous columns"))
     first, _, w_hat, _, _, f_stat = _first_stage(design, s)
     m2, fact2 = _projected(s, first, w_hat)
-    coef = fact2.solve()[..., 0]
-
-    fs_f = [dict(zip(design.w_names, f)) for f in f_stat.tolist()]
-    notes = [
-        (f"weak instruments: joint first-stage F = {weakest:.3g} < 10",)
-        if weakest < WEAK_F_THRESHOLD else ()
-        for weakest in (min(f.values()) for f in fs_f)
-    ]
-    return _inference("2SLS", design, s, coef, m2, fact2.bread(), notes, fs_f)
+    return _inference(design, s, fact2.solve()[..., 0], m2, fact2.bread(), f_stat)
 
 
 def fit_2sls(design: DesignMatrix, label: str | None = None) -> FitResult:
     """Two-stage least squares with structural residuals for inference."""
-    fits = _per_item(design, _two_stage, label)
+    fits = _per_item(design, _two_stage, partial(_fit_results, "2SLS"), label)
     for fit in fits:
         if isinstance(fit, FitResult) and fit.warnings:
             warnings.warn(fit.warnings[0], WeakInstrumentWarning, stacklevel=2)
     return _unstack(design, fits)
 
 
-def _indirect(design: DesignMatrix, s: _Stack) -> list[FitResult]:
+def _indirect(design: DesignMatrix, s: _Stack) -> _Fits:
     p_w, p_z = design.w.shape[1], s.z.shape[-1]
     if p_w != 1 or p_z != 1:
         s.fail_all(NotJustIdentified(
@@ -517,7 +547,7 @@ def _indirect(design: DesignMatrix, s: _Stack) -> list[FitResult]:
     beta_x = rho[:, 1:] - solved[:, 1:, 0] * beta_w[:, None]
     coef = np.concatenate([beta_w[:, None], beta_x], axis=1)
     m2, fact2 = _projected(s, first, w_hat)
-    return _inference("ILS", design, s, coef, m2, fact2.bread())
+    return _inference(design, s, coef, m2, fact2.bread())
 
 
 def fit_ils(design: DesignMatrix, label: str | None = None) -> FitResult:
@@ -527,43 +557,53 @@ def fit_ils(design: DesignMatrix, label: str | None = None) -> FitResult:
     from the two auxiliary regressions alone, which makes the numerical
     identity with fit_2sls a meaningful check rather than a tautology.
     """
-    return _unstack(design, _per_item(design, _indirect, label))
+    return _unstack(design, _per_item(design, _indirect, partial(_fit_results, "ILS"), label))
 
 
-def _first_stage_only(design: DesignMatrix, s: _Stack) -> list[FirstStageReport]:
+def _first_stage_only(design: DesignMatrix, s: _Stack):
     if s.z.shape[-1] == 0:
         s.fail_all(Underidentified("design has no instruments"))
-    coef, se, f_stat = _first_stage(design, s)[3:]
-    from scipy import special  # deferred, as in _inference
+    return _first_stage(design, s)[3:]
 
-    df = (s.n_clusters - 1)[:, None]
-    # fdtrc is NaN below 0 where f.sf is 1; a near-singular cov_zz can
-    # leave F a rounding error below 0.
-    p_value = special.fdtrc(coef.shape[-1], df, np.maximum(f_stat, 0.0))
-    tcrit = special.stdtrit(df, 0.975)[..., None]
-    ci_low, ci_high = coef - tcrit * se, coef + tcrit * se
-    lead = np.select([ci_high[..., 0] < 0, ci_low[..., 0] > 0], ["negative", "positive"], "null")
-    return [
-        FirstStageReport(
-            equations=tuple(
-                FirstStageEquation(
-                    endogenous=name,
-                    instrument_names=s.z_names[i],
-                    coef=coef[i, j],
-                    se=se[i, j],
-                    ci_low=ci_low[i, j],
-                    ci_high=ci_high[i, j],
-                    f_stat=float(f_stat[i, j]),
-                    p_value=float(p_value[i, j]),
-                    classification=str(lead[i, j]),
-                )
-                for j, name in enumerate(design.w_names)
-            ),
-            n_obs=s.y.shape[-1],
-            n_clusters=int(s.n_clusters[i]) if design.w_names else 0,
-        )
-        for i in range(len(s.pos))
-    ]
+
+def _first_stage_reports(design: DesignMatrix, done: list) -> list[FirstStageReport]:
+    """The FirstStageReports of every bucket's items, in bucket order: one
+    fdtrc call gives all their F p-values and one stdtrit call their CI
+    critical values."""
+    at = np.cumsum([len(stack.pos) for stack, _ in done])[:-1]
+    df = np.concatenate([stack.n_clusters for stack, _ in done]) - 1
+    p_z = np.concatenate([np.full(len(stack.pos), stack.z.shape[-1]) for stack, _ in done])
+    f_stats = np.concatenate([f_stat for _, (_, _, f_stat) in done])
+    # a near-singular cov_zz can leave F a rounding error below 0, where fdtrc is 1
+    p_values = np.split(tails.fdtrc(p_z[:, None], df[:, None], f_stats), at)
+    tcrits = np.split(tails.stdtrit(df, 0.975), at)
+    reports = []
+    for (s, (coef, se, f_stat)), p_value, tcrit in zip(done, p_values, tcrits):
+        half_width = tcrit[:, None, None] * se
+        ci_low, ci_high = coef - half_width, coef + half_width
+        lead = np.select([ci_high[..., 0] < 0, ci_low[..., 0] > 0], ["negative", "positive"], "null")
+        reports += [
+            FirstStageReport(
+                equations=tuple(
+                    FirstStageEquation(
+                        endogenous=name,
+                        instrument_names=s.z_names[i],
+                        coef=coef[i, j],
+                        se=se[i, j],
+                        ci_low=ci_low[i, j],
+                        ci_high=ci_high[i, j],
+                        f_stat=float(f_stat[i, j]),
+                        p_value=float(p_value[i, j]),
+                        classification=str(lead[i, j]),
+                    )
+                    for j, name in enumerate(design.w_names)
+                ),
+                n_obs=s.y.shape[-1],
+                n_clusters=int(s.n_clusters[i]) if design.w_names else 0,
+            )
+            for i in range(len(s.pos))
+        ]
+    return reports
 
 
 def first_stage(design: DesignMatrix) -> FirstStageReport:
@@ -576,7 +616,7 @@ def first_stage(design: DesignMatrix) -> FirstStageReport:
     the column down, e.g. rank improves), entirely above -> positive,
     otherwise null.
     """
-    return _unstack(design, _per_item(design, _first_stage_only))
+    return _unstack(design, _per_item(design, _first_stage_only, _first_stage_reports))
 
 
 def effect_name(fit: FitResult) -> str:

@@ -7,7 +7,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.special  # noqa: F401  (imported before any tracing; its import allocates)
 
 from posiv.cli import main
 from posiv.datamodel import Dataset, write_dataset

@@ -154,6 +154,9 @@ def test_estimate_accepts_session_level_file(tmp_path):
     out = tmp_path / "out"
     code = main(["estimate", str(data), "--spec", "specA2", "--out", str(out)])
     assert code == 0
+    # a session-level file is not aggregated again, so a top cut would go unused
+    assert main(["estimate", str(data), "--spec", "specA2", "--session-top-cut", "3",
+                 "--out", str(tmp_path / "cut")]) == 2
 
 
 def test_estimate_json_format_prints_payload(ads_outdir, tmp_path, capsys):
@@ -418,6 +421,9 @@ def test_every_item_failing_exits_1_and_input_errors_exit_2(tmp_path, capsys):
     ["prepare", "--item", "1", "--session-top-cut", "4"],
     ["estimate", "--spec", "specA2", "--item", "999999"],
     ["estimate", "--spec", "specA1", "--no-sample"],
+    ["estimate", "--spec", "spec1", "--session-top-cut", "4"],
+    ["report", "--specs", "nope"],
+    ["report", "--specs", ","],
 ])
 def test_bad_arguments_exit_2_before_any_work(ads_outdir, tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -452,12 +458,20 @@ def test_sample_seed_chooses_among_repeats_in_item_slices(tmp_path):
     assert outputs["0"][1] != outputs["3"][1]
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    """scipy.stats costs most of a second at start-up and the CLI needs only
-    scipy.special's distribution functions."""
+def test_cli_import_leaves_scipy_stats_out(ads_outdir, tmp_path):
+    """posiv's t and F tails are its own, so no command loads scipy, whose
+    import costs a fitting process about 0.2 s: diagnose, report and
+    estimate fit in one process that ends with no scipy module loaded."""
     src = str(Path(posiv.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    subprocess.run(
-        [sys.executable, "-c", "import posiv.cli, sys; assert 'scipy.stats' not in sys.modules"],
-        env=env, check=True,
-    )
+    data, out = str(ads_outdir / "dataset.csv"), str(tmp_path)
+    commands = [
+        ["diagnose", data, "--top-n", "3", "--out", out],
+        ["report", data, "--top-n", "3", "--out", out],
+        ["estimate", data, "--spec", "spec1", "--item", "1", "--out", out],
+    ]
+    subprocess.run([sys.executable, "-c", (
+        "import sys; from posiv.cli import main\n"
+        f"assert [main(argv) for argv in {commands!r}] == [0, 0, 0]\n"
+        "assert not [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
+    )], env=env, check=True, stdout=subprocess.DEVNULL)

@@ -7,9 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy import special
 
-from posiv import estimator
+from posiv import estimator, tails
 from posiv.errors import (
     Collinear,
     EmptyInput,
@@ -30,6 +29,7 @@ from posiv.estimator import (
     fit_ils,
     fit_ols,
     significance_stars,
+    stacked_stars,
 )
 from posiv.prepare import build_design, slice_by_item, top_items
 from posiv.simulator import SimConfig, simulate
@@ -426,7 +426,7 @@ def first_stage_work(monkeypatch):
     distribution functions, counted by name while a test runs."""
     counts = Counter()
     for owner, name in ((estimator, "FirstStageEquation"), (estimator, "FirstStageReport"),
-                        (special, "fdtrc"), (special, "stdtrit")):
+                        (tails, "fdtrc"), (tails, "stdtrit")):
         def counting(*args, _real=getattr(owner, name), _name=name, **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
@@ -549,3 +549,11 @@ def test_significance_star_thresholds_are_strict():
     assert significance_stars(0.099999) == "*"
     assert significance_stars(0.1) == ""
     assert significance_stars(math.nan) == ""
+
+
+def test_stacked_stars_match_the_scalar_rule():
+    cuts = np.array([0.01, 0.05, 0.1])
+    p = np.concatenate([[math.nan, 0.0, 1.0], cuts, np.nextafter(cuts, 0.0),
+                        np.nextafter(cuts, 1.0)])
+    assert stacked_stars(p.reshape(3, 4)).tolist() == [
+        [significance_stars(v) for v in row] for row in p.reshape(3, 4).tolist()]
