@@ -74,22 +74,15 @@ WEAK_F_THRESHOLD = 10.0
 ILS_ZERO_T = 4.0
 
 
-def significance_stars(p: float) -> str:
-    """Star conventions: * p<0.1, ** p<0.05, *** p<0.01 (strict inequalities)."""
-    if p is None or math.isnan(p):
-        return ""
-    if p < 0.01:
-        return "***"
-    if p < 0.05:
-        return "**"
-    if p < 0.1:
-        return "*"
-    return ""
-
-
 def stacked_stars(p: np.ndarray) -> np.ndarray:
-    """significance_stars of every p-value of an array at once (NaN gets "")."""
+    """Star conventions for every p-value of an array at once: * p<0.1,
+    ** p<0.05, *** p<0.01 (strict inequalities); NaN gets ""."""
     return np.select([p < 0.01, p < 0.05, p < 0.1], ["***", "**", "*"], "")
+
+
+def significance_stars(p: float | None) -> str:
+    """stacked_stars of one p-value; None gets "" as NaN does."""
+    return stacked_stars(np.asarray(math.nan if p is None else p, dtype=float)).item()
 
 
 @dataclass

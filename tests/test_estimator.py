@@ -450,7 +450,29 @@ def test_stacked_iv_fits_build_no_first_stage_reports(items_log, first_stage_wor
     fitted = sum(isinstance(r, FirstStageReport) for r in reports)
     assert fitted >= 6
     assert first_stage_work["FirstStageReport"] == first_stage_work["FirstStageEquation"] == fitted
-    assert first_stage_work["fdtrc"] == first_stage_work["stdtrit"] >= 1
+    # one call each for the whole design, not one per shape bucket
+    assert len(list(estimator._stacks(design, None))) > 1
+    assert first_stage_work["fdtrc"] == first_stage_work["stdtrit"] == 1
+
+
+@pytest.mark.parametrize("fit, spec", [(fit_ols, get_spec("spec3")),
+                                       (fit_2sls, get_spec("spec1")), (fit_ils, ILS)])
+def test_a_stacked_fit_makes_one_stdtr_call(items_log, monkeypatch, fit, spec):
+    """Every bucket's p-values come from one stdtr call per fit."""
+    design = build_design(items_log, spec, by_item=True)
+    assert len(list(estimator._stacks(design, None))) > 1
+    calls = []
+
+    def counting(*args, _real=tails.stdtr):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(tails, "stdtr", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WeakInstrumentWarning)
+        fits = fit(design)
+    assert sum(isinstance(f, FitResult) for f in fits) >= 6
+    assert len(calls) == 1
 
 
 def test_a_label_with_a_stacked_design_is_rejected(items_log):
@@ -548,12 +570,10 @@ def test_significance_star_thresholds_are_strict():
     assert significance_stars(0.01) == "**"
     assert significance_stars(0.099999) == "*"
     assert significance_stars(0.1) == ""
-    assert significance_stars(math.nan) == ""
-
-
-def test_stacked_stars_match_the_scalar_rule():
+    assert significance_stars(math.nan) == significance_stars(None) == ""
     cuts = np.array([0.01, 0.05, 0.1])
     p = np.concatenate([[math.nan, 0.0, 1.0], cuts, np.nextafter(cuts, 0.0),
                         np.nextafter(cuts, 1.0)])
-    assert stacked_stars(p.reshape(3, 4)).tolist() == [
-        [significance_stars(v) for v in row] for row in p.reshape(3, 4).tolist()]
+    want = ["", "***", "", "**", "*", "", "***", "**", "*", "**", "*", ""]
+    assert [significance_stars(v) for v in p.tolist()] == want
+    assert stacked_stars(p.reshape(3, 4)).tolist() == [want[:4], want[4:8], want[8:]]
