@@ -15,10 +15,10 @@ at once with the usual swap to 1 - I_{1-x}(b, a) for x > (a+1)/(a+b+2); a
 lane leaves the loop once its last factor is within a few ulps of 1, and one
 that never does gets NaN. The log-beta of the front factor is computed once
 per distinct (a, b), from log1p and Stirling's series with the arrangement of
-the same paper's betaln: lgamma(a) + lgamma(b) - lgamma(a+b) put p 1.1e-10
-off mpmath at nu in 5000..20000, against 6e-13. Against mpmath on nu up to
-100000, stdtr is within 1e-14 relative for |t| < 5 and 2e-13 out to |t| = 40,
-where the exponent of the front factor, not the fraction, sets the error.
+the same paper's betaln, since lgamma(a) + lgamma(b) - lgamma(a+b) put p
+1.1e-10 off mpmath at nu in 5000..20000. Against mpmath on nu up to 100000,
+stdtr is within 2e-14 relative for |t| < 5 and 2e-13 out to |t| = 40, where
+the exponent of the front factor, not the fraction, sets the error.
 
 Arguments broadcast as in scipy.special, whose stdtr, fdtrc and stdtrit
 these replace. Degrees of freedom that are not positive give NaN, and
@@ -34,6 +34,9 @@ import numpy as np
 
 _STOP = 1e-15  # a lane has converged when its last Lentz factor is this close to 1
 _BLOCK = 8  # Lentz steps per batch of coefficients and per convergence check
+# Once a block of twice the steps would hold at most this many lane-steps,
+# numpy's cost per call outweighs the arithmetic, so the next block doubles.
+_FEW_STEPS = 1024
 _MAX_STEPS = 1000
 _MAX_NEWTON = 20
 # Stirling's series lgamma(x) - ((x - 1/2) ln x - x + ln(2 pi)/2) in powers of
@@ -75,20 +78,20 @@ def _fraction(a: np.ndarray, b: np.ndarray, pair: np.ndarray, x: np.ndarray,
     as a_m = P_m x^2 and b_m = U_m + V_m x + W_m y, whose factors depend on
     the pair alone. Lentz's C and 1/D take the same step c -> b_m + a_m / c,
     so they share one (2, lanes) array; the factors are made, and the steps
-    multiplied, per block of _BLOCK steps. A lane leaves at the end of the
-    first block whose last C D is within _STOP of 1; one still there after
-    _MAX_STEPS steps gets NaN. No step guards against a zero C or 1/D: it
-    would take a_m / c = -b_m to the last bit."""
+    multiplied, per block of _BLOCK steps, or of twice the last block's once
+    few lanes are left. A lane leaves at the end of the first block whose
+    last C D is within _STOP of 1; one still there after _MAX_STEPS steps
+    gets NaN. No step guards against a zero C or 1/D: it would take
+    a_m / c = -b_m to the last bit."""
     value = np.full_like(x, math.nan)
     lanes = np.arange(x.size)
     # b_0 = a (lambda + 1) / (a + 1), lambda = a - (a + b) x = a y - b x
     c = np.stack([(a / (a + 1.0))[pair] * (a[pair] * y - b[pair] * x + 1.0),
                   np.full_like(x, math.inf)])  # C and 1/D
     k = c[0].copy()
-    for first in range(1, _MAX_STEPS, _BLOCK):
-        if not lanes.size:
-            break
-        m = np.arange(first, first + _BLOCK, dtype=float)[:, None]
+    first, size = 1, _BLOCK
+    while lanes.size and first < _MAX_STEPS:
+        m = np.arange(first, first + size, dtype=float)[:, None]
         odd = a + (2.0 * m - 1.0)
         r = (a + m) / (odd + 2.0)
         mb = m * (b - m) / odd
@@ -96,7 +99,7 @@ def _fraction(a: np.ndarray, b: np.ndarray, pair: np.ndarray, x: np.ndarray,
         u, v, w = m + r * (m + 1.0), mb - r * b, r * (a + m)
         alpha = p[:, pair] * (x * x)
         beta = u[:, pair] + v[:, pair] * x + w[:, pair] * y
-        steps = np.empty((_BLOCK, 2, lanes.size))
+        steps = np.empty((size, 2, lanes.size))
         for coef, term, step in zip(alpha, beta, steps):
             np.divide(coef, c, out=step)
             step += term
@@ -107,6 +110,8 @@ def _fraction(a: np.ndarray, b: np.ndarray, pair: np.ndarray, x: np.ndarray,
         value[lanes[done]] = k[done]
         left = ~done
         lanes, pair, x, y, c, k = lanes[left], pair[left], x[left], y[left], c[:, left], k[left]
+        first += size
+        size = 2 * size if 2 * size * lanes.size <= _FEW_STEPS else _BLOCK
     return value
 
 
