@@ -27,7 +27,6 @@ stdtrit needs df >= 1.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -53,12 +52,9 @@ def _stirling_rest(x: float) -> float:
     return rest / x
 
 
-@functools.lru_cache(maxsize=4096)
 def _log_beta(a: float, b: float) -> float:
     """ln B(a, b), with Stirling's series for each argument >= 10, so the
-    large terms of lgamma cancel in closed form instead of in rounding.
-    Cached: a process asks for the same few pairs again and again (each
-    Newton step of stdtrit, each spec fitted on one design)."""
+    large terms of lgamma cancel in closed form instead of in rounding."""
     a, b = min(a, b), max(a, b)
     if b < 10.0:
         return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
