@@ -365,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--session-top-cut does not apply to edge-level spec {args.spec.name}")
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (EstimationError, PosivError) as exc:

@@ -28,12 +28,17 @@ is exactly how the pymk mode generates it.
 Ads mode keeps at most one positive response per request: the best-position
 Bernoulli success wins and later ones are suppressed.
 
-All randomness is counter-based (see rng), so identical configs produce
-byte-identical datasets regardless of chunking or parallelism.
+Rows are generated in position order: each request's slots are sorted by
+score once, and every later draw and column is written in that order straight
+into the final columns, so the table comes out sorted by (user_id,
+request_id, position). All randomness is counter-based (see rng): identical
+configs produce byte-identical datasets, and the chunk size changes neither
+the data nor the audit.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -46,7 +51,7 @@ from .errors import InvalidConfig
 SCORE_NOISE_SD = 0.25
 OBS_NOISE_SD = 0.35
 AUDIT_REQUESTS = 200
-_CHUNK_CELLS = 4_000_000
+_CHUNK_CELLS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -68,16 +73,17 @@ class SimConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        counts = {
-            "n_users": self.n_users,
-            "n_items": self.n_items,
-            "requests_per_user": self.requests_per_user,
-            "slots_per_request": self.slots_per_request,
-            "n_reasons": self.n_reasons,
-        }
-        for name, value in counts.items():
-            if not isinstance(value, int) or value < 1:
+        for name in ("n_users", "n_items", "requests_per_user", "slots_per_request", "n_reasons"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise InvalidConfig(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("effect_slope_mean", "effect_slope_sd", "confound_strength",
+                     "instrument_strength", "instrument_share_negative", "base_rate"):
+            value = getattr(self, name)
+            # the bound is False for nan and inf, and compares huge ints exactly
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not abs(value) <= sys.float_info.max):
+                raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
         if self.slots_per_request > self.n_items:
             raise InvalidConfig("slots_per_request cannot exceed n_items")
         if not 0.0 <= self.instrument_share_negative <= 1.0:
@@ -88,7 +94,7 @@ class SimConfig:
             raise InvalidConfig("effect_slope_sd must be >= 0")
         if self.marketplace_mode not in ("ads", "pymk"):
             raise InvalidConfig(f"unknown marketplace_mode {self.marketplace_mode!r}")
-        if not isinstance(self.seed, int):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise InvalidConfig("seed must be an integer")
 
 
@@ -134,21 +140,13 @@ def ground_truth_tau(truth: SimTruth, k1: int, k2: int) -> float:
     return float(np.mean(truth.slopes) * (k2 - k1))
 
 
-def _user_arms(config: SimConfig) -> np.ndarray:
-    user_ids = np.arange(1, config.n_users + 1, dtype=np.uint64)
-    return rng.uniform(rng.stream_key(config.seed, rng.TAG_ARM, user_ids)) < 0.5
-
-
 def _directions(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    if config.marketplace_mode == "ads":
-        ids = np.arange(1, config.n_items + 1, dtype=np.uint64)
-        u = rng.uniform(rng.stream_key(config.seed, rng.TAG_DIRECTION, ids))
-        item_dir = np.where(u < config.instrument_share_negative, 1.0, -1.0)
-        return item_dir, np.zeros(0)
-    ids = np.arange(config.n_reasons, dtype=np.uint64)
-    u = rng.uniform(rng.stream_key(config.seed, rng.TAG_DIRECTION, ids))
-    reason_dir = np.where(u < config.instrument_share_negative, 1.0, -1.0)
-    return np.zeros(config.n_items), reason_dir
+    """(item_direction, reason_direction): ads draws one per item, pymk one per reason."""
+    ads = config.marketplace_mode == "ads"
+    ids = np.arange(1, config.n_items + 1) if ads else np.arange(config.n_reasons)
+    u = rng.uniform(rng.stream_key(config.seed, rng.TAG_DIRECTION, ids.astype(np.uint64)))
+    drawn = np.where(u < config.instrument_share_negative, 1.0, -1.0)
+    return (drawn, np.zeros(0)) if ads else (np.zeros(config.n_items), drawn)
 
 
 def simulate(config: SimConfig) -> tuple[Dataset, SimTruth]:
@@ -157,138 +155,107 @@ def simulate(config: SimConfig) -> tuple[Dataset, SimTruth]:
     seed = config.seed
     pymk = config.marketplace_mode == "pymk"
     slots = config.slots_per_request
-    n_requests = config.n_users * config.requests_per_user
+    per_user = config.requests_per_user
+    n_requests = config.n_users * per_user
+    n_rows = n_requests * slots
 
-    treated_by_user = _user_arms(config)
+    user_ids = np.arange(1, config.n_users + 1, dtype=np.uint64)
+    treated_by_user = rng.uniform(rng.stream_key(seed, rng.TAG_ARM, user_ids)) < 0.5
     item_dir, reason_dir = _directions(config)
-    item_ids_all = np.arange(1, config.n_items + 1, dtype=np.uint64)
+    item_index = np.arange(config.n_items, dtype=np.uint64)
     slopes = config.effect_slope_mean + config.effect_slope_sd * rng.normal(
-        rng.stream_key(seed, rng.TAG_SLOPE, item_ids_all)
+        rng.stream_key(seed, rng.TAG_SLOPE, item_index + np.uint64(1))
     )
 
     reason_width = max(2, len(str(config.n_reasons - 1)))
     reason_labels = np.array([f"r{i:0{reason_width}d}" for i in range(config.n_reasons)])
 
-    cols: dict[str, list[np.ndarray]] = {
-        name: [] for name in ("request_id", "user_id", "item_id", "position",
-                              "outcome", "arm", "reason", "relevance_score",
-                              "relevance_true", "p_raw")
+    # the columns fixed per request are built whole; the chunks fill the rest
+    data = {
+        "request_id": np.repeat(np.arange(1, n_requests + 1, dtype=np.uint64), slots),
+        "user_id": np.repeat(user_ids, per_user * slots),
+        "item_id": np.empty(n_rows, dtype=np.uint64),
+        "position": np.tile(np.arange(1, slots + 1, dtype=np.int64), n_requests),
+        "outcome": np.empty(n_rows, dtype=np.int64),
+        "arm": np.repeat(np.where(treated_by_user, "treatment", "control"), per_user * slots),
+        "relevance_score": np.empty(n_rows),
     }
+    if pymk:
+        data["reason"] = np.empty(n_rows, dtype=reason_labels.dtype)
+        data["session_depth"] = np.full(n_rows, float(slots))
+    grid = {name: col.reshape(n_requests, slots) for name, col in data.items()}
+    treated_by_request = np.repeat(treated_by_user, per_user)
+    n_audit = min(AUDIT_REQUESTS, n_requests)
+    audit_relevance = np.empty((n_audit, slots))
+    audit_p_raw = np.empty((n_audit, slots))
     clip_count = 0
 
     chunk = max(1, _CHUNK_CELLS // config.n_items)
-    item_index_row = np.arange(config.n_items, dtype=np.uint64)[None, :]
     for start in range(0, n_requests, chunk):
-        stop = min(start + chunk, n_requests)
-        req_index = np.arange(start, stop, dtype=np.uint64)
-        m = len(req_index)
-        req_ids = req_index + np.uint64(1)
-        user_index = (req_index // np.uint64(config.requests_per_user)).astype(np.int64)
-        user_ids = (user_index + 1).astype(np.uint64)
-        treated = treated_by_user[user_index]
-
-        select_key = rng.stream_key(seed, rng.TAG_SELECT, req_ids)[:, None]
-        keys = rng.raw64(select_key, item_index_row)
+        rows = slice(start, min(start + chunk, n_requests))
+        req = grid["request_id"][rows, :1]
+        user = grid["user_id"][rows, :1]
         if slots < config.n_items:
+            keys = rng.raw64(rng.stream_key(seed, rng.TAG_SELECT, req), item_index)
             sel = np.argpartition(keys, slots - 1, axis=1)[:, :slots]
         else:
-            sel = np.broadcast_to(np.arange(config.n_items), (m, config.n_items)).copy()
-        item_ids = (sel + 1).astype(np.uint64)
+            sel = np.broadcast_to(np.arange(slots), (len(req), slots))
 
-        req_mat = np.broadcast_to(req_ids[:, None], item_ids.shape)
-        user_mat = np.broadcast_to(user_ids[:, None], item_ids.shape)
-
-        relevance = rng.uniform(rng.stream_key(seed, rng.TAG_RELEVANCE, user_mat, item_ids)) - 0.5
-        noise = rng.normal(rng.stream_key(seed, rng.TAG_SCORE_NOISE, req_mat, item_ids))
-
+        ids = (sel + 1).astype(np.uint64)
+        relevance = rng.uniform(rng.stream_key(seed, rng.TAG_RELEVANCE, user, ids)) - 0.5
+        noise = rng.normal(rng.stream_key(seed, rng.TAG_SCORE_NOISE, req, ids))
         if pymk:
             reason_idx = (
-                rng.raw64(rng.stream_key(seed, rng.TAG_REASON, user_mat, item_ids))
+                rng.raw64(rng.stream_key(seed, rng.TAG_REASON, user, ids))
                 % np.uint64(config.n_reasons)
             ).astype(np.int64)
             direction = reason_dir[reason_idx]
         else:
-            reason_idx = None
             direction = item_dir[sel]
-
         score = relevance + SCORE_NOISE_SD * noise
-        score += config.instrument_strength * direction * treated[:, None]
+        score += config.instrument_strength * direction * treated_by_request[rows, None]
 
+        # from here on each request's slots are in position order
         order = np.argsort(-score, axis=1, kind="stable")
-        position = np.empty_like(order)
-        np.put_along_axis(position, order, np.arange(1, slots + 1)[None, :].repeat(m, 0), axis=1)
+        sel = np.take_along_axis(sel, order, axis=1)
+        relevance = np.take_along_axis(relevance, order, axis=1)
+        if pymk:
+            grid["reason"][rows] = reason_labels[np.take_along_axis(reason_idx, order, axis=1)]
+        item_ids = grid["item_id"][rows]
+        item_ids[...] = sel + 1
 
         p_raw = (
             config.base_rate
             + config.confound_strength * relevance
-            + slopes[sel] * (position - 1)
+            + slopes[sel] * np.arange(slots)
         )
-        p = np.clip(p_raw, 0.0, 1.0)
         clip_count += int(np.count_nonzero((p_raw < 0.0) | (p_raw > 1.0)))
-
-        udraw = rng.uniform(rng.stream_key(seed, rng.TAG_OUTCOME, req_mat, item_ids))
-        outcome = udraw < p
+        udraw = rng.uniform(rng.stream_key(seed, rng.TAG_OUTCOME, req, item_ids))
+        outcome = udraw < np.clip(p_raw, 0.0, 1.0)
         if not pymk:
-            pos_success = np.where(outcome, position, slots + 1)
-            best = pos_success.min(axis=1, keepdims=True)
-            outcome &= position == best
+            outcome &= np.cumsum(outcome, axis=1) == 1
+        grid["outcome"][rows] = outcome
 
         obs = relevance + 0.5 + OBS_NOISE_SD * rng.normal(
-            rng.stream_key(seed, rng.TAG_OBS_NOISE, req_mat, item_ids)
+            rng.stream_key(seed, rng.TAG_OBS_NOISE, req, item_ids)
         )
-        obs = np.clip(obs, 0.0, 1.0)
+        np.clip(obs, 0.0, 1.0, out=grid["relevance_score"][rows])
+        if start < n_audit:  # the rows past the audit's end fall off both slices
+            audit_relevance[rows] = relevance[:n_audit - start]
+            audit_p_raw[rows] = p_raw[:n_audit - start]
 
-        # reorder each request by position so the flattened table is already
-        # sorted by (user_id, request_id, position)
-        def by_pos(a):
-            return np.take_along_axis(a, order, axis=1).reshape(-1)
-
-        cols["request_id"].append(by_pos(np.ascontiguousarray(req_mat)))
-        cols["user_id"].append(by_pos(np.ascontiguousarray(user_mat)))
-        cols["item_id"].append(by_pos(item_ids))
-        cols["position"].append(by_pos(position).astype(np.int64))
-        cols["outcome"].append(by_pos(outcome).astype(np.int64))
-        arm = np.where(treated[:, None], "treatment", "control")
-        cols["arm"].append(np.broadcast_to(arm, item_ids.shape).reshape(-1))
-        if pymk:
-            cols["reason"].append(reason_labels[by_pos(reason_idx)])
-        cols["relevance_score"].append(by_pos(obs))
-        if start < AUDIT_REQUESTS:
-            cols["relevance_true"].append(by_pos(relevance))
-            cols["p_raw"].append(by_pos(p_raw))
-
-    data = {
-        "request_id": np.concatenate(cols["request_id"]),
-        "user_id": np.concatenate(cols["user_id"]),
-        "item_id": np.concatenate(cols["item_id"]),
-        "position": np.concatenate(cols["position"]),
-        "outcome": np.concatenate(cols["outcome"]),
-        "arm": np.concatenate(cols["arm"]),
-        "relevance_score": np.concatenate(cols["relevance_score"]),
-    }
-    if pymk:
-        data["reason"] = np.concatenate(cols["reason"])
-        data["session_depth"] = np.full(len(data["position"]), float(slots))
-
-    n_rows = len(data["position"])
     provenance = (
         f"simulate seed={seed} mode={config.marketplace_mode} "
         f"users={config.n_users} requests={n_requests} slots={slots}"
     )
     ds = Dataset(data, EDGE_SCHEMA, provenance)
 
-    n_audit = min(AUDIT_REQUESTS, n_requests) * slots
-    rel_true = np.concatenate(cols["relevance_true"])
-    p_raw_all = np.concatenate(cols["p_raw"])
-    audit = {
-        "request_id": data["request_id"][:n_audit].copy(),
-        "user_id": data["user_id"][:n_audit].copy(),
-        "item_id": data["item_id"][:n_audit].copy(),
-        "position": data["position"][:n_audit].copy(),
-        "relevance": rel_true[:n_audit].copy(),
-        "p_raw": p_raw_all[:n_audit].copy(),
-        "p": np.clip(p_raw_all[:n_audit], 0.0, 1.0),
-    }
+    # read-only views of the first requests' rows
+    audit = {name: ds.column(name)[:n_audit * slots]
+             for name in ("request_id", "user_id", "item_id", "position")}
+    audit["relevance"] = audit_relevance.reshape(-1)
+    audit["p_raw"] = audit_p_raw.reshape(-1)
+    audit["p"] = np.clip(audit["p_raw"], 0.0, 1.0)
     truth = SimTruth(
         slopes=slopes,
         item_direction=item_dir,

@@ -70,6 +70,29 @@ def test_simulate_unknown_key_exits_2(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+def test_simulate_non_numeric_config_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({**ADS_CONFIG, "effect_slope_sd": "x"}), encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: effect_slope_sd must be a finite number, got 'x'\n"
+
+
+def test_unwritable_output_exits_2(ads_outdir, tmp_path, capsys):
+    data = str(ads_outdir / "dataset.csv")
+    a_file = tmp_path / "a_file"
+    a_file.write_text("", encoding="utf-8")
+    (tmp_path / "est" / "table.txt").mkdir(parents=True)
+    for argv in (
+        ["simulate", "--out", str(a_file)],  # the output directory is a file
+        ["diagnose", data, "--out", str(a_file / "x")],  # its parent is a file
+        ["estimate", data, "--spec", "spec1", "--out", str(tmp_path / "est")],  # table.txt is a directory
+    ):
+        assert main(argv) == 2
+        # spec1 on this file also warns of a weak first stage
+        lines = [ln for ln in capsys.readouterr().err.splitlines() if not ln.startswith("warning: ")]
+        assert len(lines) == 1 and lines[0].startswith("error: [Errno ")
+
+
 def test_missing_data_file_exits_2(tmp_path, capsys):
     code = main(["estimate", str(tmp_path / "none.csv"), "--spec", "spec1",
                  "--out", str(tmp_path)])

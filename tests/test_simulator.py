@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -36,6 +37,12 @@ def test_invalid_configs():
         simulate(small_cfg(marketplace_mode="search"))
     with pytest.raises(InvalidConfig):
         simulate(small_cfg(effect_slope_sd=-0.1))
+    for bad in ({"effect_slope_sd": "x"}, {"base_rate": None}, {"instrument_strength": "0.5"},
+                {"confound_strength": True}, {"effect_slope_mean": float("inf")},
+                {"instrument_share_negative": float("nan")}, {"effect_slope_mean": 10**400},
+                {"n_users": True}, {"seed": False}):
+        with pytest.raises(InvalidConfig):
+            simulate(small_cfg(**bad))
 
 
 def test_determinism_and_chunking_independence(monkeypatch):
@@ -179,3 +186,37 @@ def test_reason_labels_and_session_depth():
     assert len(reasons) <= 6
     assert np.all(ds.column("session_depth") == 5.0)
     assert np.all(ds.column("session_depth") >= ds.column("position"))
+
+
+# SHA-256 of the CSV bytes and the audit arrays of three small configs. These
+# pin the random-stream layout (tags, counters, draw order), which the
+# chunking test above cannot see: it compares the simulator with itself.
+FROZEN_LAYOUT = [  # config overrides, _CHUNK_CELLS (None: the default), digest
+    pytest.param(dict(requests_per_user=2, seed=21), None,
+                 "9627dc6a224b04c06b9884110343594c09f8614d0381c83e406949dcf5a48e1e",
+                 id="pymk_two_requests"),
+    pytest.param(dict(marketplace_mode="ads", n_items=6, slots_per_request=6, base_rate=0.3,
+                      effect_slope_sd=0.01, seed=22), None,
+                 "fe290e0a585b93683b404a987a9a55c96f758f47310e34ddbc9d93d3262ac144",
+                 id="ads_every_item_shown"),
+    pytest.param(dict(marketplace_mode="ads", n_users=120, requests_per_user=3, base_rate=0.4,
+                      effect_slope_sd=0.01, seed=23), 64,
+                 "1c928e39704f3235a478349368585e57b54ff6092df5a82ecbbb5592ec3116f7",
+                 id="ads_many_chunks"),
+]
+
+
+@pytest.mark.parametrize("overrides, chunk_cells, digest", FROZEN_LAYOUT)
+def test_frozen_stream_layout(overrides, chunk_cells, digest, monkeypatch, tmp_path):
+    if chunk_cells is not None:
+        monkeypatch.setattr(sim, "_CHUNK_CELLS", chunk_cells)
+    ds, truth = simulate(small_cfg(**overrides))
+    h = hashlib.sha256()
+    write_dataset(ds, str(tmp_path / "data.csv"))
+    h.update((tmp_path / "data.csv").read_bytes())
+    for name in sorted(truth.audit):
+        a = truth.audit[name]
+        h.update(f"{name} {a.dtype.str} {a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(f"clips {truth.clip_count} rows {truth.n_rows}".encode())
+    assert h.hexdigest() == digest
