@@ -316,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prepare", parents=[common], help="sample/slice/aggregate a dataset")
     p.add_argument("data")
-    p.add_argument("--sample-seed", type=int, default=0)
+    p.add_argument("--sample-seed", type=int, default=None,
+                   help="seed of the one-row-per-request sample or item slice (default 0)")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--item", type=int, default=None)
     mode.add_argument("--top-n", type=positive, default=None)
@@ -327,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data")
     p.add_argument("--spec", required=True, type=_spec_argument,
                    help="built-in name or JSON file")
-    p.add_argument("--sample-seed", type=int, default=0)
+    p.add_argument("--sample-seed", type=int, default=None,
+                   help="seed of the one-row-per-request sample or item slice (default 0)")
     p.add_argument("--item", type=int, default=None)
     p.add_argument("--no-sample", action="store_true",
                    help="skip one-row-per-request sampling (an --item slice keeps "
@@ -363,6 +365,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "estimate" and args.spec.level == "edge" and (
             args.session_top_cut is not None):
         parser.error(f"--session-top-cut does not apply to edge-level spec {args.spec.name}")
+    if args.command in ("prepare", "estimate"):
+        if args.command == "prepare":
+            unsampled = args.top_n is not None or args.session_top_cut is not None
+        else:
+            unsampled = args.spec.level == "session" or (args.no_sample and args.item is None)
+        if unsampled and args.sample_seed is not None:
+            parser.error("--sample-seed does not apply where no sample is drawn")
+        args.sample_seed = args.sample_seed or 0
     try:
         return args.func(args)
     except (InputError, OSError) as exc:  # OSError: an output that cannot be written

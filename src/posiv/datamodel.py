@@ -52,6 +52,9 @@ SESSION_SCHEMA: tuple[tuple[str, str, bool], ...] = (
 )
 
 _UINT64_MAX = 2**64 - 1
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+_TENS = np.array([float(10**k) for k in range(23)])  # 10**k, exact as doubles up to k = 22
+_BLOCK_ROWS = 1 << 14  # rows that write_dataset formats at a time
 
 
 @dataclass(frozen=True)
@@ -348,24 +351,38 @@ def _texts(cells: _Cells, index: np.ndarray) -> list[str]:
     ]
 
 
-def _plain_digits(cells: _Cells, limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """uint64 values and a mask of the plain cells: 1 to 20 ASCII digits with
-    a value up to `limit`, parsed in numpy one digit place at a time. Other
-    cells read 0."""
+def _plain_digits(
+    cells: _Cells, limit: int, point: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """uint64 values, a mask of the plain cells and their count of fraction
+    digits, parsed in numpy one byte place at a time. A plain cell is 1 to 20
+    ASCII digits (24 bytes with point=True, of which one may be a "." with
+    at most 22 digits after it) that, read without the point, make a value
+    up to `limit`. Other cells read 0."""
     buf = np.frombuffer(cells.data, dtype=np.uint8)
     length = cells.end - cells.start
-    plain = (length > 0) & (length <= 20)
+    most = 24 if point else 20
+    plain = (length > 0) & (length <= most)
     value = np.zeros(len(length), dtype=np.uint64)
+    at = np.full(len(length), most)  # the byte place of the point
     top = np.uint64(limit // 10)
-    for k in range(20):
+    for k in range(most):
         rows = np.flatnonzero(plain & (length > k))
         if not rows.size:
             break
-        d, v = buf[cells.start[rows] + k] - np.uint8(ord("0")), value[rows]
+        b, v = buf[cells.start[rows] + k], value[rows]
+        d = b - np.uint8(ord("0"))
         value[rows] = v * np.uint64(10) + d
         plain[rows] = (d < 10) & ((v < top) | ((v == top) & (d <= limit % 10)))
+        if point:
+            first = (b == ord(".")) & (at[rows] == most)
+            dot = rows[first]
+            at[dot], value[dot], plain[dot] = k, v[first], True
+    scale = np.where(at < most, length - 1 - at, 0)
+    plain &= (scale <= 22) & (length > (at < most))  # "." alone is not a number
     value[~plain] = 0
-    return value, plain
+    scale[~plain] = 0
+    return value, plain, scale
 
 
 def _id_column(cells: _Cells, empty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -378,7 +395,7 @@ def _id_column(cells: _Cells, empty: np.ndarray) -> tuple[np.ndarray, np.ndarray
     fewer than 64 are live, a numpy pass costs more than hashing their next
     byte in Python, so they join the other cells, which parse_id reads once
     per distinct text."""
-    values, plain = _plain_digits(cells, _UINT64_MAX)
+    values, plain, _ = _plain_digits(cells, _UINT64_MAX)
     failed = empty.copy()
     index = np.flatnonzero(~plain & ~empty)
     index = index[np.argsort(cells.start[index] - cells.end[index], kind="stable")]
@@ -417,20 +434,24 @@ def _number_column(
     """int64 or float64 values (0 where missing) and a mask of the present
     cells that drop their row.
 
-    Int cells of plain digits up to 2**63 - 1 are parsed in numpy. Python's
-    own int/float convert the other present cells in one pass; if
-    that raises, they are redone cell by cell and each cell that int/float
-    rejects, or that overflows int64, fails alone. Then the range rules apply.
+    Int cells of plain digits up to 2**63 - 1 are parsed in numpy, and so
+    are float cells of plain digits with at most one "." (Clinger's fast
+    path): the mantissa m below 2**53 and 10**k for k <= 22 fraction digits
+    are exact doubles, so m / 10**k is one correctly rounded division and
+    equals float() of the cell to the bit. Python's own int/float convert
+    the other present cells in one pass; if that raises, they are redone
+    cell by cell and each cell that int/float rejects, or that overflows
+    int64, fails alone. Then the range rules apply.
     """
     if kind == "float":
         dtype, convert = np.float64, float
-        values = np.zeros(len(missing), dtype=dtype)
-        index = np.flatnonzero(~missing)
+        digits, plain, scale = _plain_digits(cells, 2**53 - 1, point=True)
+        values = digits / _TENS[scale]
     else:
         dtype, convert = np.int64, int
-        digits, plain = _plain_digits(cells, 2**63 - 1)
+        digits, plain, _ = _plain_digits(cells, 2**63 - 1)
         values = digits.view(np.int64)
-        index = np.flatnonzero(~plain & ~missing)
+    index = np.flatnonzero(~plain & ~missing)
     failed = np.zeros(len(missing), dtype=bool)
     texts = _texts(cells, index)
     try:
@@ -456,7 +477,8 @@ def _number_column(
 
 def _str_column(cells: _Cells, keep: np.ndarray) -> np.ndarray:
     """The kept cells as a <U array as wide as the longest kept cell. ASCII
-    cells are gathered into fixed-width bytes and cast; others are decoded."""
+    cells are gathered into fixed-width bytes and widened to UCS-4 code
+    units; others are decoded."""
     index = np.flatnonzero(keep)
     start = cells.start[index]
     length = cells.end[index] - start
@@ -468,7 +490,7 @@ def _str_column(cells: _Cells, keep: np.ndarray) -> np.ndarray:
         raw[rows, k] = buf[start[rows] + k]
     if raw.max() >= 0x80:
         return np.array(_texts(cells, index))
-    return raw.view(f"S{width}").ravel().astype(f"U{width}")
+    return raw.astype(np.uint32).view(f"U{width}").ravel()
 
 
 def _count_duplicates(data: Mapping[str, np.ndarray]) -> int:
@@ -582,34 +604,130 @@ def load_dataset(path: str, schema_map: Mapping[str, str] | None = None) -> Data
     )
 
 
-def _format_column(kind: str, col: np.ndarray) -> list[str]:
-    """CSV cells of one column: ids and ints as integers, floats as repr, and
-    "" for NaN (an absent optional value)."""
-    if kind == "str" or (kind != "float" and col.dtype.kind in "iu"):
-        return list(map(str, col.tolist()))
-    col = col.astype(np.float64, copy=False)
-    absent = np.isnan(col)
+def _quote(text: str) -> str:
+    """text in quotes, each quote doubled, when it holds ",", a quote, "\\r"
+    or "\\n": the cells csv.writer quotes, and also a bare carriage return,
+    which csv.writer with a "\\n" line end leaves bare."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _patch(
+    chars: np.ndarray, shown: np.ndarray, rows: np.ndarray, texts: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """chars and shown with the given rows replaced by the UTF-8 of texts,
+    widened to fit the longest."""
+    blobs = [text.encode("utf-8") for text in texts]
+    width = max(chars.shape[1], *map(len, blobs))
+    if width > chars.shape[1]:
+        pad = ((0, 0), (0, width - chars.shape[1]))
+        chars, shown = np.pad(chars, pad), np.pad(shown, pad)
+    chars[rows] = np.frombuffer(b"".join(b.ljust(width, b"\0") for b in blobs), np.uint8).reshape(
+        len(rows), width
+    )
+    shown[rows] = np.arange(width) < np.array(list(map(len, blobs)))[:, None]
+    return chars, shown
+
+
+def _int_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decimal digits of integers, right-aligned with "-" before a negative
+    one, one divmod by 10 a digit place."""
+    negative = values < 0
+    magnitude = values.astype(np.uint64)  # a negative int64 wraps to 2**64 - |v|
+    magnitude[negative] = np.uint64(0) - magnitude[negative]
+    length = np.searchsorted(_POW10[1:], magnitude, side="right") + 1
+    places = int(length.max())
+    length += negative
+    width = int(length.max())
+    chars = np.empty((len(values), width), dtype=np.uint8)
+    for k in range(1, places + 1):
+        magnitude, digit = np.divmod(magnitude, np.uint64(10))
+        chars[:, width - k] = digit + np.uint64(ord("0"))
+    rows = np.flatnonzero(negative)
+    chars[rows, width - length[rows]] = ord("-")
+    return chars, np.arange(width) >= width - length[:, None]
+
+
+def _cells(kind: str, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One column's CSV cells as a uint8 matrix, one row a cell, and the
+    mask of its bytes that are shown. Ints take one divmod a digit place,
+    floats one repr of the block's values, ASCII text its UCS-4 code units;
+    text that is not ASCII or needs quotes is formatted per cell."""
+    if kind == "str":
+        if values.dtype.kind != "U":
+            empty = np.zeros((len(values), 0), dtype=np.uint8)
+            return _patch(empty, empty.astype(bool), np.arange(len(values)),
+                          [_quote(str(v)) for v in values.tolist()])
+        values = np.ascontiguousarray(values)
+        codes = values.view(np.uint32).reshape(len(values), values.dtype.itemsize // 4)
+        special = (codes >= 0x80) | (codes == ord(",")) | (codes == ord('"'))
+        special |= (codes == ord("\r")) | (codes == ord("\n"))
+        rows = np.flatnonzero(special.any(axis=1))
+        chars = codes.astype(np.uint8)
+        shown = np.arange(chars.shape[1]) < np.char.str_len(values)[:, None]
+        if rows.size:
+            chars, shown = _patch(chars, shown, rows, [_quote(v) for v in values[rows].tolist()])
+        return chars, shown
+    if kind != "float" and values.dtype.kind in "iu":
+        return _int_cells(values)
+    values = values.astype(np.float64, copy=False)
+    absent = np.isnan(values)
     if kind == "float":
-        cells = list(map(repr, col.tolist()))
-    else:
-        cells = list(map(str, map(int, np.where(absent, 0.0, col).tolist())))
-    for i in np.flatnonzero(absent).tolist():
-        cells[i] = ""
-    return cells
+        # repr of the list is each value's repr with ", " between them
+        text = np.frombuffer(repr(values.tolist()).encode(), dtype=np.uint8)
+        comma = np.flatnonzero(text == ord(","))
+        start = np.concatenate(([1], comma + 2))
+        length = np.append(comma, len(text) - 1) - start
+        width = int(length.max())
+        chars = np.append(text, np.zeros(width, np.uint8))[start[:, None] + np.arange(width)]
+        shown = np.arange(width) < length[:, None]
+    else:  # an int column held as float, as session_depth with NaN for absent
+        exact = np.abs(values) < 2.0**63
+        chars, shown = _int_cells(np.where(exact, values, 0.0).astype(np.int64))
+        rows = np.flatnonzero(~exact & ~absent)
+        if rows.size:  # int() of inf raises OverflowError
+            chars, shown = _patch(chars, shown, rows, [str(int(v)) for v in values[rows].tolist()])
+    shown[absent] = False
+    return chars, shown
+
+
+def _format_block(columns: Sequence[tuple[str, np.ndarray]]) -> np.ndarray:
+    """The CSV bytes of the rows of one block: every column's cell matrix
+    and a separator column side by side, then one pass keeps the shown
+    bytes in row order."""
+    n = len(columns[0][1])
+    comma, one = np.full((n, 1), ord(","), dtype=np.uint8), np.ones((n, 1), dtype=bool)
+    matrices, masks = [], []
+    for kind, values in columns:
+        chars, shown = _cells(kind, values)
+        matrices += [chars, comma]
+        masks += [shown, one]
+    matrices[-1] = np.full((n, 1), ord("\n"), dtype=np.uint8)
+    if len(columns) == 1:  # csv.writer quotes a record that is one empty cell
+        rows = np.flatnonzero(~masks[0].any(axis=1))
+        if rows.size:
+            matrices[0], masks[0] = _patch(matrices[0], masks[0], rows, ['""'] * len(rows))
+    return np.hstack(matrices)[np.hstack(masks)]
 
 
 def write_dataset(ds: Dataset, path: str) -> None:
     """Write a Dataset as canonical CSV; absent optional columns are omitted.
 
-    Round-trips: load_dataset(write_dataset(ds)) compares equal to ds.
+    The header, then one row per line ended by "\\n": ids and ints as
+    integers, floats as their shortest round-trip repr, "" for NaN (an
+    absent optional value), and text quoted by _quote. The rows are
+    formatted in numpy and written _BLOCK_ROWS at a time, so the memory
+    used is bounded by a block, not by the file. Round-trips:
+    load_dataset(write_dataset(ds)) compares equal to ds.
     """
     kinds = {n: k for n, k, _ in ds.schema}
     names = list(ds.column_names)
-    columns = [_format_column(kinds[n], ds.column(n)) for n in names]
+    columns = [(kinds[n], ds.column(n)) for n in names]
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(names)
-            writer.writerows(zip(*columns))
+        with open(path, "wb") as fh:
+            fh.write((",".join(map(_quote, names)) + "\n").encode("utf-8"))
+            for lo in range(0, ds.n_rows, _BLOCK_ROWS):
+                fh.write(_format_block([(k, col[lo : lo + _BLOCK_ROWS]) for k, col in columns]))
     except OSError as exc:
         raise IoFailure(f"cannot write {path!r}: {exc}") from exc

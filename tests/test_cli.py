@@ -447,6 +447,10 @@ def test_every_item_failing_exits_1_and_input_errors_exit_2(tmp_path, capsys):
     ["estimate", "--spec", "spec1", "--session-top-cut", "4"],
     ["report", "--specs", "nope"],
     ["report", "--specs", ","],
+    ["prepare", "--top-n", "3", "--sample-seed", "1"],
+    ["prepare", "--session-top-cut", "4", "--sample-seed", "1"],
+    ["estimate", "--spec", "spec1", "--no-sample", "--sample-seed", "1"],
+    ["estimate", "--spec", "specA2", "--sample-seed", "1"],
 ])
 def test_bad_arguments_exit_2_before_any_work(ads_outdir, tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -475,10 +479,15 @@ def test_sample_seed_chooses_among_repeats_in_item_slices(tmp_path):
                      "--sample-seed", seed, "--out", str(rep)]) == 0
         assert main(["prepare", str(data), "--item", "1", "--sample-seed", seed,
                      "--out", str(prep)]) == 0
+        # --no-sample leaves the item slice, which still draws with the seed
+        assert main(["estimate", str(data), "--spec", "spec1", "--item", "1", "--no-sample",
+                     "--sample-seed", seed, "--format", "json", "--out", str(prep)]) == 0
         outputs[seed] = [(rep / "effects.csv").read_bytes(),
-                         (prep / "prepared.csv").read_bytes()]
+                         (prep / "prepared.csv").read_bytes(),
+                         (prep / "fit.json").read_bytes()]
     assert outputs["0"][0] != outputs["3"][0]
     assert outputs["0"][1] != outputs["3"][1]
+    assert outputs["0"][2] != outputs["3"][2]
 
 
 def test_cli_import_leaves_scipy_stats_out(ads_outdir, tmp_path):
