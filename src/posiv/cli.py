@@ -239,6 +239,10 @@ def cmd_report(args) -> int:
     ds = _load(args.data, _read_config(args.config))
     items = prepare.top_items(ds, args.top_n)
     sliced = prepare.slice_by_item(ds, items, args.sample_seed)
+    last = int(sliced.column("position").max())
+    for flag, k in (("--k1", args.k1), ("--k2", args.k2)):
+        if k > last:
+            raise InputError(f"{flag} {k} is past the last position of the items' rows ({last})")
     by_spec = []  # per spec: each item's FitResult or EstimationError
     for spec in args.specs:
         design = prepare.build_design(sliced, spec, by_item=True)
@@ -302,6 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None, help="JSON config (sim fields, schema_map)")
     common.add_argument("--out", default=".", help="output directory")
     positive, non_negative = _int_at_least(1), _int_at_least(0)
+    data_help = "CSV data file"
+    item_help = "keep this item's rows, one per request"
 
     parser = argparse.ArgumentParser(
         prog="posiv",
@@ -315,43 +321,54 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("prepare", parents=[common], help="sample/slice/aggregate a dataset")
-    p.add_argument("data")
+    p.add_argument("data", help=data_help)
     p.add_argument("--sample-seed", type=int, default=None,
                    help="seed of the one-row-per-request sample or item slice (default 0)")
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--item", type=int, default=None)
-    mode.add_argument("--top-n", type=positive, default=None)
-    mode.add_argument("--session-top-cut", type=non_negative, default=None)
+    mode.add_argument("--item", type=int, default=None, help=item_help)
+    mode.add_argument("--top-n", type=positive, default=None,
+                      help="write the N items with the most rows to top_items.csv")
+    mode.add_argument("--session-top-cut", type=non_negative, default=None,
+                      help="aggregate to one row per request, counting slots up to "
+                      "this position as top")
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("estimate", parents=[common], help="fit one specification")
-    p.add_argument("data")
+    p.add_argument("data", help=data_help)
     p.add_argument("--spec", required=True, type=_spec_argument,
                    help="built-in name or JSON file")
     p.add_argument("--sample-seed", type=int, default=None,
                    help="seed of the one-row-per-request sample or item slice (default 0)")
-    p.add_argument("--item", type=int, default=None)
+    p.add_argument("--item", type=int, default=None, help=item_help)
     p.add_argument("--no-sample", action="store_true",
                    help="skip one-row-per-request sampling (an --item slice keeps "
                    "one row per request regardless)")
     p.add_argument("--session-top-cut", type=non_negative, default=None,
                    help="slots counted as top when a session-level spec aggregates "
                    "an edge-level file (default 4)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--format", choices=("text", "json"), default="text",
+                   help="print the fit as a text table or as JSON (default text)")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("diagnose", parents=[common], help="per-item first-stage forest plot")
-    p.add_argument("data")
-    p.add_argument("--top-n", type=positive, default=30)
+    p.add_argument("data", help=data_help)
+    p.add_argument("--top-n", type=positive, default=30,
+                   help="fit the first stage of the N items with the most rows (default 30)")
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("report", parents=[common], help="per-item effects across specs")
-    p.add_argument("data")
-    p.add_argument("--specs", type=_specs_argument, default="spec1,spec2,spec3")
-    p.add_argument("--top-n", type=positive, default=5)
-    p.add_argument("--k1", type=positive, default=2)
-    p.add_argument("--k2", type=positive, default=1)
-    p.add_argument("--sample-seed", type=int, default=0)
+    p.add_argument("data", help=data_help)
+    p.add_argument("--specs", type=_specs_argument, default="spec1,spec2,spec3",
+                   help="comma-separated built-in names or JSON files "
+                   "(default spec1,spec2,spec3)")
+    p.add_argument("--top-n", type=positive, default=5,
+                   help="report the N items with the most rows (default 5)")
+    p.add_argument("--k1", type=positive, default=2,
+                   help="position moved from; at most the data's last position (default 2)")
+    p.add_argument("--k2", type=positive, default=1,
+                   help="position moved to; at most the data's last position (default 1)")
+    p.add_argument("--sample-seed", type=int, default=0,
+                   help="seed of the item slices' one row per request (default 0)")
     p.set_defaults(func=cmd_report)
     return parser
 

@@ -108,8 +108,8 @@ def _winner_per_request(
     """Indices of the kept row per request under the deterministic hash rule.
 
     Each row scores raw64(key(seed, request_id), ordinal) where the ordinal
-    counts that request's rows in dataset order; the max score wins. With
-    groups (an item per row), the rule runs within each (group, request).
+    counts that request's rows in dataset order; the max score wins, and
+    equal scores go to the lowest ordinal. With groups (an item per row), the rule runs within each (group, request).
     Returned indices are in ascending dataset order.
     """
     if groups is None:
@@ -125,16 +125,15 @@ def _winner_per_request(
         new_group[1:n] |= key[1:] != key[:-1]
     alone = new_group[:-1] & new_group[1:]  # a request with one row keeps it
     shared = np.flatnonzero(~alone)
-    first = new_group[shared]
-    group_start = np.maximum.accumulate(np.where(first, np.arange(len(shared)), 0))
-    ordinal = (np.arange(len(shared)) - group_start).astype(np.uint64)
-
-    req = keys[0][shared]
-    scores = rng.raw64(rng.stream_key(seed, rng.TAG_SAMPLE, req), ordinal)
-    # sort by (group, request asc, score desc, ordinal asc); the first row of
-    # each request wins, and requests keep their places in this order
-    ranking = np.lexsort((ordinal, ~scores, req, *(key[shared] for key in keys[1:])))
-    winners = np.concatenate([order[alone], order[shared[ranking[first]]]])
+    m = len(shared)
+    starts = np.flatnonzero(new_group[shared])  # each shared request's first row
+    sizes = np.diff(np.append(starts, m))
+    ordinal = (np.arange(m) - np.repeat(starts, sizes)).astype(np.uint64)
+    scores = rng.raw64(rng.stream_key(seed, rng.TAG_SAMPLE, keys[0][shared]), ordinal)
+    # each request's rows lie together in ordinal order, so its winner is the
+    # first row that reaches the request's max: ties go to the lowest ordinal
+    hit = np.flatnonzero(scores == np.repeat(np.maximum.reduceat(scores, starts), sizes))
+    winners = np.concatenate([order[alone], order[shared[hit[np.searchsorted(hit, starts)]]]])
     return np.sort(winners)
 
 

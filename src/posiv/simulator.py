@@ -32,8 +32,8 @@ Rows are generated in position order: each request's slots are sorted by
 score once, and every later draw and column is written in that order straight
 into the final columns, so the table comes out sorted by (user_id,
 request_id, position). All randomness is counter-based (see rng): identical
-configs produce byte-identical datasets, and the chunk size changes neither
-the data nor the audit.
+configs produce byte-identical datasets, and neither the chunk size nor the
+size of the select step's blocks of requests changes the data or the audit.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ SCORE_NOISE_SD = 0.25
 OBS_NOISE_SD = 0.35
 AUDIT_REQUESTS = 200
 _CHUNK_CELLS = 1_000_000
+# the select step keys a block of requests x n_items at a time, about 256 KB
+_SELECT_CELLS = 32_768
 
 
 @dataclass(frozen=True)
@@ -191,13 +193,17 @@ def simulate(config: SimConfig) -> tuple[Dataset, SimTruth]:
     clip_count = 0
 
     chunk = max(1, _CHUNK_CELLS // config.n_items)
+    select_block = max(1, _SELECT_CELLS // config.n_items)
     for start in range(0, n_requests, chunk):
         rows = slice(start, min(start + chunk, n_requests))
         req = grid["request_id"][rows, :1]
         user = grid["user_id"][rows, :1]
         if slots < config.n_items:
-            keys = rng.raw64(rng.stream_key(seed, rng.TAG_SELECT, req), item_index)
-            sel = np.argpartition(keys, slots - 1, axis=1)[:, :slots]
+            sel = np.empty((len(req), slots), dtype=np.intp)
+            for at in range(0, len(req), select_block):
+                block = slice(at, at + select_block)
+                keys = rng.raw64(rng.stream_key(seed, rng.TAG_SELECT, req[block]), item_index)
+                sel[block] = np.argpartition(keys, slots - 1, axis=1)[:, :slots]
         else:
             sel = np.broadcast_to(np.arange(slots), (len(req), slots))
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import posiv
-from posiv.cli import main
+from posiv.cli import build_parser, main
 from posiv.datamodel import Dataset, load_dataset, write_dataset
 from posiv.prepare import top_items
 from posiv.simulator import SimConfig, simulate
@@ -309,6 +309,29 @@ def test_report_bars_and_summary(ads_outdir, tmp_path, capsys):
     assert svg.count("<rect") == 1 + 15 + 3
     captured = capsys.readouterr()
     assert "spec1: tau(2->1)" in captured.out
+
+
+@pytest.mark.parametrize("flags", [["--k1", "6"], ["--k2", "6"], ["--k1", "9", "--k2", "7"]])
+def test_report_positions_past_the_data_exit_2(ads_outdir, tmp_path, capsys, flags):
+    # the file has 5 slots: a tau from or to position 6 extrapolates past every row
+    out = tmp_path / "rep"
+    assert main(["report", str(ads_outdir / "dataset.csv"), "--specs", "spec1",
+                 *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flags[0]} {flags[1]} is past the last position")
+    assert err.count("\n") == 1 and "(5)" in err
+    assert not out.exists()
+    assert main(["report", str(ads_outdir / "dataset.csv"), "--specs", "spec1",
+                 "--k1", "5", "--k2", "1", "--out", str(out)]) == 0
+    assert "spec1: tau(5->1)" in capsys.readouterr().out
+
+
+def test_every_argument_has_help():
+    sub = next(a for a in build_parser()._actions if a.choices and a.dest == "command")
+    missing = [f"{command} {action.option_strings or action.dest}"
+               for command, parser in sub.choices.items() for action in parser._actions
+               if not (action.help or "").strip()]
+    assert not missing
 
 
 def test_report_tau_band_on_pymk_slopes(tmp_path, capsys):

@@ -1,9 +1,13 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from posiv import rng
 from posiv.datamodel import EdgeObservation, from_edges
 from posiv.errors import ConstantColumn, MissingColumn, Underidentified, UnknownItem
 from posiv.prepare import (
+    _winner_per_request,
     aggregate_sessions,
     build_design,
     sample_one_per_request,
@@ -59,6 +63,75 @@ def test_sample_size_invariant_under_permutation():
     a = sample_one_per_request(ds, seed=5)
     b = sample_one_per_request(shuffled, seed=5)
     assert a.n_rows == b.n_rows == len(np.unique(ds.column("request_id")))
+
+
+def lexsort_winners(request_ids, seed, groups=None):
+    """Oracle of the hash rule, ranked by a four-key lexsort: every row of a
+    (group, request) scores raw64(key(seed, request_id), ordinal), and the
+    first row by (group, request, score descending, ordinal) wins."""
+    groups = np.zeros(len(request_ids), dtype=np.uint8) if groups is None else groups
+    order = np.lexsort((request_ids, groups))
+    req, grp = request_ids[order], groups[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (req[1:] != req[:-1]) | (grp[1:] != grp[:-1])
+    start = np.maximum.accumulate(np.where(new, np.arange(len(order)), 0))
+    ordinal = (np.arange(len(order)) - start).astype(np.uint64)
+    scores = rng.raw64(rng.stream_key(seed, rng.TAG_SAMPLE, req), ordinal)
+    ranking = np.lexsort((ordinal, ~scores, req, grp))
+    return np.sort(order[ranking[new]])
+
+
+def _tied_raw64(monkeypatch):
+    """Scores in {0, 1, 2}, so most requests tie and the lowest ordinal decides."""
+    raw64 = rng.raw64
+    monkeypatch.setattr(rng, "raw64", lambda key, counter=0: raw64(key, counter) % np.uint64(3))
+
+
+@st.composite
+def request_layouts(draw):
+    """Request ids (and, half the time, a group per row) with repeats and
+    singletons, sorted by (group, request) as simulate and slice_by_item
+    give them or in any order."""
+    pool = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20, unique=True))
+    n = draw(st.integers(1, 60))
+    req = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+                   dtype=np.uint64)
+    groups = None
+    if draw(st.booleans()):
+        groups = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+                          dtype=np.uint8)
+    if draw(st.booleans()):
+        order = np.lexsort((req,) if groups is None else (req, groups))
+        req, groups = req[order], None if groups is None else groups[order]
+    return req, groups
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout=request_layouts(), seed=st.integers(0, 10**6), ties=st.booleans())
+def test_winner_matches_the_lexsort_oracle(layout, seed, ties):
+    req, groups = layout
+    with pytest.MonkeyPatch.context() as mp:
+        if ties:
+            _tied_raw64(mp)
+        got = _winner_per_request(req, seed, groups)
+        want = lexsort_winners(req, seed, groups)
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_winner_matches_the_oracle_on_a_simulated_log(monkeypatch, ties):
+    # every item shows up twice per request, so each (item, request) is shared
+    ds, _ = simulate(SimConfig(n_users=400, n_items=30, requests_per_user=2,
+                               slots_per_request=6, seed=11))
+    req = np.tile(ds.column("request_id"), 2)
+    item = np.tile(ds.column("item_id"), 2).astype(np.uint16)
+    if ties:
+        _tied_raw64(monkeypatch)
+    shuffle = np.random.default_rng(0).permutation(len(req))
+    for order in (np.arange(len(req)), shuffle):
+        for groups in (None, item[order]):
+            got = _winner_per_request(req[order], 5, groups)
+            np.testing.assert_array_equal(got, lexsort_winners(req[order], 5, groups))
 
 
 # ------------------------------------------------------------ slicing

@@ -1,5 +1,5 @@
 import hashlib
-import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,27 +45,46 @@ def test_invalid_configs():
             simulate(small_cfg(**bad))
 
 
-def test_determinism_and_chunking_independence(monkeypatch):
+def test_determinism_and_chunking_independence(monkeypatch, tmp_path):
     cfg = small_cfg(seed=42)
     ds1, t1 = simulate(cfg)
-    monkeypatch.setattr(sim, "_CHUNK_CELLS", 64)
-    ds2, t2 = simulate(cfg)
-    assert ds1 == ds2
-    np.testing.assert_array_equal(t1.slopes, t2.slopes)
-    assert t1.audit.keys() == t2.audit.keys()
-    for name in t1.audit:
-        np.testing.assert_array_equal(t1.audit[name], t2.audit[name])
-    buf1, buf2 = io.StringIO(), io.StringIO()
-    # byte-identical CSV output
-    import tempfile, os
-    for ds, buf in ((ds1, buf1), (ds2, buf2)):
-        with tempfile.NamedTemporaryFile("r", suffix=".csv", delete=False) as fh:
-            name = fh.name
-        write_dataset(ds, name)
-        with open(name, encoding="utf-8") as fh:
-            buf.write(fh.read())
-        os.unlink(name)
-    assert buf1.getvalue() == buf2.getvalue()
+    write_dataset(ds1, str(tmp_path / "default.csv"))
+    chunk, select = sim._CHUNK_CELLS, sim._SELECT_CELLS
+    for chunk_cells, select_cells in (
+        (64, select),     # chunks of 3 of the 600 requests
+        (chunk, 1),       # the select step keys one request at a time
+        (chunk, 140),     # blocks of 7 requests, the last of the 600 a short one
+        (1000, 140),      # chunks of 50 requests, each ending in a 1-request block
+    ):
+        monkeypatch.setattr(sim, "_CHUNK_CELLS", chunk_cells)
+        monkeypatch.setattr(sim, "_SELECT_CELLS", select_cells)
+        ds2, t2 = simulate(cfg)
+        assert ds1 == ds2
+        np.testing.assert_array_equal(t1.slopes, t2.slopes)
+        assert t1.audit.keys() == t2.audit.keys()
+        for name in t1.audit:
+            np.testing.assert_array_equal(t1.audit[name], t2.audit[name])
+        assert t1.clip_count == t2.clip_count
+        # byte-identical CSV output
+        write_dataset(ds2, str(tmp_path / "blocked.csv"))
+        assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+
+
+def test_peak_memory_is_a_small_multiple_of_the_columns():
+    """tracemalloc peak of simulate on an ads config with 1200 items, against
+    the bytes of its final columns. The select step keys n_items per request
+    and keeps slots of them: holding a whole chunk's keys at once peaked at
+    10.8x (36.1 MB for 3.4 MB of columns), a block of about 32K keys at a
+    time peaks at 1.6x."""
+    cfg = SimConfig(n_users=4000, n_items=1200, slots_per_request=10,
+                    marketplace_mode="ads", base_rate=0.35, seed=1)
+    tracemalloc.start()
+    try:
+        ds, _ = simulate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * sum(ds.column(name).nbytes for name in ds.column_names)
 
 
 def test_positions_are_permutations():
