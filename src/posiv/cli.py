@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 estimation error, 2 input error. All commands are
 deterministic functions of their inputs and flags; outputs carry no
 timestamps, so identical invocations produce byte-identical files.
+
+Each command imports the layers it runs (estimator, prepare, simulator,
+tables, plots) inside its function, so a process loads, and where no
+bytecode is cached compiles, only those.
 """
 
 from __future__ import annotations
@@ -18,10 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import estimator, plots, prepare, tables
 from .datamodel import Dataset, load_dataset, write_dataset
 from .errors import EstimationError, InputError, ParseError, PosivError, WeakInstrumentWarning
-from .simulator import SimConfig, ground_truth_tau, simulate
 from .specs import ModelSpec, builtin_specs, get_spec, parse_spec
 
 
@@ -41,8 +43,15 @@ def _read_config(path: str | None) -> dict:
     return obj
 
 
-def _sim_config(config: dict, seed_flag: int | None) -> SimConfig:
+def _sim_config(config: dict, seed_flag: int | None):
+    from .simulator import SimConfig
+
     sim = config.get("sim", {k: v for k, v in config.items() if k != "schema_map"})
+    if not isinstance(sim, dict):
+        raise ParseError(f'config "sim" must be an object, got {sim!r}')
+    beside = set(config) - {"sim", "schema_map"} if "sim" in config else set()
+    if beside:
+        raise ParseError(f'config keys beside "sim": {sorted(beside)}')
     known = {f.name for f in dc_fields(SimConfig)}
     unknown = set(sim) - known
     if unknown:
@@ -85,15 +94,19 @@ def _outdir(args) -> Path:
     return out
 
 
-def _fit_for(spec: ModelSpec, design, label: str | None = None):
+def _fit_for(spec: ModelSpec, design):
+    from . import estimator
+
     if spec.method == "OLS":
-        return estimator.fit_ols(design, label)
+        return estimator.fit_ols(design)
     if spec.method == "ILS":
-        return estimator.fit_ils(design, label)
-    return estimator.fit_2sls(design, label)
+        return estimator.fit_ils(design)
+    return estimator.fit_2sls(design)
 
 
 def _estimation_dataset(ds: Dataset, spec: ModelSpec, args) -> Dataset:
+    from . import prepare
+
     if spec.level == "session":
         if not ds.is_session_level():
             top_cut = 4 if args.session_top_cut is None else args.session_top_cut
@@ -109,6 +122,8 @@ def _estimation_dataset(ds: Dataset, spec: ModelSpec, args) -> Dataset:
 
 
 def cmd_simulate(args) -> int:
+    from .simulator import ground_truth_tau, simulate
+
     config = _sim_config(_read_config(args.config), args.seed)
     out = _outdir(args)
     ds, truth = simulate(config)
@@ -135,6 +150,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_prepare(args) -> int:
+    from . import prepare
+
     ds = _load(args.data, _read_config(args.config))
     out = _outdir(args)
     if args.top_n is not None:
@@ -162,12 +179,15 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from . import prepare, tables
+
     ds = _load(args.data, _read_config(args.config))
     ds = _estimation_dataset(ds, args.spec, args)
     design = prepare.build_design(ds, args.spec)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", WeakInstrumentWarning)
-        fit = _fit_for(args.spec, design, args.spec.name)
+        fit = _fit_for(args.spec, design)
+    fit.label = args.spec.name
     for w in caught:
         if issubclass(w.category, WeakInstrumentWarning):
             print(f"warning: {w.message}", file=sys.stderr)
@@ -194,6 +214,8 @@ def _failures(statuses: list[str]) -> str:
 
 
 def cmd_diagnose(args) -> int:
+    from . import estimator, plots, prepare
+
     ds = _load(args.data, _read_config(args.config))
     items = prepare.top_items(ds, args.top_n)
     spec = ModelSpec("first-stage", "edge", "outcome", ("position",), "arm", ())
@@ -236,6 +258,8 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import estimator, plots, prepare, tables
+
     ds = _load(args.data, _read_config(args.config))
     items = prepare.top_items(ds, args.top_n)
     sliced = prepare.slice_by_item(ds, items, args.sample_seed)

@@ -14,8 +14,7 @@ import csv
 import gc
 import json
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,21 +54,6 @@ _UINT64_MAX = 2**64 - 1
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
 _TENS = np.array([float(10**k) for k in range(23)])  # 10**k, exact as doubles up to k = 22
 _BLOCK_ROWS = 1 << 14  # rows that write_dataset formats at a time
-
-
-@dataclass(frozen=True)
-class EdgeObservation:
-    """One (item, request, position) row: the unit of the edge-level analysis."""
-
-    request_id: int
-    user_id: int
-    item_id: int
-    position: int
-    outcome: int
-    arm: str | None = None
-    reason: str | None = None
-    relevance_score: float | None = None
-    session_depth: int | None = None
 
 
 class Dataset:
@@ -153,64 +137,6 @@ class Dataset:
     def __repr__(self) -> str:
         cols = ", ".join(self.column_names)
         return f"Dataset({self.n_rows} rows; {cols})"
-
-    def row_tuples(self) -> list[tuple]:
-        """Rows as canonical tuples in column order (NaN normalized to None)."""
-        cols = []
-        for name in self.column_names:
-            arr = self._data[name]
-            if arr.dtype.kind == "f":
-                cols.append([None if math.isnan(v) else float(v) for v in arr])
-            elif arr.dtype.kind in "ui":
-                cols.append([int(v) for v in arr])
-            else:
-                cols.append([str(v) for v in arr])
-        return list(zip(*cols)) if cols else []
-
-
-def from_edges(rows: Iterable[EdgeObservation], provenance: str = "") -> Dataset:
-    """Build an edge-level Dataset from observation records.
-
-    Intended for fixtures and tests; rows are trusted and must already satisfy
-    the row invariants (this raises on violations instead of dropping).
-    """
-    rows = list(rows)
-    if not rows:
-        raise EmptyDataset("no observations")
-    for r in rows:
-        _check_edge_invariants(r)
-    data: dict[str, np.ndarray] = {
-        "request_id": np.array([r.request_id for r in rows], dtype=np.uint64),
-        "user_id": np.array([r.user_id for r in rows], dtype=np.uint64),
-        "item_id": np.array([r.item_id for r in rows], dtype=np.uint64),
-        "position": np.array([r.position for r in rows], dtype=np.int64),
-        "outcome": np.array([r.outcome for r in rows], dtype=np.int64),
-    }
-    if any(r.arm is not None for r in rows):
-        data["arm"] = np.array([r.arm or "" for r in rows])
-    if any(r.reason is not None for r in rows):
-        data["reason"] = np.array([r.reason or "" for r in rows])
-    if any(r.relevance_score is not None for r in rows):
-        data["relevance_score"] = np.array(
-            [math.nan if r.relevance_score is None else r.relevance_score for r in rows]
-        )
-    if any(r.session_depth is not None for r in rows):
-        data["session_depth"] = np.array(
-            [math.nan if r.session_depth is None else float(r.session_depth) for r in rows]
-        )
-    _require_constant_arm_per_user(data)
-    return Dataset(data, EDGE_SCHEMA, provenance)
-
-
-def _check_edge_invariants(r: EdgeObservation) -> None:
-    if r.position < 1:
-        raise ValueError(f"position must be >= 1, got {r.position}")
-    if r.outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {r.outcome}")
-    if r.session_depth is not None and r.session_depth < r.position:
-        raise ValueError("session_depth below position")
-    if r.relevance_score is not None and not (0.0 <= r.relevance_score <= 1.0):
-        raise ValueError("relevance_score outside [0, 1]")
 
 
 def parse_id(value: str) -> int:
@@ -495,7 +421,7 @@ def _str_column(cells: _Cells, keep: np.ndarray) -> np.ndarray:
 
 def _count_duplicates(data: Mapping[str, np.ndarray]) -> int:
     """Number of rows equal to an earlier row in every column, with NaN equal
-    to NaN and -0.0 equal to 0.0 as in row_tuples.
+    to NaN and -0.0 equal to 0.0.
 
     Equal rows hash alike, so only the rows whose hash of the number columns
     repeats are compared exactly: one lexsort of their number keys and their
@@ -526,18 +452,25 @@ def load_dataset(path: str, schema_map: Mapping[str, str] | None = None) -> Data
     """Load and validate a dataset (edge level, or session level when the
     header carries the session columns).
 
-    schema_map maps canonical field names to source column names (identity by
-    default). Rows failing type validation are dropped and counted; the count
-    lands in the provenance tag. For edge files an absent user_id falls back
-    to request_id, so each request is its own cluster.
+    schema_map maps canonical field names of either schema to source column
+    names (identity by default); any other value is an InputError. Rows
+    failing type validation are dropped and counted; the count lands in the
+    provenance tag. For edge files an absent user_id falls back to
+    request_id, so each request is its own cluster.
     """
+    schema_map = {} if schema_map is None else schema_map
+    if not isinstance(schema_map, Mapping) or not all(
+            isinstance(v, str) for v in schema_map.values()):
+        raise InputError(f"schema_map must map field names to column names, got {schema_map!r}")
+    unknown = set(schema_map) - {name for name, _, _ in EDGE_SCHEMA + SESSION_SCHEMA}
+    if unknown:
+        raise InputError(f"schema_map names unknown fields: {sorted(unknown)}")
     header, table = _read_columns(path)
 
-    session = (schema_map or {}).get("n_top_spot", "n_top_spot") in header
+    session = schema_map.get("n_top_spot", "n_top_spot") in header
     schema = SESSION_SCHEMA if session else EDGE_SCHEMA
     colmap = {name: name for name, _, _ in schema}
-    if schema_map:
-        colmap.update({k: v for k, v in schema_map.items() if k in colmap})
+    colmap.update({k: v for k, v in schema_map.items() if k in colmap})
 
     for name, _, req in schema:
         if req and colmap[name] not in header:

@@ -192,15 +192,15 @@ class _Stack:
     the smaller stack and pass the checks they passed before.
     """
 
-    def __init__(self, pos, labels, z_names, y, w, z, x, codes):
-        self.pos, self.labels, self.z_names = pos, labels, z_names
+    def __init__(self, pos, z_names, y, w, z, x, codes):
+        self.pos, self.z_names = pos, z_names
         self.y, self.w, self.z, self.x = y, w, z, x
         self.codes, self.n_clusters = codes, codes.max(axis=-1) + 1
 
     def without(self, bad: np.ndarray) -> _Stack:
         keep = np.flatnonzero(~bad)
         return _Stack(
-            self.pos[keep], [self.labels[i] for i in keep], [self.z_names[i] for i in keep],
+            self.pos[keep], [self.z_names[i] for i in keep],
             self.y[keep], self.w[keep], self.z[keep], self.x[keep], self.codes[keep],
         )
 
@@ -219,7 +219,7 @@ class _Stack:
         ))
 
 
-def _stacks(design: DesignMatrix, label: str | None):
+def _stacks(design: DesignMatrix):
     """The design's items grouped by exact shape (rows, instruments), one
     _Stack per shape, each with its own instrument columns; a design not
     stacked by item is one stack of one."""
@@ -227,12 +227,10 @@ def _stacks(design: DesignMatrix, label: str | None):
     if items is None:
         codes = np.unique(design.clusters, return_inverse=True)[1]
         yield _Stack(
-            np.zeros(1, dtype=np.intp), [label], [design.z_names], design.y[None],
+            np.zeros(1, dtype=np.intp), [design.z_names], design.y[None],
             design.w[None], design.z[None], design.x[None], codes[None],
         )
         return
-    if label is not None:
-        raise ValueError("a design stacked by item takes its labels from its items")
     sizes, p_z = np.diff(items.bounds), np.diff(items.z_bounds)
     built = np.flatnonzero([error is None for error in items.errors])
     if not built.size:
@@ -243,15 +241,14 @@ def _stacks(design: DesignMatrix, label: str | None):
         rows = items.bounds[pos][:, None] + np.arange(sizes[pos[0]])
         z_cols = items.z_cols[items.z_bounds[pos][:, None] + np.arange(p_z[pos[0]])]
         yield _Stack(
-            pos, [items.labels[g] for g in pos],
-            [tuple(items.z_names[c] for c in cols) for cols in z_cols.tolist()],
+            pos, [tuple(items.z_names[c] for c in cols) for cols in z_cols.tolist()],
             design.y[rows], design.w[rows],
             (items.instrument[rows][..., None] == z_cols[:, None, :]).astype(float),
             design.x[rows], items.codes[rows],
         )
 
 
-def _per_item(design: DesignMatrix, kernel, build, label: str | None = None) -> list:
+def _per_item(design: DesignMatrix, kernel, build) -> list:
     """Each item's result, or the EstimationError it failed with, in item
     order. kernel fits one bucket's stack to arrays with the bucket's items
     on the leading axis; a bucket with failing items is fitted again without
@@ -261,7 +258,7 @@ def _per_item(design: DesignMatrix, kernel, build, label: str | None = None) -> 
     design not stacked by item has one item, which raises."""
     results = [None] if design.items is None else list(design.items.errors)
     done = []
-    for stack in _stacks(design, label):
+    for stack in _stacks(design):
         while len(stack.pos):
             try:
                 done.append((stack, kernel(design, stack)))
@@ -409,7 +406,8 @@ def _fit_results(method: str, design: DesignMatrix, done: list) -> list[FitResul
     p_value = 2.0 * tails.stdtr((fits.n_clusters - 1)[:, None], -np.abs(fits.t_stat))
     stars = stacked_stars(p_value).tolist()
     weakest = fits.first_stage_f.min(axis=1, initial=math.inf)
-    labels = [label for stack, _ in done for label in stack.labels]
+    labels = [None if design.items is None else design.items.labels[g]
+              for stack, _ in done for g in stack.pos]
     names = design.w_names + design.x_names
     return [
         FitResult(
@@ -442,13 +440,13 @@ def _ols(design: DesignMatrix, s: _Stack) -> _Fits:
     return _inference(design, s, fact.solve()[..., 0], m, fact.bread())
 
 
-def fit_ols(design: DesignMatrix, label: str | None = None) -> FitResult:
+def fit_ols(design: DesignMatrix) -> FitResult:
     """Least squares of the outcome on [endogenous-as-ordinary, controls].
 
     On a design stacked by item, a list of each item's FitResult or the
     EstimationError it failed with, in item order (as for every fit here).
     """
-    return _unstack(design, _per_item(design, _ols, partial(_fit_results, "OLS"), label))
+    return _unstack(design, _per_item(design, _ols, partial(_fit_results, "OLS")))
 
 
 def _first_stage(design: DesignMatrix, s: _Stack):
@@ -506,9 +504,9 @@ def _two_stage(design: DesignMatrix, s: _Stack) -> _Fits:
     return _inference(design, s, fact2.solve()[..., 0], m2, fact2.bread(), f_stat)
 
 
-def fit_2sls(design: DesignMatrix, label: str | None = None) -> FitResult:
+def fit_2sls(design: DesignMatrix) -> FitResult:
     """Two-stage least squares with structural residuals for inference."""
-    fits = _per_item(design, _two_stage, partial(_fit_results, "2SLS"), label)
+    fits = _per_item(design, _two_stage, partial(_fit_results, "2SLS"))
     for fit in fits:
         if isinstance(fit, FitResult) and fit.warnings:
             warnings.warn(fit.warnings[0], WeakInstrumentWarning, stacklevel=2)
@@ -543,14 +541,14 @@ def _indirect(design: DesignMatrix, s: _Stack) -> _Fits:
     return _inference(design, s, coef, m2, fact2.bread())
 
 
-def fit_ils(design: DesignMatrix, label: str | None = None) -> FitResult:
+def fit_ils(design: DesignMatrix) -> FitResult:
     """Indirect least squares: reduced-form over first-stage coefficient ratio.
 
     Requires a just-identified design. The coefficient algebra is derived
     from the two auxiliary regressions alone, which makes the numerical
     identity with fit_2sls a meaningful check rather than a tautology.
     """
-    return _unstack(design, _per_item(design, _indirect, partial(_fit_results, "ILS"), label))
+    return _unstack(design, _per_item(design, _indirect, partial(_fit_results, "ILS")))
 
 
 def _first_stage_only(design: DesignMatrix, s: _Stack):

@@ -308,7 +308,7 @@ def build_design(ds: Dataset, spec: ModelSpec, by_item: bool = False) -> DesignM
         n_arms = np.bincount(_pairs(col_item, col_arm, len(arm_levels))[0], minlength=n_items)
         baseline = _reduce_items(np.minimum, arm, bounds)  # lowest level is the baseline
         fail(n_arms == 1, lambda g: ConstantColumn(
-            f"arm has a single level {arm_levels[baseline[g]]!r}; the instrument is unusable"
+            f"arm has a single level {str(arm_levels[baseline[g]])!r}; the instrument is unusable"
         ))
         n_reasons = np.bincount(
             _pairs(col_item, col_reason, len(reason_levels))[0], minlength=n_items

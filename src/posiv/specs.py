@@ -10,7 +10,7 @@ analyses and are frozen so runs are reproducible by name.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .errors import InvalidSpec, ParseError
 
@@ -108,10 +108,6 @@ def get_spec(name: str) -> ModelSpec:
         if spec.name == name:
             return spec
     raise InvalidSpec(f"no built-in spec named {name!r}")
-
-
-def spec_to_json(spec: ModelSpec) -> str:
-    return json.dumps(asdict(spec), indent=2)
 
 
 def parse_spec(text: str) -> ModelSpec:

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from posiv.datamodel import EdgeObservation, from_edges
+from posiv.datamodel import EDGE_SCHEMA, Dataset
 from posiv.prepare import DesignMatrix
+
+EDGE_FIELDS = ("request_id", "user_id", "item_id", "position", "outcome",
+               "arm", "reason", "relevance_score", "session_depth")
 
 
 def make_design(y, w, z, x_controls, clusters, w_names=None, z_names=None, x_names=None):
@@ -50,22 +55,50 @@ def projected_collinear(rng, n, collinear=True):
     return y, np.column_stack([w1, w2]), instrument, z, x
 
 
-def table1_rows():
+def edge_columns(rows):
+    """Edge-level columns of row tuples in EDGE_FIELDS order, trailing
+    optional fields left out or None: ids as uint64, position and outcome as
+    int64, and an optional column only when some row has a value. Rows
+    without one read "" in arm and reason and NaN in relevance_score and
+    session_depth, which are float64 for that reason."""
+    rows = [tuple(r) + (None,) * (len(EDGE_FIELDS) - len(r)) for r in rows]
+    cols = dict(zip(EDGE_FIELDS, zip(*rows)))
+    data = {name: np.array(cols[name], dtype=np.uint64) for name in EDGE_FIELDS[:3]}
+    data.update({name: np.array(cols[name], dtype=np.int64) for name in EDGE_FIELDS[3:5]})
+    for name in EDGE_FIELDS[5:]:
+        if any(v is not None for v in cols[name]):
+            if name in ("arm", "reason"):
+                data[name] = np.array(["" if v is None else v for v in cols[name]])
+            else:
+                data[name] = np.array([math.nan if v is None else v for v in cols[name]],
+                                      dtype=float)
+    return data
+
+
+def table1_dataset():
     """The six example observations: two requests of three items each."""
-    spec = [
-        (1, 1, 1, 1),
-        (0, 2, 1, 2),
-        (0, 3, 1, 3),
-        (0, 1, 2, 1),
-        (1, 3, 2, 2),
-        (0, 6, 2, 3),
-    ]
-    return [
-        EdgeObservation(
-            request_id=req, user_id=req, item_id=item, position=pos, outcome=resp
-        )
-        for resp, item, req, pos in spec
-    ]
+    return Dataset({
+        "request_id": np.array([1, 1, 1, 2, 2, 2], dtype=np.uint64),
+        "user_id": np.array([1, 1, 1, 2, 2, 2], dtype=np.uint64),
+        "item_id": np.array([1, 2, 3, 1, 3, 6], dtype=np.uint64),
+        "position": np.array([1, 2, 3, 1, 2, 3], dtype=np.int64),
+        "outcome": np.array([1, 0, 0, 0, 1, 0], dtype=np.int64),
+    }, EDGE_SCHEMA)
+
+
+def row_tuples(ds):
+    """Rows as canonical tuples in column order (NaN normalized to None): the
+    row-wise oracle of the duplicate count and of sampled rows."""
+    cols = []
+    for name in ds.column_names:
+        arr = ds.column(name)
+        if arr.dtype.kind == "f":
+            cols.append([None if math.isnan(v) else float(v) for v in arr])
+        elif arr.dtype.kind in "ui":
+            cols.append([int(v) for v in arr])
+        else:
+            cols.append([str(v) for v in arr])
+    return list(zip(*cols)) if cols else []
 
 
 @pytest.fixture
@@ -83,7 +116,3 @@ def factorizations(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting)
     return shapes
 
-
-@pytest.fixture
-def table1_dataset():
-    return from_edges(table1_rows())

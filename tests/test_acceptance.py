@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from posiv.datamodel import EdgeObservation, from_edges
+from posiv.datamodel import EDGE_SCHEMA, Dataset
 from posiv.errors import ConstantColumn, ZeroFirstStage
 from posiv.estimator import (
     cluster_cov,
@@ -32,7 +32,7 @@ from posiv.simulator import SimConfig, simulate
 from posiv.specs import ModelSpec, get_spec
 from posiv.tables import render_table
 
-from conftest import make_design
+from conftest import edge_columns, make_design
 
 GOLDEN_TABLE = Path(__file__).parent / "data" / "golden_table.txt"
 
@@ -259,11 +259,7 @@ def test_criterion_5_structural_invariants():
     one_click = clicks.max() <= 1.0
 
     # exact-uniform selection across 1000 enumerated seeds
-    rows = [
-        EdgeObservation(request_id=1, user_id=1, item_id=i, position=i, outcome=0)
-        for i in (1, 2, 3)
-    ]
-    tiny = from_edges(rows)
+    tiny = Dataset(edge_columns([(1, 1, i, i, 0) for i in (1, 2, 3)]), EDGE_SCHEMA)
     counts = {1: 0, 2: 0, 3: 0}
     unique_ok = True
     for seed in range(1000):
@@ -334,13 +330,9 @@ def test_criterion_6_null_and_degenerate_cases():
             degenerate += 1
 
     # constant instrument -> ConstantColumn
-    rows = [
-        EdgeObservation(i, i, 1 + i % 2, 1 + i % 3, 0, arm="control",
-                        relevance_score=0.5)
-        for i in range(1, 40)
-    ]
+    rows = [(i, i, 1 + i % 2, 1 + i % 3, 0, "control", None, 0.5) for i in range(1, 40)]
     try:
-        build_design(from_edges(rows), spec1)
+        build_design(Dataset(edge_columns(rows), EDGE_SCHEMA), spec1)
         constant_ok = False
     except ConstantColumn:
         constant_ok = True

@@ -79,7 +79,10 @@ def _one_by_one(ds, items, spec, fit, seed):
     for item in items:
         try:
             design = build_design(slice_by_item(ds, item, seed), spec)
-            out.append(first_stage(design) if fit is first_stage else fit(design, str(item)))
+            result = fit(design)
+            if fit is not first_stage:
+                result.label = str(item)
+            out.append(result)
         except EstimationError as exc:
             out.append(exc)
     return out
@@ -180,8 +183,12 @@ def test_a_collinear_projected_design_fails_only_its_item():
     n, bad = 150, 1
     parts = [projected_collinear(rng, n, collinear=g == bad) for g in range(3)]
     clusters = np.arange(n) % 30
-    alone = [fit_2sls(make_design(y, w, z, x, clusters, z_names=(f"z{2 * g}", f"z{2 * g + 1}")),
-                      str(g)) for g, (y, w, _, z, x) in enumerate(parts) if g != bad]
+    alone = []
+    for g, (y, w, _, z, x) in enumerate(parts):
+        if g != bad:
+            alone.append(fit_2sls(make_design(y, w, z, x, clusters,
+                                              z_names=(f"z{2 * g}", f"z{2 * g + 1}"))))
+            alone[-1].label = str(g)
     items = ItemBlocks(
         labels=("0", "1", "2"), bounds=np.arange(4) * n, codes=np.tile(clusters, 3),
         instrument=np.concatenate([np.where(p[2] < 0, -1, p[2] + 2 * g)

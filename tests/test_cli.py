@@ -50,9 +50,13 @@ def test_simulate_writes_dataset_and_truth(ads_outdir):
 def test_simulate_is_byte_deterministic(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(ADS_CONFIG), encoding="utf-8")
+    # the same fields under "sim", beside a schema_map, make the same files
+    nested = tmp_path / "nested.json"
+    nested.write_text(json.dumps({"sim": ADS_CONFIG, "schema_map": {"arm": "group"}}),
+                      encoding="utf-8")
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["simulate", "--config", str(cfg), "--out", str(out1)]) == 0
-    assert main(["simulate", "--config", str(cfg), "--out", str(out2)]) == 0
+    assert main(["simulate", "--config", str(nested), "--out", str(out2)]) == 0
     assert (out1 / "dataset.csv").read_bytes() == (out2 / "dataset.csv").read_bytes()
     assert (out1 / "truth.json").read_bytes() == (out2 / "truth.json").read_bytes()
 
@@ -68,6 +72,34 @@ def test_simulate_unknown_key_exits_2(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({**ADS_CONFIG, "n_slots": 3}), encoding="utf-8")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"sim": {"n_users": 10}, "n_items": 3}, """config keys beside "sim": ['n_items']"""),
+    ({"sim": "abc"}, """config "sim" must be an object, got 'abc'"""),
+], ids=["key-beside-sim", "sim-not-an-object"])
+def test_simulate_bad_sim_object_exits_2(tmp_path, capsys, config, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("schema_map, message", [
+    ([1], "schema_map must map field names to column names, got [1]"),
+    ("arm", "schema_map must map field names to column names, got 'arm'"),
+    ({"arm": 5}, "schema_map must map field names to column names, got {'arm': 5}"),
+    ({"reqest_id": "request_id"}, "schema_map names unknown fields: ['reqest_id']"),
+], ids=["list", "string", "number-value", "misspelt-field"])
+def test_bad_schema_map_exits_2(ads_outdir, tmp_path, capsys, schema_map, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_map": schema_map}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["estimate", str(ads_outdir / "dataset.csv"), "--spec", "spec1",
+                 "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_simulate_non_numeric_config_value_exits_2(tmp_path, capsys):
@@ -513,20 +545,42 @@ def test_sample_seed_chooses_among_repeats_in_item_slices(tmp_path):
     assert outputs["0"][2] != outputs["3"][2]
 
 
+def _run_main(commands: list[list[str]], then: str) -> str:
+    """Stdout of a fresh interpreter that runs main() on each argv, asserts
+    each exits 0, then runs the code in `then`."""
+    src = str(Path(posiv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", (
+        "import contextlib, io, sys; from posiv.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert [main(argv) for argv in {commands!r}] == {[0] * len(commands)!r}\n"
+        + then
+    )], env=env, check=True, capture_output=True, text=True).stdout
+
+
 def test_cli_import_leaves_scipy_stats_out(ads_outdir, tmp_path):
     """posiv's t and F tails are its own, so no command loads scipy, whose
     import costs a fitting process about 0.2 s: diagnose, report and
     estimate fit in one process that ends with no scipy module loaded."""
-    src = str(Path(posiv.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     data, out = str(ads_outdir / "dataset.csv"), str(tmp_path)
-    commands = [
+    _run_main([
         ["diagnose", data, "--top-n", "3", "--out", out],
         ["report", data, "--top-n", "3", "--out", out],
         ["estimate", data, "--spec", "spec1", "--item", "1", "--out", out],
-    ]
-    subprocess.run([sys.executable, "-c", (
-        "import sys; from posiv.cli import main\n"
-        f"assert [main(argv) for argv in {commands!r}] == [0, 0, 0]\n"
-        "assert not [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
-    )], env=env, check=True, stdout=subprocess.DEVNULL)
+    ], "assert not [name for name in sys.modules if name.split('.')[0] == 'scipy']\n")
+
+
+@pytest.mark.parametrize("command, layers", [
+    ("simulate", ["cli", "datamodel", "errors", "rng", "simulator", "specs"]),
+    ("prepare", ["cli", "datamodel", "errors", "prepare", "rng", "specs"]),
+])
+def test_a_command_loads_only_its_own_layers(ads_outdir, tmp_path, command, layers):
+    """Each command imports the layers it runs when it runs, so simulate
+    compiles no estimator, prepare, tails, tables or plots, and prepare no
+    estimator, tails, tables, plots or simulator."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(ADS_CONFIG), encoding="utf-8")
+    source = ["--config", str(cfg)] if command == "simulate" else [str(ads_outdir / "dataset.csv")]
+    loaded = _run_main([[command, *source, "--out", str(tmp_path / "out")]],
+                       "print(*sorted(m for m in sys.modules if m.startswith('posiv.')))\n")
+    assert loaded.split() == [f"posiv.{name}" for name in layers]

@@ -14,7 +14,6 @@ from posiv.datamodel import (
     EDGE_SCHEMA,
     SESSION_SCHEMA,
     Dataset,
-    EdgeObservation,
     _BLOCK_ROWS,
     _count_duplicates,
     _encode,
@@ -24,7 +23,6 @@ from posiv.datamodel import (
     _read_columns,
     _require_constant_arm_per_user,
     _split_plain,
-    from_edges,
     load_dataset,
     parse_id,
     write_dataset,
@@ -41,7 +39,7 @@ from posiv.prepare import aggregate_sessions
 from posiv.rng import fnv1a64
 from posiv.simulator import SimConfig, simulate
 
-from conftest import table1_rows
+from conftest import edge_columns, row_tuples, table1_dataset
 
 TABLE1_CSV = """Response,Item,Request,Position
 1,1,1,1
@@ -165,11 +163,8 @@ def test_round_trip_simulated_dataset(tmp_path):
 
 
 def test_round_trip_preserves_absent_columns(tmp_path):
-    rows = [
-        EdgeObservation(1, 1, 5, 1, 0, arm="control"),
-        EdgeObservation(2, 2, 6, 1, 1, arm="treatment"),
-    ]
-    ds = from_edges(rows)
+    ds = Dataset(edge_columns([(1, 1, 5, 1, 0, "control"), (2, 2, 6, 1, 1, "treatment")]),
+                 EDGE_SCHEMA)
     path = tmp_path / "opt.csv"
     write_dataset(ds, str(path))
     header = path.read_text(encoding="utf-8").splitlines()[0]
@@ -181,7 +176,7 @@ def test_round_trip_preserves_absent_columns(tmp_path):
 
 
 def test_write_to_bad_path_raises():
-    ds = from_edges(table1_rows())
+    ds = table1_dataset()
     with pytest.raises(IoFailure):
         write_dataset(ds, "")
 
@@ -213,11 +208,11 @@ def test_validation_is_order_independent(tmp_path):
     path_b.write_text(header + "\n".join(reversed(rows)) + "\n", encoding="utf-8")
     da, db = load_dataset(str(path_a)), load_dataset(str(path_b))
     assert da.n_dropped == db.n_dropped == 2
-    assert sorted(da.row_tuples()) == sorted(db.row_tuples())
+    assert sorted(row_tuples(da)) == sorted(row_tuples(db))
 
 
 def test_dataset_columns_immutable():
-    ds = from_edges(table1_rows())
+    ds = table1_dataset()
     with pytest.raises(ValueError):
         ds.column("position")[0] = 99
 
@@ -333,7 +328,7 @@ def _rowwise_load(path, schema_map=None):
     if "user_id" not in data:
         data["user_id"] = data["request_id"].copy()
     _require_constant_arm_per_user(data)
-    rows = Dataset(data, schema).row_tuples()
+    rows = row_tuples(Dataset(data, schema))
     n_dup = len(rows) - len(set(rows))
     return Dataset(
         data, schema, f"load:{path} dropped={dropped} duplicates={n_dup}",
@@ -883,7 +878,7 @@ def _tied_tables(draw):
 
 
 def _rowwise_duplicates(data):
-    rows = Dataset(data, EDGE_SCHEMA).row_tuples()
+    rows = row_tuples(Dataset(data, EDGE_SCHEMA))
     return len(rows) - len(set(rows))
 
 
@@ -950,12 +945,12 @@ def test_writer_matches_rowwise_reference_bytes(tmp_path):
 def test_text_with_a_carriage_return_round_trips(tmp_path):
     """A bare "\r" in a text cell is quoted, so the row reads back whole (the
     csv.writer it replaced left it bare: the file read back one row short)."""
-    ds = from_edges(
-        EdgeObservation(i, i, 5, 1, 0, arm, reason)
+    ds = Dataset(edge_columns(
+        (i, i, 5, 1, 0, arm, reason)
         for i, (arm, reason) in enumerate(
             [("a\rb", "r"), ("c", "\r"), ("d\r\n", "x\ry,z"), ("e", 'q"\r')], start=1
         )
-    )
+    ), EDGE_SCHEMA)
     path = tmp_path / "cr.csv"
     write_dataset(ds, str(path))
     assert path.read_bytes().count(b"\n") == ds.n_rows + 1 + 1  # one \n inside a cell

@@ -451,7 +451,7 @@ def test_stacked_iv_fits_build_no_first_stage_reports(items_log, first_stage_wor
     assert fitted >= 6
     assert first_stage_work["FirstStageReport"] == first_stage_work["FirstStageEquation"] == fitted
     # one call each for the whole design, not one per shape bucket
-    assert len(list(estimator._stacks(design, None))) > 1
+    assert len(list(estimator._stacks(design))) > 1
     assert first_stage_work["fdtrc"] == first_stage_work["stdtrit"] == 1
 
 
@@ -460,7 +460,7 @@ def test_stacked_iv_fits_build_no_first_stage_reports(items_log, first_stage_wor
 def test_a_stacked_fit_makes_one_stdtr_call(items_log, monkeypatch, fit, spec):
     """Every bucket's p-values come from one stdtr call per fit."""
     design = build_design(items_log, spec, by_item=True)
-    assert len(list(estimator._stacks(design, None))) > 1
+    assert len(list(estimator._stacks(design))) > 1
     calls = []
 
     def counting(*args, _real=tails.stdtr):
@@ -473,13 +473,6 @@ def test_a_stacked_fit_makes_one_stdtr_call(items_log, monkeypatch, fit, spec):
         fits = fit(design)
     assert sum(isinstance(f, FitResult) for f in fits) >= 6
     assert len(calls) == 1
-
-
-def test_a_label_with_a_stacked_design_is_rejected(items_log):
-    design = build_design(items_log, get_spec("spec3"), by_item=True)
-    for fit in (fit_ols, fit_2sls, fit_ils):
-        with pytest.raises(ValueError, match="stacked by item"):
-            fit(design, "spec3")
 
 
 # ---------------------------------------------------------------- invariances

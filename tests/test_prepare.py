@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from posiv import rng
-from posiv.datamodel import EdgeObservation, from_edges
+from posiv.datamodel import EDGE_SCHEMA, Dataset
 from posiv.errors import ConstantColumn, MissingColumn, Underidentified, UnknownItem
 from posiv.prepare import (
     _winner_per_request,
@@ -17,25 +17,25 @@ from posiv.prepare import (
 from posiv.simulator import SimConfig, simulate
 from posiv.specs import get_spec
 
-from conftest import table1_rows
+from conftest import edge_columns, table1_dataset
 
 
 def edge(req, user, item, pos, out=0, arm="control", reason=None, rel=None, depth=None):
-    return EdgeObservation(req, user, item, pos, out, arm, reason, rel, depth)
+    return req, user, item, pos, out, arm, reason, rel, depth
 
 
 # ------------------------------------------------------------ sampling
 
 
-def test_sample_table1_gives_one_row_per_request(table1_dataset=None):
-    ds = from_edges(table1_rows())
+def test_sample_table1_gives_one_row_per_request():
+    ds = table1_dataset()
     out = sample_one_per_request(ds, seed=17)
     assert out.n_rows == 2
     assert sorted(int(r) for r in out.column("request_id")) == [1, 2]
 
 
 def test_sample_idempotent_on_one_per_request_data():
-    ds = from_edges(table1_rows())
+    ds = table1_dataset()
     once = sample_one_per_request(ds, seed=3)
     for seed in (0, 1, 99):
         again = sample_one_per_request(once, seed=seed)
@@ -46,7 +46,7 @@ def test_sample_exact_uniformity_over_enumerated_seeds():
     # brute-force enumeration oracle: each of the 3 candidate rows must be
     # chosen between 267 and 400 times across seeds 0..999
     rows = [edge(1, 1, item, pos) for item, pos in ((1, 1), (2, 2), (3, 3))]
-    ds = from_edges(rows)
+    ds = Dataset(edge_columns(rows), EDGE_SCHEMA)
     counts = {1: 0, 2: 0, 3: 0}
     for seed in range(1000):
         kept = sample_one_per_request(ds, seed)
@@ -147,7 +147,7 @@ def test_slice_by_item():
 
 
 def test_slice_unknown_item():
-    ds = from_edges(table1_rows())
+    ds = table1_dataset()
     with pytest.raises(UnknownItem):
         slice_by_item(ds, 999)
 
@@ -158,7 +158,7 @@ def test_slice_dedups_repeated_item_in_request():
         edge(1, 1, 7, 2),  # same item twice in request 1
         edge(2, 2, 7, 1),
     ]
-    ds = from_edges(rows)
+    ds = Dataset(edge_columns(rows), EDGE_SCHEMA)
     sl = slice_by_item(ds, 7)
     assert sl.n_rows == 2
     assert len(np.unique(sl.column("request_id"))) == 2
@@ -173,7 +173,7 @@ def test_top_items_counts_and_ties():
         + [edge(10 + i, 10 + i, 2, 1) for i in range(3)]  # item 2: 3 rows
         + [edge(20 + i, 20 + i, 3, 1) for i in range(3)]  # item 3: 3 rows
     )
-    ds = from_edges(rows)
+    ds = Dataset(edge_columns(rows), EDGE_SCHEMA)
     assert top_items(ds, 2) == [1, 2]
     assert top_items(ds, 10) == [1, 2, 3]
     with pytest.raises(ValueError):
@@ -219,7 +219,7 @@ def test_build_design_spec6_two_endogenous_on_varying_depth():
                      reason=f"r{rng.integers(0, 5):02d}",
                      rel=float(rng.random()), depth=depth)
             )
-    ds = from_edges(rows)
+    ds = Dataset(edge_columns(rows), EDGE_SCHEMA)
     d = build_design(sample_one_per_request(ds, 1), get_spec("spec6"))
     assert d.w_names == ("position", "session_depth")
     assert d.z.shape[1] == 5
@@ -228,8 +228,9 @@ def test_build_design_spec6_two_endogenous_on_varying_depth():
 def test_build_design_single_arm_level_is_constant_column():
     rows = [edge(i, i, 1, 1, arm="control", rel=0.5) for i in range(1, 30)]
     rows += [edge(100 + i, 100 + i, 2, 2, arm="control", rel=0.2) for i in range(1, 30)]
-    ds = from_edges(rows)
-    with pytest.raises(ConstantColumn):
+    ds = Dataset(edge_columns(rows), EDGE_SCHEMA)
+    # the level prints as a Python string, not as numpy's np.str_('control')
+    with pytest.raises(ConstantColumn, match=r"^arm has a single level 'control'; the instrument"):
         build_design(ds, get_spec("spec1"))
 
 
@@ -240,7 +241,7 @@ def test_build_design_empty_interaction_column_is_constant():
                  reason="r1" if i % 4 == 3 else "r0", rel=0.5) for i in range(1, 41)]
     rows += [edge(i, i, 2, 1 + i % 3, arm="control" if i % 2 else "treatment",
                   reason=f"r{i // 2 % 2}", rel=0.5) for i in range(41, 81)]
-    ds = from_edges(rows)
+    ds = Dataset(edge_columns(rows), EDGE_SCHEMA)
     with pytest.raises(ConstantColumn, match=r"arm=treatment\*reason=r1"):
         build_design(slice_by_item(ds, 1), get_spec("spec4"))
     stacked = build_design(slice_by_item(ds, [1, 2]), get_spec("spec4"), by_item=True)
@@ -251,7 +252,7 @@ def test_build_design_empty_interaction_column_is_constant():
 def test_build_design_constant_endogenous_rejected():
     rows = [edge(i, i, 1, 1, arm="control" if i % 2 else "treatment", rel=0.5)
             for i in range(1, 40)]
-    ds = from_edges(rows)  # every position is 1
+    ds = Dataset(edge_columns(rows), EDGE_SCHEMA)  # every position is 1
     with pytest.raises(ConstantColumn):
         build_design(ds, get_spec("spec1"))
 
@@ -265,7 +266,7 @@ def test_build_design_drops_missing_values_and_counts():
         edge(5, 5, 1, 2, arm="control", rel=0.4),
         edge(6, 6, 2, 1, arm="treatment", rel=0.7),
     ]
-    ds = from_edges(rows)
+    ds = Dataset(edge_columns(rows), EDGE_SCHEMA)
     d = build_design(ds, get_spec("spec2"))
     assert d.n_dropped == 1
     assert d.n_obs == 5
@@ -281,13 +282,13 @@ def test_build_design_underidentified():
         rows.append(edge(i, i, int(rng.integers(1, 9)), int(rng.integers(1, 5)),
                          arm=arm, reason="r00", rel=float(rng.random()),
                          depth=int(rng.integers(5, 9))))
-    ds = from_edges(rows)
+    ds = Dataset(edge_columns(rows), EDGE_SCHEMA)
     with pytest.raises(Underidentified):
         build_design(ds, get_spec("spec6"))
 
 
 def test_build_design_missing_column():
-    ds = from_edges(table1_rows())  # no arm, no relevance_score
+    ds = table1_dataset()  # no arm, no relevance_score
     with pytest.raises(MissingColumn):
         build_design(ds, get_spec("spec1"))
 
@@ -297,7 +298,7 @@ def test_build_design_missing_column():
 
 def test_aggregate_sessions_counts():
     rows = [edge(1, 9, item=i, pos=i, out=0, arm="control") for i in range(1, 11)]
-    ds = from_edges(rows)
+    ds = Dataset(edge_columns(rows), EDGE_SCHEMA)
     sess = aggregate_sessions(ds, top_cut=4)
     assert sess.n_rows == 1
     assert int(sess.column("n_top_spot")[0]) == 4
@@ -323,12 +324,12 @@ def test_aggregate_sessions_reason_mode_tie_breaks_low():
         edge(1, 1, 4, 4, reason="r01"),
         edge(1, 1, 5, 5, reason="r03"),
     ]
-    sess = aggregate_sessions(from_edges(rows), top_cut=2)
+    sess = aggregate_sessions(Dataset(edge_columns(rows), EDGE_SCHEMA), top_cut=2)
     assert sess.column("reason_mode")[0] == "r01"
 
 
 def test_aggregate_sessions_top_cut_parameter():
     rows = [edge(1, 1, item=i, pos=i) for i in range(1, 7)]
-    sess = aggregate_sessions(from_edges(rows), top_cut=2)
+    sess = aggregate_sessions(Dataset(edge_columns(rows), EDGE_SCHEMA), top_cut=2)
     assert int(sess.column("n_top_spot")[0]) == 2
     assert int(sess.column("n_bottom_spot")[0]) == 4

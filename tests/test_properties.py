@@ -6,12 +6,12 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
-from posiv.datamodel import EdgeObservation, from_edges, load_dataset, write_dataset
+from posiv.datamodel import EDGE_SCHEMA, Dataset, load_dataset, write_dataset
 from posiv.estimator import fit_2sls, fit_ols
 from posiv.prepare import aggregate_sessions, sample_one_per_request
 from posiv.tables import format_value
 
-from conftest import make_design
+from conftest import edge_columns, make_design, row_tuples
 
 
 @st.composite
@@ -34,24 +34,18 @@ def edge_datasets(draw):
                     if with_optional and draw(st.booleans())
                     else None
                 )
-                rows.append(
-                    EdgeObservation(
-                        request_id=req_id,
-                        user_id=u,
-                        item_id=draw(st.integers(min_value=1, max_value=20)),
-                        position=pos,
-                        outcome=draw(st.integers(min_value=0, max_value=1)),
-                        arm=arms[u],
-                        reason=(
-                            draw(st.sampled_from(["r00", "r01", "r02"]))
-                            if with_optional
-                            else None
-                        ),
-                        relevance_score=rel,
-                        session_depth=depth if with_optional else None,
-                    )
-                )
-    return from_edges(rows)
+                rows.append((
+                    req_id,
+                    u,
+                    draw(st.integers(min_value=1, max_value=20)),
+                    pos,
+                    draw(st.integers(min_value=0, max_value=1)),
+                    arms[u],
+                    draw(st.sampled_from(["r00", "r01", "r02"])) if with_optional else None,
+                    rel,
+                    depth if with_optional else None,
+                ))
+    return Dataset(edge_columns(rows), EDGE_SCHEMA)
 
 
 @settings(max_examples=30, deadline=None)
@@ -70,8 +64,8 @@ def test_sampling_properties(ds, seed):
     assert len(np.unique(req)) == len(req)
     assert len(req) == len(np.unique(ds.column("request_id")))
     # kept rows are source rows: every kept tuple occurs in the source
-    src = set(ds.row_tuples())
-    assert all(t in src for t in out.row_tuples())
+    src = set(row_tuples(ds))
+    assert all(t in src for t in row_tuples(out))
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,10 +1,11 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from posiv.errors import InvalidSpec, ParseError
-from posiv.specs import ModelSpec, builtin_specs, get_spec, parse_spec, spec_to_json
+from posiv.specs import ModelSpec, builtin_specs, get_spec, parse_spec
 
 GOLDEN = Path(__file__).parent / "data" / "builtin_specs.json"
 
@@ -28,15 +29,13 @@ def test_builtin_registry_contents():
 
 
 def test_builtin_specs_golden_fixture():
-    rendered = json.dumps(
-        [json.loads(spec_to_json(s)) for s in builtin_specs()], indent=2
-    )
+    rendered = json.dumps([asdict(s) for s in builtin_specs()], indent=2)
     assert rendered == GOLDEN.read_text(encoding="utf-8").rstrip("\n")
 
 
 def test_round_trip_spec5():
     spec = get_spec("spec5")
-    assert parse_spec(spec_to_json(spec)) == spec
+    assert parse_spec(json.dumps(asdict(spec), indent=2)) == spec
 
 
 def test_ols_with_instruments_invalid():
@@ -53,8 +52,7 @@ def test_session_spec_with_edge_column_invalid():
 
 
 def test_parse_rejects_unknown_fields():
-    text = spec_to_json(get_spec("spec1"))
-    obj = json.loads(text)
+    obj = asdict(get_spec("spec1"))
     obj["bandwidth"] = 3
     with pytest.raises(InvalidSpec):
         parse_spec(json.dumps(obj))
@@ -66,7 +64,7 @@ def test_parse_rejects_malformed_json():
 
 
 def test_parse_accepts_unicode_interaction_alias():
-    obj = json.loads(spec_to_json(get_spec("spec4")))
+    obj = asdict(get_spec("spec4"))
     obj["instruments"] = "arm×reason"
     spec = parse_spec(json.dumps(obj))
     assert spec.instruments == "arm*reason"
