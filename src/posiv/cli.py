@@ -85,6 +85,10 @@ def _specs_argument(text: str) -> list[ModelSpec]:
     specs = [_spec_argument(token.strip()) for token in text.split(",") if token.strip()]
     if not specs:
         raise argparse.ArgumentTypeError("no specifications given")
+    names = [spec.name for spec in specs]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(f"specifications given more than once: {repeated}")
     return specs
 
 
@@ -313,13 +317,16 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low, so a bad value exits 2 before any work."""
+def _int_at_least(low: int, below: int | None = None):
+    """argparse type: an integer >= low (and < below, if given), so a bad
+    value exits 2 before any work."""
 
     def integer(text: str) -> int:
         value = int(text)  # a ValueError reads "invalid integer value"
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if below is not None and value >= below:
+            raise argparse.ArgumentTypeError(f"must be < {below}, got {value}")
         return value
 
     return integer
@@ -330,6 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None, help="JSON config (sim fields, schema_map)")
     common.add_argument("--out", default=".", help="output directory")
     positive, non_negative = _int_at_least(1), _int_at_least(0)
+    seed = _int_at_least(0, below=2**64)  # the random streams key on 64 bits
     data_help = "CSV data file"
     item_help = "keep this item's rows, one per request"
 
@@ -341,12 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", parents=[common], help="generate synthetic data")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--seed", type=seed, default=None,
+                   help="override the config seed, in [0, 2**64)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("prepare", parents=[common], help="sample/slice/aggregate a dataset")
     p.add_argument("data", help=data_help)
-    p.add_argument("--sample-seed", type=int, default=None,
+    p.add_argument("--sample-seed", type=seed, default=None,
                    help="seed of the one-row-per-request sample or item slice (default 0)")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--item", type=int, default=None, help=item_help)
@@ -361,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help=data_help)
     p.add_argument("--spec", required=True, type=_spec_argument,
                    help="built-in name or JSON file")
-    p.add_argument("--sample-seed", type=int, default=None,
+    p.add_argument("--sample-seed", type=seed, default=None,
                    help="seed of the one-row-per-request sample or item slice (default 0)")
     p.add_argument("--item", type=int, default=None, help=item_help)
     p.add_argument("--no-sample", action="store_true",
@@ -391,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="position moved from; at most the data's last position (default 2)")
     p.add_argument("--k2", type=positive, default=1,
                    help="position moved to; at most the data's last position (default 1)")
-    p.add_argument("--sample-seed", type=int, default=0,
+    p.add_argument("--sample-seed", type=seed, default=0,
                    help="seed of the item slices' one row per request (default 0)")
     p.set_defaults(func=cmd_report)
     return parser

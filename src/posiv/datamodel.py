@@ -54,10 +54,17 @@ _UINT64_MAX = 2**64 - 1
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
 _TENS = np.array([float(10**k) for k in range(23)])  # 10**k, exact as doubles up to k = 22
 _BLOCK_ROWS = 1 << 14  # rows that write_dataset formats at a time
+# _HEAD_BYTES[k] keeps the first k bytes of a big-endian uint64 word
+_HEAD_BYTES = np.array([(2**64 - 1) ^ ((1 << 64 - 8 * k) - 1) for k in range(9)], dtype=np.uint64)
 
 
 class Dataset:
     """Immutable column table plus schema metadata and a lineage tag.
+
+    A text ("str") column is held as small unsigned-int codes into a <U
+    levels array sorted by code point, so code order is string order. A
+    column named in `levels` is given as codes into those levels (unused
+    levels allowed), any other as its cells, each read as its str().
 
     Equality compares schema and cell values (NaN equals NaN); provenance and
     the drop/duplicate counters are lineage metadata and excluded. Arrays are
@@ -71,14 +78,25 @@ class Dataset:
         provenance: str = "",
         n_dropped: int = 0,
         n_duplicates: int = 0,
+        levels: Mapping[str, np.ndarray] | None = None,
     ):
         names = [name for name, _, _ in schema if name in data]
         lengths = {len(data[name]) for name in names}
         if len(lengths) > 1:
             raise ValueError(f"ragged columns: {sorted(lengths)}")
-        self._data = {}
+        texts = {name for name, kind, _ in schema if kind == "str"}
+        self._data, self._levels = {}, {}
         for name in names:
             arr = np.asarray(data[name])
+            if name in texts:
+                if levels is not None and name in levels:
+                    self._levels[name] = np.asarray(levels[name])
+                else:  # cells, each read as its str()
+                    if arr.dtype.kind != "U":
+                        arr = np.array([str(v) for v in arr.tolist()], dtype=str)
+                    self._levels[name], arr = np.unique(arr, return_inverse=True)
+                    arr = arr.astype(np.min_scalar_type(len(self._levels[name])))
+                self._levels[name].flags.writeable = False
             arr.flags.writeable = False
             self._data[name] = arr
         self.schema = tuple(schema)
@@ -102,14 +120,21 @@ class Dataset:
         return name in self._data
 
     def column(self, name: str) -> np.ndarray:
+        codes, levels = self.coded(name)
+        return codes if levels is None else levels[codes]
+
+    def coded(self, name: str) -> tuple[np.ndarray, np.ndarray | None]:
+        """A text column's codes and levels, cell i being levels[codes[i]];
+        any other column and None."""
         if name not in self._data:
             raise MissingColumn(f"column {name!r} not present")
-        return self._data[name]
+        return self._data[name], self._levels.get(name)
 
     def subset(self, mask_or_index, provenance: str | None = None) -> "Dataset":
         data = {name: arr[mask_or_index] for name, arr in self._data.items()}
         return Dataset(
-            data, self.schema, provenance if provenance is not None else self.provenance
+            data, self.schema, provenance if provenance is not None else self.provenance,
+            levels=self._levels,
         )
 
     def is_session_level(self) -> bool:
@@ -124,7 +149,7 @@ class Dataset:
         if self.column_names != other.column_names:
             return False
         for name in self.column_names:
-            a, b = self._data[name], other._data[name]
+            a, b = self.column(name), other.column(name)
             if a.shape != b.shape:
                 return False
             if a.dtype.kind == "f":
@@ -197,7 +222,11 @@ def _split_plain(data: bytes) -> tuple[list[str], dict[str, _Cells]] | None:
     if data.startswith(b"\n") or b'"' in data or b"\r" in data:
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    sep = buf == ord(",")
+    sep |= buf == ord("\n")
+    # below 1 GiB an offset plus a cell's length fits in int32
+    ends = np.flatnonzero(sep).astype(np.int32 if len(data) < 2**30 else np.int64)
+    del sep
     line_ends = np.flatnonzero(buf[ends] == ord("\n"))
     width = int(line_ends[0]) + 1
     if (
@@ -401,49 +430,57 @@ def _number_column(
     return values, failed & ~missing
 
 
-def _str_column(cells: _Cells, keep: np.ndarray) -> np.ndarray:
-    """The kept cells as a <U array as wide as the longest kept cell. ASCII
-    cells are gathered into fixed-width bytes and widened to UCS-4 code
-    units; others are decoded."""
+def _text_column(cells: _Cells, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Codes and levels of the kept cells, the levels sorted by code point.
+
+    Each cell is keyed by its bytes read as big-endian uint64 words, zero
+    padded, so one word keys a cell of up to 8 bytes and word order is byte
+    order, which for UTF-8 is code point order. The cells are ranked by the
+    first word, then each rank is split by the rank of the next word; one
+    cell per level is decoded. Zero padding makes trailing NULs no part of a
+    cell, as in a <U array."""
     index = np.flatnonzero(keep)
     start = cells.start[index]
     length = cells.end[index] - start
-    width = max(1, int(length.max()))
-    buf = np.frombuffer(cells.data, dtype=np.uint8)
-    raw = np.zeros((len(index), width), dtype=np.uint8)
-    for k in range(width):
-        rows = np.flatnonzero(length > k)
-        raw[rows, k] = buf[start[rows] + k]
-    if raw.max() >= 0x80:
-        return np.array(_texts(cells, index))
-    return raw.astype(np.uint32).view(f"U{width}").ravel()
+    data = cells.data.ljust(8, b"\0")  # a copy only for data under 8 bytes
+    last = len(data) - 8
+    window = np.ndarray((last + 1,), dtype=">u8", buffer=data, strides=(1,))
+    for at in range(0, max(1, int(length.max())), 8):
+        word = window[np.minimum(start + at, last)].astype(np.uint64)
+        # a word that would run past the data was read from its last 8 bytes:
+        # shift out the bytes before the cell's
+        tail = np.flatnonzero(start + at > last)
+        word[tail] <<= ((start[tail] + at - last) * 8).astype(np.uint64)
+        word &= _HEAD_BYTES[np.clip(length - at, 0, 8)]
+        rank = np.unique(word, return_inverse=True)[1]
+        # both ranks are below n, so the pair's key is below n**2
+        codes = np.unique(codes * (rank.max() + 1) + rank, return_inverse=True)[1] if at else rank
+    first = np.empty(codes.max() + 1, dtype=np.intp)
+    first[codes[::-1]] = np.arange(len(codes))[::-1]  # the last write is a level's first cell
+    levels = np.array(_texts(cells, index[first]))
+    return codes.astype(np.min_scalar_type(len(levels))), levels
 
 
 def _count_duplicates(data: Mapping[str, np.ndarray]) -> int:
     """Number of rows equal to an earlier row in every column, with NaN equal
-    to NaN and -0.0 equal to 0.0.
+    to NaN and -0.0 equal to 0.0. Text columns are given as codes.
 
-    Equal rows hash alike, so only the rows whose hash of the number columns
-    repeats are compared exactly: one lexsort of their number keys and their
-    string codes."""
-    keys, texts = [], []
+    Equal rows hash alike, so only the rows whose hash repeats are compared
+    exactly: one lexsort of their keys."""
+    keys = []
     for arr in data.values():
         if arr.dtype.kind == "f":
             canon = arr + 0.0
             canon[np.isnan(canon)] = np.nan
             keys.append(canon.view(np.uint64))
-        elif arr.dtype.kind in "ui":
-            keys.append(arr.astype(np.uint64, copy=False))
         else:
-            texts.append(arr)
+            keys.append(arr.astype(np.uint64, copy=False))
     row_hash = mix64(keys[0])
     for key in keys[1:]:
         row_hash = mix64(row_hash ^ key)
     tied = np.sort(row_hash)
     rows = np.flatnonzero(np.isin(row_hash, tied[1:][tied[1:] == tied[:-1]]))
-    keys = [key[rows] for key in keys]
-    keys += [np.unique(arr[rows], return_inverse=True)[1].astype(np.uint64) for arr in texts]
-    table = np.stack(keys)
+    table = np.stack([key[rows] for key in keys])
     table = table[:, np.lexsort(table)]
     return int((table[:, 1:] == table[:, :-1]).all(axis=0).sum())
 
@@ -515,12 +552,13 @@ def load_dataset(path: str, schema_map: Mapping[str, str] | None = None) -> Data
     # freed before the duplicate count's temporaries.
     del table, cells
     data: dict[str, np.ndarray] = {}
+    levels: dict[str, np.ndarray] = {}
     for name, kind, _ in schema:
         if name not in values:
             continue
         column = values.pop(name)
         if kind == "str":
-            data[name] = _str_column(column, keep)
+            data[name], levels[name] = _text_column(column, keep)
         elif kind == "float" or name == "session_depth":  # NaN marks an empty cell
             data[name] = np.where(missing[name], math.nan, column)[keep]
         else:
@@ -533,7 +571,7 @@ def load_dataset(path: str, schema_map: Mapping[str, str] | None = None) -> Data
     n_dup = _count_duplicates(data)
     return Dataset(
         data, schema, f"load:{path} dropped={dropped} duplicates={n_dup}",
-        n_dropped=dropped, n_duplicates=n_dup,
+        n_dropped=dropped, n_duplicates=n_dup, levels=levels,
     )
 
 
@@ -552,7 +590,7 @@ def _patch(
     """chars and shown with the given rows replaced by the UTF-8 of texts,
     widened to fit the longest."""
     blobs = [text.encode("utf-8") for text in texts]
-    width = max(chars.shape[1], *map(len, blobs))
+    width = max([chars.shape[1], *map(len, blobs)])
     if width > chars.shape[1]:
         pad = ((0, 0), (0, width - chars.shape[1]))
         chars, shown = np.pad(chars, pad), np.pad(shown, pad)
@@ -583,25 +621,9 @@ def _int_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cells(kind: str, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One column's CSV cells as a uint8 matrix, one row a cell, and the
-    mask of its bytes that are shown. Ints take one divmod a digit place,
-    floats one repr of the block's values, ASCII text its UCS-4 code units;
-    text that is not ASCII or needs quotes is formatted per cell."""
-    if kind == "str":
-        if values.dtype.kind != "U":
-            empty = np.zeros((len(values), 0), dtype=np.uint8)
-            return _patch(empty, empty.astype(bool), np.arange(len(values)),
-                          [_quote(str(v)) for v in values.tolist()])
-        values = np.ascontiguousarray(values)
-        codes = values.view(np.uint32).reshape(len(values), values.dtype.itemsize // 4)
-        special = (codes >= 0x80) | (codes == ord(",")) | (codes == ord('"'))
-        special |= (codes == ord("\r")) | (codes == ord("\n"))
-        rows = np.flatnonzero(special.any(axis=1))
-        chars = codes.astype(np.uint8)
-        shown = np.arange(chars.shape[1]) < np.char.str_len(values)[:, None]
-        if rows.size:
-            chars, shown = _patch(chars, shown, rows, [_quote(v) for v in values[rows].tolist()])
-        return chars, shown
+    """One number column's CSV cells as a uint8 matrix, one row a cell, and
+    the mask of its bytes that are shown. Ints take one divmod a digit
+    place, floats one repr of the block's values."""
     if kind != "float" and values.dtype.kind in "iu":
         return _int_cells(values)
     values = values.astype(np.float64, copy=False)
@@ -625,15 +647,22 @@ def _cells(kind: str, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return chars, shown
 
 
-def _format_block(columns: Sequence[tuple[str, np.ndarray]]) -> np.ndarray:
-    """The CSV bytes of the rows of one block: every column's cell matrix
-    and a separator column side by side, then one pass keeps the shown
-    bytes in row order."""
-    n = len(columns[0][1])
+def _level_cells(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each level's CSV cell as _cells gives a column's, one row a level:
+    its text quoted by _quote."""
+    empty = np.zeros((len(levels), 0), dtype=np.uint8)
+    return _patch(empty, empty.astype(bool), np.arange(len(levels)),
+                  [_quote(v) for v in levels.tolist()])
+
+
+def _format_block(columns: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The CSV bytes of the rows of one block, from each column's cell
+    matrix and mask: the matrices and a separator column side by side, then
+    one pass keeps the shown bytes in row order."""
+    n = len(columns[0][0])
     comma, one = np.full((n, 1), ord(","), dtype=np.uint8), np.ones((n, 1), dtype=bool)
     matrices, masks = [], []
-    for kind, values in columns:
-        chars, shown = _cells(kind, values)
+    for chars, shown in columns:
         matrices += [chars, comma]
         masks += [shown, one]
     matrices[-1] = np.full((n, 1), ord("\n"), dtype=np.uint8)
@@ -651,16 +680,25 @@ def write_dataset(ds: Dataset, path: str) -> None:
     integers, floats as their shortest round-trip repr, "" for NaN (an
     absent optional value), and text quoted by _quote. The rows are
     formatted in numpy and written _BLOCK_ROWS at a time, so the memory
-    used is bounded by a block, not by the file. Round-trips:
-    load_dataset(write_dataset(ds)) compares equal to ds.
+    used is bounded by a block, not by the file; a text column's levels are
+    formatted once and each row gathers its level's bytes by code.
+    Round-trips: load_dataset(write_dataset(ds)) compares equal to ds.
     """
     kinds = {n: k for n, k, _ in ds.schema}
     names = list(ds.column_names)
-    columns = [(kinds[n], ds.column(n)) for n in names]
+    texts = {n: _level_cells(ds.coded(n)[1]) for n in names if kinds[n] == "str"}
+
+    def cells(name: str, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        if name in texts:
+            codes = ds.coded(name)[0][rows]
+            return texts[name][0][codes], texts[name][1][codes]
+        return _cells(kinds[name], ds.column(name)[rows])
+
     try:
         with open(path, "wb") as fh:
             fh.write((",".join(map(_quote, names)) + "\n").encode("utf-8"))
             for lo in range(0, ds.n_rows, _BLOCK_ROWS):
-                fh.write(_format_block([(k, col[lo : lo + _BLOCK_ROWS]) for k, col in columns]))
+                rows = slice(lo, lo + _BLOCK_ROWS)
+                fh.write(_format_block([cells(name, rows) for name in names]))
     except OSError as exc:
         raise IoFailure(f"cannot write {path!r}: {exc}") from exc

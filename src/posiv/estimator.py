@@ -323,7 +323,8 @@ def cluster_cov(
     and clusters (B, n). Clusters are then codes 0..G_b-1 within each matrix,
     every code used, and (B, k, k) covariances come back with the B counts
     G_b. The score sums of every matrix come from one bincount over codes
-    offset per matrix, which adds each cluster's scores in row order.
+    offset per matrix, which adds each cluster's scores in row order; when
+    every matrix's codes are 0..n-1 in row order, the scores are the sums.
     """
     single = m.ndim == 2
     if single:
@@ -341,12 +342,16 @@ def cluster_cov(
     b, n, k = m.shape
     scores = m * residuals[..., None]
     offsets = np.cumsum(n_groups) - n_groups
-    slots = ((clusters + offsets[:, None]) * k)[..., None] + np.arange(k)
-    sums = np.bincount(
-        slots.ravel(), weights=scores.ravel(), minlength=int(n_groups.sum()) * k
-    ).reshape(-1, k)
+    if (clusters == np.arange(n)).all():  # every cluster one row, in row order
+        sums = scores.reshape(-1, k)
+        sums += 0.0  # bincount's sums start at +0.0, so a -0.0 score sums to +0.0
+    else:
+        slots = ((clusters + offsets[:, None]) * k)[..., None] + np.arange(k)
+        sums = np.bincount(
+            slots.ravel(), weights=scores.ravel(), minlength=int(n_groups.sum()) * k
+        ).reshape(-1, k)
     meat = np.empty((b, k, k))
-    for g in np.unique(n_groups):  # one matmul per cluster count
+    for g in sorted(set(n_groups.tolist())):  # one matmul per cluster count
         of_g = np.flatnonzero(n_groups == g)
         if len(of_g) == b:
             blocks = sums.reshape(b, g, k)

@@ -161,7 +161,7 @@ def slice_by_item(ds: Dataset, items: int | Sequence[int], seed: int = 0) -> Dat
         wanted = np.atleast_1d(np.array(items, dtype=np.uint64))
     except OverflowError:
         raise UnknownItem(f"item {items} not present") from None
-    if not wanted.size or len(np.unique(wanted)) < wanted.size:
+    if not wanted.size or len(_distinct(wanted)) < wanted.size:
         raise ValueError("items must be one or more distinct ids")
     item_ids = ds.column("item_id")
     by_id = np.argsort(wanted)
@@ -205,9 +205,18 @@ def _reduce_items(ufunc, values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return out
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values, as np.unique(values) gives them, from one
+    sort: np.unique without a return_* flag imports numpy.ma."""
+    ordered = np.sort(values)
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first]
+
+
 def _pairs(item: np.ndarray, codes: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct (item, level) pairs the rows show, sorted by item, then level."""
-    flat = np.unique(item * n_levels + codes)
+    flat = _distinct(item * n_levels + codes)
     return flat // n_levels, flat % n_levels
 
 
@@ -239,11 +248,11 @@ def build_design(ds: Dataset, spec: ModelSpec, by_item: bool = False) -> DesignM
         col = ds.column(name).astype(float)
         numeric[name] = col
         valid &= ~np.isnan(col)
-    strings: dict[str, np.ndarray] = {}
+    texts: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for name in str_cols:
-        col = ds.column(name)
-        strings[name] = col
-        valid &= col != ""
+        texts[name] = codes, levels = ds.coded(name)
+        if levels.size and levels[0] == "":  # levels are sorted, so "" is code 0
+            valid &= codes != 0
 
     dropped = int(n - valid.sum())
     idx = np.flatnonzero(valid)
@@ -252,7 +261,7 @@ def build_design(ds: Dataset, spec: ModelSpec, by_item: bool = False) -> DesignM
         run_start = np.ones(n, dtype=bool)
         run_start[1:] = item_ids[1:] != item_ids[:-1]
         heads = item_ids[run_start]
-        if len(np.unique(heads)) < len(heads):
+        if len(_distinct(heads)) < len(heads):
             raise ValueError("by_item needs each item's rows together, as slice_by_item gives")
         labels = tuple(str(i) for i in heads.tolist())
         item = (np.cumsum(run_start) - 1)[idx]
@@ -294,14 +303,19 @@ def build_design(ds: Dataset, spec: ModelSpec, by_item: bool = False) -> DesignM
         both = spec.instruments == "arm*reason"
         return f"arm={arm_levels[a]}" + (f"*reason={reason_levels[r]}" if both else "")
 
+    def shown_levels(name: str) -> tuple[np.ndarray, np.ndarray]:
+        # the levels the kept rows show and each row's rank among them;
+        # code order is string order
+        codes, levels = texts[name]
+        shown = np.bincount(codes[idx], minlength=len(levels)) > 0
+        return levels[shown], (np.cumsum(shown) - 1)[codes[idx]]
+
     if spec.instruments != "none":
-        arm_levels, arm = np.unique(strings["arm"][idx], return_inverse=True)
+        arm_levels, arm = shown_levels("arm")
         if spec.instruments == "arm":
             reason_levels, reason = np.array([""]), np.zeros(idx.size, dtype=np.intp)
         else:
-            reason_levels, reason = np.unique(
-                strings[_reason_column(ds)][idx], return_inverse=True
-            )
+            reason_levels, reason = shown_levels(_reason_column(ds))
         pair = arm * len(reason_levels) + reason
         col_item, col = _pairs(item, pair, len(arm_levels) * len(reason_levels))
         col_arm, col_reason = np.divmod(col, len(reason_levels))
@@ -327,8 +341,9 @@ def build_design(ds: Dataset, spec: ModelSpec, by_item: bool = False) -> DesignM
 
     def first_empty(g):
         # the first (arm, reason) column, in code order, the item never shows
-        arms = np.setdiff1d(arm[bounds[g]:bounds[g + 1]], baseline[g])
-        reasons = np.unique(reason[bounds[g]:bounds[g + 1]])
+        arms = _distinct(arm[bounds[g]:bounds[g + 1]])
+        arms = arms[arms != baseline[g]]
+        reasons = _distinct(reason[bounds[g]:bounds[g + 1]])
         every = (arms[:, None] * len(reason_levels) + reasons).ravel()
         return every[~np.isin(every, col[item_start[g]:item_start[g + 1]])][0]
 
@@ -352,7 +367,7 @@ def build_design(ds: Dataset, spec: ModelSpec, by_item: bool = False) -> DesignM
         sizes = np.where(built, sizes, 0)
         bounds = np.concatenate([[0], np.cumsum(sizes)])
         col_item, col = col_item[built[col_item]], col[built[col_item]]
-    in_use = np.unique(col)
+    in_use = _distinct(col)
     z_names = tuple(name(c) for c in in_use.tolist())
     clusters = ds.column(spec.cluster)[idx]
     if by_item:
@@ -421,34 +436,31 @@ def aggregate_sessions(ds: Dataset, top_cut: int = 4) -> Dataset:
         "n_bottom_spot": (n_all - n_top).astype(np.int64),
         "invite_total": invite.astype(np.int64),
     }
+    levels = {}
     if ds.has_column("arm"):
-        data["arm"] = ds.column("arm")[first]
+        codes, levels["arm"] = ds.coded("arm")
+        data["arm"] = codes[first]
     if ds.has_column("reason"):
-        data["reason_mode"] = _mode_per_group(inverse, ds.column("reason"), g)
+        codes, levels["reason_mode"] = ds.coded("reason")
+        data["reason_mode"] = _mode_per_group(inverse, codes, g)
 
     order_out = np.lexsort((data["request_id"], data["user_id"]))
     data = {k: v[order_out] for k, v in data.items()}
     return Dataset(
-        data, SESSION_SCHEMA, f"{ds.provenance} | aggregate_sessions top_cut={top_cut}"
+        data, SESSION_SCHEMA, f"{ds.provenance} | aggregate_sessions top_cut={top_cut}",
+        levels=levels,
     )
 
 
-def _mode_per_group(group_of_row: np.ndarray, values: np.ndarray, g: int) -> np.ndarray:
-    order = np.lexsort((values, group_of_row))
-    gb, vb = group_of_row[order], values[order]
-    n = len(gb)
-    run_start = np.ones(n, dtype=bool)
-    run_start[1:] = (gb[1:] != gb[:-1]) | (vb[1:] != vb[:-1])
-    starts = np.flatnonzero(run_start)
-    run_group = gb[starts]
-    run_value = vb[starts]
-    run_len = np.diff(np.append(starts, n))
-    # per group: largest run, ties to the smallest value (lexsort is stable
-    # and run_value is sorted ascending within group already)
-    pick = np.lexsort((-run_len, run_group))
+def _mode_per_group(group_of_row: np.ndarray, codes: np.ndarray, g: int) -> np.ndarray:
+    """Each group's most frequent code, ties to the smallest: the smallest
+    level, as code order is string order."""
+    n_levels = int(codes.max()) + 1
+    pairs, counts = np.unique(group_of_row * n_levels + codes, return_counts=True)
+    # by group, then by count down; the sort is stable, so equal counts keep code order
+    pick = pairs[np.lexsort((-counts, pairs // n_levels))]
     first = np.ones(len(pick), dtype=bool)
-    rg = run_group[pick]
-    first[1:] = rg[1:] != rg[:-1]
-    out = np.empty(g, dtype=values.dtype)
-    out[rg[first]] = run_value[pick[first]]
+    first[1:] = pick[1:] // n_levels != pick[:-1] // n_levels
+    out = np.empty(g, dtype=codes.dtype)
+    out[pick[first] // n_levels] = pick[first] % n_levels
     return out

@@ -40,13 +40,21 @@ def _u64(x) -> np.ndarray:
 
 def mix64(x) -> np.ndarray:
     """SplitMix64 output function (Steele, Lea & Flood 2014): a 64-bit bijection."""
-    z = _u64(x).copy()
+    return _mix_in_place(np.asarray(x).astype(np.uint64))
+
+
+def _mix_in_place(z: np.ndarray) -> np.ndarray:
+    """mix64 of the uint64 array z, computed in z with one shift buffer."""
+    t = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z ^= z >> np.uint64(30)
+        np.right_shift(z, np.uint64(30), out=t)
+        z ^= t
         z *= _MIX1
-        z ^= z >> np.uint64(27)
+        np.right_shift(z, np.uint64(27), out=t)
+        z ^= t
         z *= _MIX2
-        z ^= z >> np.uint64(31)
+        np.right_shift(z, np.uint64(31), out=t)
+        z ^= t
     return z
 
 
@@ -58,7 +66,7 @@ def stream_key(seed: int, tag: int, *ids) -> np.ndarray:
     with np.errstate(over="ignore"):
         key = mix64(np.uint64(seed % (1 << 64)) ^ mix64(np.uint64(tag)))
         for part in ids:
-            key = mix64(key ^ _u64(part))
+            key = _mix_in_place(np.asarray(key ^ _u64(part)))
     return key
 
 
@@ -66,7 +74,7 @@ def raw64(key, counter=0) -> np.ndarray:
     """The counter-th output of the stream: mix(key + (counter+1)*GOLDEN)."""
     with np.errstate(over="ignore"):
         c = (_u64(counter) + np.uint64(1)) * GOLDEN
-        return mix64(_u64(key) + c)
+        return _mix_in_place(np.asarray(_u64(key) + c))
 
 
 def uniform(key, counter=0) -> np.ndarray:

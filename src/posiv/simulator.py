@@ -98,6 +98,8 @@ class SimConfig:
             raise InvalidConfig(f"unknown marketplace_mode {self.marketplace_mode!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise InvalidConfig("seed must be an integer")
+        if not 0 <= self.seed < 2**64:  # the random streams key on the seed's 64 bits
+            raise InvalidConfig(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass
@@ -169,6 +171,7 @@ def simulate(config: SimConfig) -> tuple[Dataset, SimTruth]:
         rng.stream_key(seed, rng.TAG_SLOPE, item_index + np.uint64(1))
     )
 
+    # zero-padded, the reason labels sort in code order
     reason_width = max(2, len(str(config.n_reasons - 1)))
     reason_labels = np.array([f"r{i:0{reason_width}d}" for i in range(config.n_reasons)])
 
@@ -179,11 +182,11 @@ def simulate(config: SimConfig) -> tuple[Dataset, SimTruth]:
         "item_id": np.empty(n_rows, dtype=np.uint64),
         "position": np.tile(np.arange(1, slots + 1, dtype=np.int64), n_requests),
         "outcome": np.empty(n_rows, dtype=np.int64),
-        "arm": np.repeat(np.where(treated_by_user, "treatment", "control"), per_user * slots),
+        "arm": np.repeat(treated_by_user.astype(np.uint8), per_user * slots),
         "relevance_score": np.empty(n_rows),
     }
     if pymk:
-        data["reason"] = np.empty(n_rows, dtype=reason_labels.dtype)
+        data["reason"] = np.empty(n_rows, dtype=np.min_scalar_type(config.n_reasons))
         data["session_depth"] = np.full(n_rows, float(slots))
     grid = {name: col.reshape(n_requests, slots) for name, col in data.items()}
     treated_by_request = np.repeat(treated_by_user, per_user)
@@ -226,7 +229,7 @@ def simulate(config: SimConfig) -> tuple[Dataset, SimTruth]:
         sel = np.take_along_axis(sel, order, axis=1)
         relevance = np.take_along_axis(relevance, order, axis=1)
         if pymk:
-            grid["reason"][rows] = reason_labels[np.take_along_axis(reason_idx, order, axis=1)]
+            grid["reason"][rows] = np.take_along_axis(reason_idx, order, axis=1)
         item_ids = grid["item_id"][rows]
         item_ids[...] = sel + 1
 
@@ -254,7 +257,8 @@ def simulate(config: SimConfig) -> tuple[Dataset, SimTruth]:
         f"simulate seed={seed} mode={config.marketplace_mode} "
         f"users={config.n_users} requests={n_requests} slots={slots}"
     )
-    ds = Dataset(data, EDGE_SCHEMA, provenance)
+    levels = {"arm": np.array(["control", "treatment"]), "reason": reason_labels}
+    ds = Dataset(data, EDGE_SCHEMA, provenance, levels=levels)
 
     # read-only views of the first requests' rows
     audit = {name: ds.column(name)[:n_audit * slots]

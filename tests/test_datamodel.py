@@ -23,6 +23,7 @@ from posiv.datamodel import (
     _read_columns,
     _require_constant_arm_per_user,
     _split_plain,
+    _text_column,
     load_dataset,
     parse_id,
     write_dataset,
@@ -851,6 +852,29 @@ def test_id_column_matches_parse_id(tmp_path, front_end, seed):
     assert len(set(map(len, cells))) == 65 and None in want
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.text(max_size=19), st.booleans()), min_size=1, max_size=40),
+       st.integers(min_value=0, max_value=3))
+def test_text_column_codes_cells_as_numpy_unique(cells, gap):
+    """_text_column's levels and codes are np.unique's over the kept cells
+    as a <U array: code point order, non-ASCII and NUL included. Each cell
+    here is followed by `gap` separator bytes only, so the cells near the
+    end take the word read back from the last 8 bytes, and data under 8
+    bytes is padded."""
+    if not any(kept for _, kept in cells):
+        cells[0] = (cells[0][0], True)
+    blobs = [text.encode("utf-8") + b"," * gap for text, _ in cells]
+    end = np.cumsum([len(b) for b in blobs]) - gap
+    length = np.array([len(text.encode("utf-8")) for text, _ in cells])
+    keep = np.array([kept for _, kept in cells])
+    codes, levels = _text_column(datamodel._Cells(b"".join(blobs), end - length, end), keep)
+    want_levels, want_codes = np.unique(np.array([t for t, kept in cells if kept]),
+                                        return_inverse=True)
+    assert levels.tolist() == want_levels.tolist()
+    assert codes.tolist() == want_codes.tolist()
+    assert codes.dtype == np.uint8
+
+
 @st.composite
 def _tied_tables(draw):
     """Columns of every edge kind over few values, so rows tie often, plus
@@ -882,10 +906,17 @@ def _rowwise_duplicates(data):
     return len(rows) - len(set(rows))
 
 
+def _coded(data):
+    """The columns as load_dataset gives them to _count_duplicates: text as
+    codes into its sorted levels."""
+    ds = Dataset(data, EDGE_SCHEMA)
+    return {name: ds.coded(name)[0] for name in ds.column_names}
+
+
 @settings(max_examples=200, deadline=None)
 @given(_tied_tables())
 def test_count_duplicates_matches_rowwise_reference(data):
-    assert _count_duplicates(data) == _rowwise_duplicates(data)
+    assert _count_duplicates(_coded(data)) == _rowwise_duplicates(data)
 
 
 def test_count_duplicates_with_every_row_hashed_alike(tmp_path, monkeypatch):
@@ -901,7 +932,7 @@ def test_count_duplicates_with_every_row_hashed_alike(tmp_path, monkeypatch):
     assert _assert_loads_like_rowwise(path).n_duplicates == 5
     arm = np.array(["A", "B", "A"])
     data = {name: np.zeros(3, dtype=np.uint64) for name in ("request_id", "user_id", "item_id")}
-    assert _count_duplicates({**data, "arm": arm}) == 1
+    assert _count_duplicates(_coded({**data, "arm": arm})) == 1
 
 
 def test_writer_matches_rowwise_reference_bytes(tmp_path):

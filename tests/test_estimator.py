@@ -341,6 +341,31 @@ def test_cluster_cov_singleton_clusters_equal_hc1():
     np.testing.assert_allclose(cov, hc1, rtol=1e-12, atol=1e-18)
 
 
+def test_cluster_cov_one_row_clusters_match_the_bincount_path():
+    """When every matrix's clusters are its rows in row order, the scores are
+    the cluster sums and no bincount is made. The covariance bytes equal the
+    bincount path's, single and stacked, with a -0.0 score among them: a
+    stack with one matrix whose last two rows share a cluster takes the
+    bincount path for every matrix."""
+    rng = np.random.default_rng(16)
+    b, n, k = 3, 30, 3
+    m = rng.normal(size=(b, n, k))
+    m[..., -1] = 1.0
+    resid = rng.normal(size=(b, n))
+    resid[:, 4] = -0.0
+    m[:, 7, 0], resid[:, 7] = 0.0, -1.5  # a -0.0 score from 0.0 * -1.5
+    rows = np.tile(np.arange(n), (b, 1))
+    merged = rows.copy()
+    merged[-1, -1] = n - 2
+    fast, g_fast = cluster_cov(m, resid, rows)
+    slow, g_slow = cluster_cov(m, resid, merged)
+    assert g_fast.tolist() == [n] * b and g_slow.tolist() == [n] * (b - 1) + [n - 1]
+    assert fast[:-1].tobytes() == slow[:-1].tobytes()
+    for i in range(b - 1):
+        single, g = cluster_cov(m[i], resid[i], np.arange(n))
+        assert g == n and single.tobytes() == slow[i].tobytes()
+
+
 def test_cluster_cov_too_few_clusters():
     m = np.ones((5, 1))
     with pytest.raises(TooFewClusters):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from posiv import rng
 from posiv.datamodel import EDGE_SCHEMA, Dataset
 from posiv.errors import ConstantColumn, MissingColumn, Underidentified, UnknownItem
 from posiv.prepare import (
+    _mode_per_group,
     _winner_per_request,
     aggregate_sessions,
     build_design,
@@ -326,6 +329,21 @@ def test_aggregate_sessions_reason_mode_tie_breaks_low():
     ]
     sess = aggregate_sessions(Dataset(edge_columns(rows), EDGE_SCHEMA), top_cut=2)
     assert sess.column("reason_mode")[0] == "r01"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), min_size=1, max_size=40))
+def test_mode_per_group_matches_counting_each_group(rows):
+    """Each group's most frequent code, ties to the smallest, against
+    counting each group's codes in Python."""
+    groups = sorted({group for group, _ in rows})
+    group_of_row = np.array([groups.index(group) for group, _ in rows])
+    codes = np.array([code for _, code in rows], dtype=np.uint8)
+    want = []
+    for group in groups:
+        counts = Counter(code for g, code in rows if g == group)
+        want.append(min(counts, key=lambda code: (-counts[code], code)))
+    assert _mode_per_group(group_of_row, codes, len(groups)).tolist() == want
 
 
 def test_aggregate_sessions_top_cut_parameter():

@@ -45,6 +45,18 @@ def test_invalid_configs():
             simulate(small_cfg(**bad))
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_seed_outside_64_bits_is_invalid(seed):
+    """The random streams key on the seed's 64 bits, so a seed outside
+    [0, 2**64) would draw the data of another seed (2**70 that of seed 0)."""
+    with pytest.raises(InvalidConfig, match=r"seed must lie in \[0, 2\*\*64\)"):
+        simulate(small_cfg(seed=seed))
+
+
+def test_the_largest_seed_is_valid():
+    small_cfg(seed=2**64 - 1).validate()
+
+
 def test_determinism_and_chunking_independence(monkeypatch, tmp_path):
     cfg = small_cfg(seed=42)
     ds1, t1 = simulate(cfg)
