@@ -22,8 +22,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .datamodel import Dataset, load_dataset, write_dataset
-from .errors import EstimationError, InputError, ParseError, PosivError, WeakInstrumentWarning
+from .datamodel import Dataset, load_dataset, parse_id, write_dataset
+from .errors import (
+    EstimationError,
+    InputError,
+    ParseError,
+    PosivError,
+    UnknownItem,
+    WeakInstrumentWarning,
+)
 from .specs import ModelSpec, builtin_specs, get_spec, parse_spec
 
 
@@ -108,6 +115,27 @@ def _fit_for(spec: ModelSpec, design):
     return estimator.fit_2sls(design)
 
 
+def _item_argument(text: str) -> str:
+    """argparse type of --item: an id as the loader reads an item_id cell
+    (parse_id: digits up to 2**64 - 1 as the number, other text FNV-1a
+    hashed), kept as given for messages."""
+    try:
+        parse_id(text)
+    except ValueError:  # a digit that int() rejects, such as "²"
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an id: a row with that item_id is dropped") from None
+    return text
+
+
+def _item_slice(ds: Dataset, args) -> Dataset:
+    from . import prepare
+
+    try:
+        return prepare.slice_by_item(ds, parse_id(args.item), args.sample_seed)
+    except UnknownItem:
+        raise UnknownItem(f"item {args.item} not present") from None
+
+
 def _estimation_dataset(ds: Dataset, spec: ModelSpec, args) -> Dataset:
     from . import prepare
 
@@ -119,7 +147,7 @@ def _estimation_dataset(ds: Dataset, spec: ModelSpec, args) -> Dataset:
             raise InputError("--session-top-cut does not apply to a session-level data file")
         return ds
     if args.item is not None:
-        return prepare.slice_by_item(ds, args.item, args.sample_seed)
+        return _item_slice(ds, args)
     if not args.no_sample:
         ds = prepare.sample_one_per_request(ds, args.sample_seed)
     return ds
@@ -173,7 +201,7 @@ def cmd_prepare(args) -> int:
     if args.session_top_cut is not None:
         prepared = prepare.aggregate_sessions(ds, args.session_top_cut)
     elif args.item is not None:
-        prepared = prepare.slice_by_item(ds, args.item, args.sample_seed)
+        prepared = _item_slice(ds, args)
     else:
         prepared = prepare.sample_one_per_request(ds, args.sample_seed)
     path = out / "prepared.csv"
@@ -339,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     positive, non_negative = _int_at_least(1), _int_at_least(0)
     seed = _int_at_least(0, below=2**64)  # the random streams key on 64 bits
     data_help = "CSV data file"
-    item_help = "keep this item's rows, one per request"
+    item_help = ("keep this item's rows, one per request; a text id is hashed as the "
+                 "loader hashes it")
 
     parser = argparse.ArgumentParser(
         prog="posiv",
@@ -358,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-seed", type=seed, default=None,
                    help="seed of the one-row-per-request sample or item slice (default 0)")
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--item", type=int, default=None, help=item_help)
+    mode.add_argument("--item", type=_item_argument, default=None, help=item_help)
     mode.add_argument("--top-n", type=positive, default=None,
                       help="write the N items with the most rows to top_items.csv")
     mode.add_argument("--session-top-cut", type=non_negative, default=None,
@@ -372,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="built-in name or JSON file")
     p.add_argument("--sample-seed", type=seed, default=None,
                    help="seed of the one-row-per-request sample or item slice (default 0)")
-    p.add_argument("--item", type=int, default=None, help=item_help)
+    p.add_argument("--item", type=_item_argument, default=None, help=item_help)
     p.add_argument("--no-sample", action="store_true",
                    help="skip one-row-per-request sampling (an --item slice keeps "
                    "one row per request regardless)")

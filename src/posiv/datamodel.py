@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import csv
 import gc
+import io
 import json
 import math
+import os
+import sys
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -54,6 +57,7 @@ _UINT64_MAX = 2**64 - 1
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
 _TENS = np.array([float(10**k) for k in range(23)])  # 10**k, exact as doubles up to k = 22
 _BLOCK_ROWS = 1 << 14  # rows that write_dataset formats at a time
+_SCAN_BYTES = 1 << 23  # bytes that _split_plain scans for separators at a time
 # _HEAD_BYTES[k] keeps the first k bytes of a big-endian uint64 word
 _HEAD_BYTES = np.array([(2**64 - 1) ^ ((1 << 64 - 8 * k) - 1) for k in range(9)], dtype=np.uint64)
 
@@ -222,17 +226,26 @@ def _split_plain(data: bytes) -> tuple[list[str], dict[str, _Cells]] | None:
     if data.startswith(b"\n") or b'"' in data or b"\r" in data:
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
-    sep = buf == ord(",")
-    sep |= buf == ord("\n")
-    # below 1 GiB an offset plus a cell's length fits in int32
-    ends = np.flatnonzero(sep).astype(np.int32 if len(data) < 2**30 else np.int64)
-    del sep
+    # below 1 GiB an offset plus a cell's length fits in int32; each block's
+    # offsets are cast before they are joined, so no whole-file mask or int64
+    # offsets are held
+    offset = np.int32 if len(data) < 2**30 else np.int64
+    parts = []
+    for lo in range(0, len(buf), _SCAN_BYTES):
+        block = buf[lo : lo + _SCAN_BYTES]
+        sep = block == ord(",")
+        sep |= block == ord("\n")
+        parts.append(np.flatnonzero(sep).astype(offset))
+        parts[-1] += lo
+    ends = np.concatenate(parts)
+    del parts, sep
     line_ends = np.flatnonzero(buf[ends] == ord("\n"))
     width = int(line_ends[0]) + 1
     if (
         np.any(np.diff(line_ends) != width)
         or np.any(np.diff(ends[line_ends]) == 1)  # blank line
-        or np.diff(ends, prepend=-1).max() - 1 > csv.field_size_limit()
+        # the longest cell, with no int64 copy of the offsets
+        or max(int(ends[0]), int(np.diff(ends).max(initial=0)) - 1) > csv.field_size_limit()
     ):
         return None
     if buf.max() >= 0x80:
@@ -245,25 +258,33 @@ def _split_plain(data: bytes) -> tuple[list[str], dict[str, _Cells]] | None:
     }
 
 
-def _read_columns(path: str) -> tuple[list[str], dict[str, _Cells]]:
+def _read_columns(path: str, digest=None) -> tuple[list[str], dict[str, _Cells]]:
     """Header and cells by column name from CSV (by extension .jsonl/.ndjson:
-    JSON lines).
+    JSON lines), the file's bytes read once and, given a hash object
+    `digest`, fed to it.
 
-    A plain CSV file is split from its bytes by _split_plain; any other goes
-    through csv.reader, and both give the same cells. CSV keeps the
-    csv.DictReader conventions: blank rows are skipped, short rows padded with
-    "", extra cells ignored, and of repeated header names the last column
-    wins. A cell longer than csv.field_size_limit() is an InputError. A JSON
-    line's absent key or null value is "".
+    One leading UTF-8 byte-order mark is skipped. A plain CSV file is split
+    from its bytes by _split_plain; any other goes through csv.reader, and
+    both give the same cells. CSV keeps the csv.DictReader conventions: blank
+    rows are skipped, short rows padded with "", extra cells ignored, and of
+    repeated header names the last column wins. A cell longer than
+    csv.field_size_limit() is an InputError. A JSON line's absent key or
+    null value is "".
     """
     # csv.reader allocates a list per row; with the cyclic collector running,
     # those allocations trigger collections that rescan every row read so far.
     collecting = gc.isenabled()
     gc.disable()
     try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if digest is not None:
+            digest.update(data)
+        if data.startswith(b"\xef\xbb\xbf"):
+            data = data[3:]
         if str(path).endswith((".jsonl", ".ndjson")):
-            with open(path, encoding="utf-8") as fh:
-                records = [json.loads(line) for line in fh if line.strip()]
+            lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+            records = [json.loads(line) for line in lines if line.strip()]
             if not all(isinstance(rec, dict) for rec in records):
                 raise InputError(f"JSON line in {path!r} is not an object")
             header = list(dict.fromkeys(k for rec in records for k in rec))
@@ -271,14 +292,12 @@ def _read_columns(path: str) -> tuple[list[str], dict[str, _Cells]]:
                 key: _encode(["" if (v := rec.get(key)) is None else str(v) for rec in records])
                 for key in header
             }
-        with open(path, "rb") as fh:
-            plain = _split_plain(fh.read())
+        plain = _split_plain(data)
         if plain is not None:
             return plain
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            rows = list(filter(None, reader))
+        reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+        header = next(reader, [])
+        rows = list(filter(None, reader))
         width = len(header)
         if set(map(len, rows)) - {width}:  # some row is short or long
             rows = [row[:width] + [""] * (width - len(row)) for row in rows]
@@ -430,6 +449,15 @@ def _number_column(
     return values, failed & ~missing
 
 
+def _ranks(keys: np.ndarray) -> np.ndarray:
+    """Each key's rank among the distinct keys, np.unique(keys,
+    return_inverse=True)[1], from a sorted copy and a binary search: no
+    argsort permutation."""
+    ordered = np.sort(keys)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    return np.searchsorted(distinct, keys)
+
+
 def _text_column(cells: _Cells, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Codes and levels of the kept cells, the levels sorted by code point.
 
@@ -452,9 +480,12 @@ def _text_column(cells: _Cells, keep: np.ndarray) -> tuple[np.ndarray, np.ndarra
         tail = np.flatnonzero(start + at > last)
         word[tail] <<= ((start[tail] + at - last) * 8).astype(np.uint64)
         word &= _HEAD_BYTES[np.clip(length - at, 0, 8)]
-        rank = np.unique(word, return_inverse=True)[1]
-        # both ranks are below n, so the pair's key is below n**2
-        codes = np.unique(codes * (rank.max() + 1) + rank, return_inverse=True)[1] if at else rank
+        rank = _ranks(word)
+        if at:  # both ranks are below n, so the pair's key is below n**2
+            codes *= rank.max() + 1
+            codes += rank
+            rank = _ranks(codes)
+        codes = rank
     first = np.empty(codes.max() + 1, dtype=np.intp)
     first[codes[::-1]] = np.arange(len(codes))[::-1]  # the last write is a level's first cell
     levels = np.array(_texts(cells, index[first]))
@@ -485,6 +516,171 @@ def _count_duplicates(data: Mapping[str, np.ndarray]) -> int:
     return int((table[:, 1:] == table[:, :-1]).all(axis=0).sum())
 
 
+# -- column sidecar -----------------------------------------------------------
+#
+# ".<name>.posiv" beside a data file holds the Dataset its last load built: a
+# magic line, the JSON header's length as 8 little-endian bytes, the header,
+# then the payload: the columns in schema order and then each text column's
+# levels, as raw native-order bytes, stably sorted by descending dtype
+# alignment so that each array starts aligned, with nothing between them. No
+# dtype is stored: each follows from the column's kind (_column_dtype).
+
+_SIDECAR_MAGIC = b"posiv column sidecar 1\n"
+_MAX_HEADER = 1 << 16  # bytes; a real header is well under 1 KiB
+_HASH_BLOCK = 1 << 20  # bytes of the data file hashed at a time on a sidecar check
+
+
+def _loader_digest() -> bytes | None:
+    """SHA-256 of the loader's own source (this module and rng.py) and of
+    the numpy and Python versions it runs on, or None where the source
+    cannot be read: any edit to the loader changes every sidecar key."""
+    import hashlib
+
+    from . import rng
+
+    digest = hashlib.sha256(f"{np.__version__} {sys.version}".encode("utf-8"))
+    try:
+        for source in (__file__, rng.__file__):
+            with open(source, "rb") as fh:
+                digest.update(fh.read())
+    except (OSError, TypeError):  # TypeError: a module without a file
+        return None
+    return digest.digest()
+
+
+def _sidecar_digest(schema_map: Mapping[str, str]):
+    """A SHA-256 object fed all that a sidecar's key covers but the data
+    file's bytes: the loader digest and the canonical schema_map. None where
+    the loader digest is None."""
+    import hashlib
+
+    loader = _loader_digest()
+    if loader is None:
+        return None
+    digest = hashlib.sha256(loader)
+    digest.update(json.dumps(sorted(schema_map.items())).encode("utf-8"))
+    return digest
+
+
+def _sidecar_path(path: str) -> str:
+    head, name = os.path.split(os.fspath(path))
+    return os.path.join(head, f".{name}.posiv")
+
+
+def _column_dtype(name: str, kind: str, n_levels: int) -> np.dtype:
+    """The dtype of a loaded column: a text column's codes take the smallest
+    unsigned type for its level count, and session_depth is float (NaN for
+    an empty cell)."""
+    if kind == "str":
+        return np.min_scalar_type(n_levels)
+    if kind == "float" or name == "session_depth":
+        return np.dtype(np.float64)
+    return np.dtype(np.uint64 if kind == "id" else np.int64)
+
+
+def _hash_file(path: str, digest) -> None:
+    """Feed the file's bytes to digest, _HASH_BLOCK at a time."""
+    block = bytearray(_HASH_BLOCK)
+    view = memoryview(block)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(block):
+            digest.update(view[:n])
+
+
+def _write_sidecar(path: str, key: str, ds: Dataset) -> None:
+    """Write ds as the sidecar of the file at path under key, to a temporary
+    file in the same directory that then replaces the sidecar. Where a write
+    fails, the temporary file is removed and no sidecar is written."""
+    names = list(ds.column_names)
+    levels = {name: lv for name in names if (lv := ds.coded(name)[1]) is not None}
+    header = json.dumps({
+        "key": key, "session": ds.is_session_level(), "rows": ds.n_rows,
+        "dropped": ds.n_dropped, "duplicates": ds.n_duplicates, "columns": names,
+        "levels": {name: [len(lv), lv.dtype.itemsize // 4] for name, lv in levels.items()},
+    }).encode("utf-8")
+    sidecar = _sidecar_path(path)
+    temporary = f"{sidecar}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "wb") as fh:
+            fh.write(_SIDECAR_MAGIC + len(header).to_bytes(8, "little") + header)
+            arrays = [ds.coded(name)[0] for name in names] + list(levels.values())
+            for arr in sorted(arrays, key=lambda arr: -arr.dtype.alignment):
+                fh.write(np.ascontiguousarray(arr))
+        os.replace(temporary, sidecar)
+    except OSError:
+        try:
+            os.remove(temporary)
+        except OSError:
+            pass
+
+
+def _read_sidecar(path: str, digest) -> Dataset | None:
+    """The Dataset held by the sidecar of the file at path, or None when
+    there is none, its key is not digest's once fed the file's bytes, or it
+    does not check out (_unpack)."""
+    try:
+        with open(_sidecar_path(path), "rb", buffering=0) as fh:
+            if fh.read(len(_SIDECAR_MAGIC)) != _SIDECAR_MAGIC:
+                return None
+            size = int.from_bytes(fh.read(8), "little")
+            if size > _MAX_HEADER:
+                return None
+            header = json.loads(fh.read(size))
+            _hash_file(path, digest)
+            if not isinstance(header, dict) or header.get("key") != digest.hexdigest():
+                return None
+            payload = fh.read()
+    except (OSError, ValueError):  # ValueError: a header that is not UTF-8 JSON
+        return None
+    return _unpack(path, header, payload)
+
+
+def _unpack(path: str, header: dict, payload: bytes) -> Dataset | None:
+    """The Dataset of a sidecar's header and payload, or None unless each
+    field has its type and range; the columns are ones a load returns, in
+    schema order; the payload has the exact length they imply; and each text
+    column's codes lie below its level count, and its levels are code points
+    in strictly increasing order."""
+
+    def whole(value, low: int) -> bool:
+        return type(value) is int and value >= low
+
+    session, names, levels = header.get("session"), header.get("columns"), header.get("levels")
+    rows, dropped, n_dup = header.get("rows"), header.get("dropped"), header.get("duplicates")
+    if not (type(session) is bool and whole(rows, 1) and whole(dropped, 0) and whole(n_dup, 0)
+            and isinstance(names, list) and isinstance(levels, dict)):
+        return None
+    schema = SESSION_SCHEMA if session else EDGE_SCHEMA
+    kinds = {name: kind for name, kind, _ in schema}
+    required = {name for name, _, req in schema if req} | {"user_id"}
+    texts = [name for name in kinds if name in names and kinds[name] == "str"]
+    if (names != [name for name in kinds if name in names] or not required <= set(names)
+            or sorted(levels) != sorted(texts)
+            or not all(isinstance(v, list) and len(v) == 2 and whole(v[0], 1) and whole(v[1], 1)
+                       and 4 * v[0] * v[1] <= len(payload) for v in levels.values())):
+        return None
+    arrays = [(_column_dtype(name, kinds[name], levels.get(name, [0])[0]), rows)
+              for name in names]
+    arrays += [(np.dtype((np.str_, levels[name][1])), levels[name][0]) for name in texts]
+    if sum(dtype.itemsize * n for dtype, n in arrays) != len(payload):
+        return None
+    columns, at = [None] * len(arrays), 0
+    for i in sorted(range(len(arrays)), key=lambda i: -arrays[i][0].alignment):
+        dtype, n = arrays[i]
+        columns[i] = np.frombuffer(payload, dtype=dtype, count=n, offset=at)
+        at += dtype.itemsize * n
+    data = dict(zip(names, columns))
+    found = dict(zip(texts, columns[len(names):]))
+    for name, lv in found.items():
+        if (data[name].max() >= len(lv) or lv.view(np.uint32).max() > 0x10FFFF
+                or not (lv[1:] > lv[:-1]).all()):
+            return None
+    return Dataset(
+        data, schema, f"load:{path} dropped={dropped} duplicates={n_dup}",
+        n_dropped=dropped, n_duplicates=n_dup, levels=found,
+    )
+
+
 def load_dataset(path: str, schema_map: Mapping[str, str] | None = None) -> Dataset:
     """Load and validate a dataset (edge level, or session level when the
     header carries the session columns).
@@ -494,6 +690,11 @@ def load_dataset(path: str, schema_map: Mapping[str, str] | None = None) -> Data
     failing type validation are dropped and counted; the count lands in the
     provenance tag. For edge files an absent user_id falls back to
     request_id, so each request is its own cluster.
+
+    A load that parses a regular file writes what it built to a sidecar
+    beside it (_write_sidecar), and a later load of the same bytes with the same
+    schema_map by the same loader source builds the same Dataset from the
+    sidecar without parsing. Any other sidecar is ignored and rewritten.
     """
     schema_map = {} if schema_map is None else schema_map
     if not isinstance(schema_map, Mapping) or not all(
@@ -502,7 +703,21 @@ def load_dataset(path: str, schema_map: Mapping[str, str] | None = None) -> Data
     unknown = set(schema_map) - {name for name, _, _ in EDGE_SCHEMA + SESSION_SCHEMA}
     if unknown:
         raise InputError(f"schema_map names unknown fields: {sorted(unknown)}")
-    header, table = _read_columns(path)
+    digest = _sidecar_digest(schema_map) if os.path.isfile(path) else None
+    if digest is not None:
+        ds = _read_sidecar(path, digest.copy())
+        if ds is not None:
+            return ds
+    ds = _parse(path, schema_map, digest)
+    if digest is not None:
+        _write_sidecar(path, digest.hexdigest(), ds)
+    return ds
+
+
+def _parse(path: str, schema_map: Mapping[str, str], digest) -> Dataset:
+    """load_dataset's Dataset parsed from the file, whose bytes are fed to
+    the hash object digest when one is given."""
+    header, table = _read_columns(path, digest)
 
     session = schema_map.get("n_top_spot", "n_top_spot") in header
     schema = SESSION_SCHEMA if session else EDGE_SCHEMA

@@ -12,6 +12,7 @@ import posiv
 from posiv.cli import build_parser, main
 from posiv.datamodel import Dataset, load_dataset, write_dataset
 from posiv.prepare import top_items
+from posiv.rng import fnv1a64
 from posiv.simulator import SimConfig, simulate
 from posiv.tables import STAR_NOTE, format_value
 
@@ -566,6 +567,39 @@ def test_sample_seed_chooses_among_repeats_in_item_slices(tmp_path):
     assert outputs["0"][0] != outputs["3"][0]
     assert outputs["0"][1] != outputs["3"][1]
     assert outputs["0"][2] != outputs["3"][2]
+
+
+def test_item_flag_reads_a_text_id_as_the_loader_does(ads_outdir, tmp_path, capsys):
+    """--item campaign-00003 names the rows whose item_id cell reads
+    campaign-00003, which the loader hashes with FNV-1a: the same outputs
+    as --item with that hash, and the text kept in the "not present"
+    message."""
+    lines = (ads_outdir / "dataset.csv").read_text(encoding="utf-8").splitlines()
+    column = lines[0].split(",").index("item_id")
+    rows = [line.split(",") for line in lines[1:]]
+    for row in rows:
+        row[column] = f"campaign-{int(row[column]):05d}"
+    data = tmp_path / "campaigns.csv"
+    data.write_text("".join(",".join(r) + "\n" for r in [lines[0].split(","), *rows]),
+                    encoding="utf-8")
+    outputs = {}
+    for item in ("campaign-00003", str(fnv1a64("campaign-00003"))):
+        out = tmp_path / item
+        assert main(["prepare", str(data), "--item", item, "--out", str(out)]) == 0
+        assert main(["estimate", str(data), "--spec", "spec1", "--item", item,
+                     "--out", str(out)]) == 0
+        outputs[item] = [(out / name).read_bytes() for name in ("prepared.csv", "fit.json")]
+    assert outputs["campaign-00003"] == outputs[str(fnv1a64("campaign-00003"))]
+    assert outputs["campaign-00003"][0].count(b"\n") > 1
+    capsys.readouterr()
+    for command in (["prepare"], ["estimate", "--spec", "spec1"]):
+        code = main([command[0], str(data), *command[1:], "--item", "campaign-99999",
+                     "--out", str(tmp_path / "none")])
+        assert code == 2
+        assert "error: item campaign-99999 not present" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:  # a digit that int() rejects: no row has it
+        main(["prepare", str(data), "--item", "²", "--out", str(tmp_path / "none")])
+    assert exc.value.code == 2 and "--item" in capsys.readouterr().err
 
 
 def _run_main(commands: list[list[str]], then: str) -> str:

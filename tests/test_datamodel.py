@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import tracemalloc
 
 import hypothesis.strategies as st
@@ -1056,3 +1057,319 @@ def test_decimal_cells_load_like_rowwise_on_both_front_ends(tmp_path, quoted):
     assert (_split_plain(path.read_bytes()) is None) == quoted
     got = _assert_loads_like_rowwise(path)
     assert got.n_rows > len(cells) // 2
+
+
+# -- column sidecar -------------------------------------------------------------
+
+
+_PARSE = datamodel._parse
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The paths load_dataset parsed, in order; a sidecar hit parses none."""
+    seen = []
+
+    def counting(path, *args):
+        seen.append(path)
+        return _PARSE(path, *args)
+
+    monkeypatch.setattr(datamodel, "_parse", counting)
+    return seen
+
+
+def _sidecar(path):
+    return path.parent / f".{path.name}.posiv"
+
+
+def _assert_same_load(got, want):
+    """Codes, levels and dtypes to the byte, counters and provenance: what
+    Dataset.__eq__ leaves out."""
+    assert got.column_names == want.column_names and got.schema == want.schema
+    for name in want.column_names:
+        for a, b in zip(got.coded(name), want.coded(name)):
+            assert (a is None) == (b is None), name
+            if b is not None:
+                assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+    assert (got.n_dropped, got.n_duplicates, got.provenance) == (
+        want.n_dropped, want.n_duplicates, want.provenance
+    )
+
+
+def _fresh_parse(path, schema_map=None):
+    """The file's load parsed, with no sidecar read or written."""
+    return _PARSE(str(path), schema_map or {}, None)
+
+
+def _sidecar_case(tmp_path, name):
+    """A data file of each kind the sidecar must round-trip, and its
+    schema_map."""
+    ds, _ = simulate(SimConfig(n_users=150, n_items=15, slots_per_request=5,
+                               marketplace_mode="ads", n_reasons=4, seed=3))
+    path = tmp_path / name
+    if name == "plain.csv":
+        write_dataset(ds, str(path))
+    elif name == "crlf_quoted.csv":
+        write_dataset(ds, str(path))
+        text = path.read_text(encoding="utf-8")
+        path.write_bytes(('"' + text.replace(",", '",', 1)).replace("\n", "\r\n").encode())
+        assert _split_plain(path.read_bytes()) is None
+    elif name == "lines.jsonl":
+        path.write_text(
+            '{"request_id": 1, "user_id": 1, "item_id": "a", "position": 1, "outcome": 0,'
+            ' "arm": "contr\\u00f4le", "reason": "r\\ud800", "relevance_score": null}\n'
+            '{"request_id": 2, "user_id": 2, "item_id": 4, "position": 2, "outcome": 1,'
+            ' "arm": "treatment", "reason": "\\u20ac", "relevance_score": 0.25}\n'
+            '{"request_id": 2, "user_id": 2, "item_id": 4, "position": 2, "outcome": 1,'
+            ' "arm": "treatment", "reason": "\\u20ac", "relevance_score": 0.25}\n',
+            encoding="utf-8",
+        )
+    elif name == "dirty.csv":
+        _with_injected_rows(ds, path, seed=7)
+    elif name == "sessions.csv":
+        write_dataset(aggregate_sessions(ds, 2), str(path))
+    else:  # renamed columns and no user_id
+        path.write_text(TABLE1_CSV, encoding="utf-8")
+        return path, TABLE1_MAP
+    return path, None
+
+
+SIDECAR_CASES = ["plain.csv", "crlf_quoted.csv", "lines.jsonl", "dirty.csv", "sessions.csv",
+                 "table1.csv"]
+
+
+@pytest.mark.parametrize("name", SIDECAR_CASES)
+def test_a_sidecar_hit_equals_a_fresh_parse(tmp_path, parses, name):
+    path, schema_map = _sidecar_case(tmp_path, name)
+    want = _fresh_parse(path, schema_map)
+    parses.clear()
+    miss = load_dataset(str(path), schema_map)
+    assert _sidecar(path).is_file() and parses == [str(path)]
+    hit = load_dataset(str(path), schema_map)
+    assert parses == [str(path)]
+    _assert_same_load(miss, want)
+    _assert_same_load(hit, want)
+    if name == "dirty.csv":
+        assert hit.n_dropped > 0 and hit.n_duplicates > 0
+    if name == "lines.jsonl":
+        assert hit.n_duplicates == 1 and "r\ud800" in hit.column("reason").tolist()
+    # the provenance names the path given, not the one the sidecar was written for
+    assert load_dataset(path, schema_map).provenance == f"load:{path} " + (
+        f"dropped={want.n_dropped} duplicates={want.n_duplicates}")
+
+
+def test_other_bytes_of_the_same_size_and_mtime_miss(tmp_path, parses):
+    path, _ = _sidecar_case(tmp_path, "plain.csv")
+    first = load_dataset(str(path))
+    stat = path.stat()
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines(keepends=True)
+    assert lines[1].split(",")[4] == "0"  # outcome of the first row
+    cells = lines[1].split(",")
+    cells[4] = "1"
+    path.write_text(lines[0] + ",".join(cells) + "".join(lines[2:]), encoding="utf-8")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+    second = load_dataset(str(path))
+    assert len(parses) == 2 and second.column("outcome")[0] == 1 != first.column("outcome")[0]
+    _assert_same_load(second, _fresh_parse(path))
+    _assert_same_load(load_dataset(str(path)), second)  # the rewritten sidecar
+    assert len(parses) == 2
+
+
+def test_another_schema_map_misses_and_rewrites_the_sidecar(tmp_path, parses):
+    path = tmp_path / "two_outcomes.csv"
+    path.write_text("request_id,user_id,item_id,position,outcome,clicked,arm\n"
+                    "1,1,10,1,0,1,control\n2,2,10,1,1,1,treatment\n", encoding="utf-8")
+    clicked = {"outcome": "clicked"}
+    for schema_map, outcomes, n_parses in [(None, [0, 1], 1), (None, [0, 1], 1),
+                                           (clicked, [1, 1], 2), (clicked, [1, 1], 2),
+                                           (None, [0, 1], 3)]:
+        ds = load_dataset(str(path), schema_map)
+        assert ds.column("outcome").tolist() == outcomes and len(parses) == n_parses
+
+
+def _sidecar_parts(blob):
+    magic = datamodel._SIDECAR_MAGIC
+    at = len(magic) + 8
+    size = int.from_bytes(blob[len(magic):at], "little")
+    return json.loads(blob[at:at + size]), blob[at + size:]
+
+
+def _sidecar_blob(header, payload):
+    text = json.dumps(header).encode("utf-8")
+    return datamodel._SIDECAR_MAGIC + len(text).to_bytes(8, "little") + text + payload
+
+
+def _offset(header, name):
+    """Payload offset of a column, or of its levels given name + " levels"."""
+    kinds = {n: k for n, k, _ in (SESSION_SCHEMA if header["session"] else EDGE_SCHEMA)}
+    arrays = [(n, datamodel._column_dtype(n, kinds[n], header["levels"].get(n, [0])[0]),
+               header["rows"]) for n in header["columns"]]
+    arrays += [(n + " levels", np.dtype((np.str_, width)), count)
+               for n, (count, width) in header["levels"].items()]
+    at = 0
+    for n, dtype, count in sorted(arrays, key=lambda a: -a[1].alignment):
+        if n == name:
+            return at
+        at += dtype.itemsize * count
+    raise KeyError(name)
+
+
+def _patched(blob, name, at, data):
+    header, payload = _sidecar_parts(blob)
+    at += _offset(header, name)
+    return _sidecar_blob(header, payload[:at] + data + payload[at + len(data):])
+
+
+def _with_header(blob, **fields):
+    header, payload = _sidecar_parts(blob)
+    return _sidecar_blob({**header, **fields}, payload)
+
+
+BAD_SIDECARS = {
+    "empty": lambda blob, other: b"",
+    "magic only": lambda blob, other: datamodel._SIDECAR_MAGIC,
+    "truncated by a byte": lambda blob, other: blob[:-1],
+    "truncated by half": lambda blob, other: blob[:len(blob) // 2],
+    "a byte too long": lambda blob, other: blob + b"\0",
+    "a row too few": lambda blob, other: _with_header(blob, rows=_sidecar_parts(blob)[0]["rows"] - 1),
+    "garbage": lambda blob, other: np.random.default_rng(5).bytes(len(blob)),
+    "another file's": lambda blob, other: other,
+    "huge header length": lambda blob, other: (
+        datamodel._SIDECAR_MAGIC + (2**62).to_bytes(8, "little") + blob[len(datamodel._SIDECAR_MAGIC) + 8:]),
+    "header not JSON": lambda blob, other: blob.replace(b'{"key"', b'{"key\xff', 1),
+    "header a list": lambda blob, other: _sidecar_blob([1], _sidecar_parts(blob)[1]),
+    "a row too many": lambda blob, other: _with_header(blob, rows=_sidecar_parts(blob)[0]["rows"] + 1),
+    "rows as text": lambda blob, other: _with_header(blob, rows=str(_sidecar_parts(blob)[0]["rows"])),
+    "negative drops": lambda blob, other: _with_header(blob, dropped=-1),
+    "a session file": lambda blob, other: _with_header(blob, session=True),
+    "columns out of order": lambda blob, other: _with_header(
+        blob, columns=_sidecar_parts(blob)[0]["columns"][::-1]),
+    "an unknown column": lambda blob, other: _with_header(
+        blob, columns=_sidecar_parts(blob)[0]["columns"] + ["n_top_spot"]),
+    "no levels": lambda blob, other: _with_header(blob, levels={}),
+    "levels of a number column": lambda blob, other: _with_header(
+        blob, levels={**_sidecar_parts(blob)[0]["levels"], "position": [1, 1]}),
+    "a huge level width": lambda blob, other: _with_header(
+        blob, levels={**_sidecar_parts(blob)[0]["levels"], "arm": [2, 2**40]}),
+    "a code past the levels": lambda blob, other: _patched(blob, "arm", 0, b"\x07"),
+    "levels out of order": lambda blob, other: _patched(
+        blob, "arm levels", 0, "treatment".encode("utf-32-le") + "control\0\0".encode("utf-32-le")),
+    "a level past U+10FFFF": lambda blob, other: _patched(  # in order, as its first character
+        blob, "arm levels", 4 * 9, (0x110000).to_bytes(4, "little")),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_SIDECARS))
+def test_a_bad_sidecar_is_ignored_and_rewritten(tmp_path, parses, bad):
+    path, _ = _sidecar_case(tmp_path, "plain.csv")
+    other = tmp_path / "other.csv"
+    other.write_text(TABLE1_CSV, encoding="utf-8")
+    load_dataset(str(other), TABLE1_MAP)
+    want = load_dataset(str(path))
+    good = _sidecar(path).read_bytes()
+    assert _sidecar_parts(good)[0]["levels"]["arm"] == [2, 9]  # control, treatment
+    _sidecar(path).write_bytes(BAD_SIDECARS[bad](good, _sidecar(other).read_bytes()))
+    parses.clear()
+    _assert_same_load(load_dataset(str(path)), want)
+    assert parses == [str(path)]
+    assert _sidecar(path).read_bytes() == good
+
+
+def test_a_changed_loader_source_misses(tmp_path, parses, monkeypatch):
+    path, _ = _sidecar_case(tmp_path, "plain.csv")
+    want = load_dataset(str(path))
+    monkeypatch.setattr(datamodel, "_loader_digest", lambda: b"an edited loader")
+    _assert_same_load(load_dataset(str(path)), want)
+    _assert_same_load(load_dataset(str(path)), want)
+    assert len(parses) == 2
+    monkeypatch.setattr(datamodel, "_loader_digest", lambda: None)  # source unreadable
+    _sidecar(path).unlink()
+    _assert_same_load(load_dataset(str(path)), want)
+    assert len(parses) == 3 and not _sidecar(path).exists()
+
+
+@pytest.mark.parametrize("error, text", [
+    (EmptyDataset, "request_id,user_id,item_id,position,outcome,arm\n1,1,10,0,0,control\n"),
+    (MissingColumn, "request_id,user_id,item_id,position\n1,1,1,1\n"),
+    (MixedArmsWithinUser, "request_id,user_id,item_id,position,outcome,arm\n"
+                          "1,7,10,1,0,control\n2,7,11,1,0,treatment\n"),
+])
+def test_a_failed_load_leaves_no_sidecar(tmp_path, parses, error, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    messages = []
+    for _ in range(2):
+        with pytest.raises(error) as exc:
+            load_dataset(str(path))
+        messages.append(str(exc.value))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
+    assert len(parses) == 2 and messages[0] == messages[1]
+
+
+def test_a_failed_sidecar_write_leaves_no_file(tmp_path, parses, monkeypatch):
+    path, _ = _sidecar_case(tmp_path, "plain.csv")
+
+    def failing(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing)
+    want = _fresh_parse(path)
+    for _ in range(2):
+        _assert_same_load(load_dataset(str(path)), want)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.csv"]
+    assert len(parses) == 2
+
+
+def test_a_sidecar_hit_peak_memory_is_about_the_columns(tmp_path, parses):
+    """tracemalloc peak of a hit on a 20k-row ads file with text ids,
+    against the bytes of the coded columns and levels it returns: the
+    payload is read once and the columns are views of it."""
+    ds, _ = simulate(SimConfig(n_users=2000, n_items=100, slots_per_request=10,
+                               n_reasons=22, marketplace_mode="ads", seed=1))
+    path = tmp_path / "ads.csv"
+    want = _with_text_ids(ds, path)
+    load_dataset(str(path))
+    tracemalloc.start()
+    try:
+        got = load_dataset(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want and got.n_rows == 20_000 and len(parses) == 1
+    coded = sum(a.nbytes for n in got.column_names for a in got.coded(n) if a is not None)
+    assert peak <= 1.5 * coded, (peak, coded)
+
+
+@pytest.mark.parametrize("name", ["plain.csv", "crlf_quoted.csv", "lines.jsonl"])
+def test_a_byte_order_mark_is_skipped(tmp_path, name):
+    """A file saved as "CSV UTF-8" starts with the UTF-8 byte-order mark;
+    one leading mark is no part of the first header name."""
+    path, _ = _sidecar_case(tmp_path, name)
+    marked = tmp_path / ("marked" + path.suffix)
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    got, want = load_dataset(str(marked)), load_dataset(str(path))
+    assert got == want and got.n_rows == want.n_rows > 0
+    assert (_split_plain(path.read_bytes()) is None) == (name != "plain.csv")
+    twice = tmp_path / "twice.csv"  # a second mark is a character of the header
+    twice.write_bytes(b"\xef\xbb\xbf" + marked.read_bytes())
+    if name != "lines.jsonl":
+        with pytest.raises(MissingColumn):
+            load_dataset(str(twice))
+
+
+def test_split_plain_in_blocks_matches_one_scan(tmp_path, monkeypatch):
+    ds, _ = simulate(SimConfig(n_users=150, n_items=15, slots_per_request=5, seed=3))
+    path = tmp_path / "pymk.csv"
+    write_dataset(ds, str(path))
+    data = path.read_bytes()
+    want = _split_plain(data)
+    for block in (1, 7, 64, len(data) - 1, len(data)):
+        monkeypatch.setattr(datamodel, "_SCAN_BYTES", block)
+        header, table = _split_plain(data)
+        assert header == want[0]
+        for name, cells in table.items():
+            assert np.array_equal(cells.start, want[1][name].start), (block, name)
+            assert np.array_equal(cells.end, want[1][name].end), (block, name)
+            assert cells.start.dtype == np.int32
