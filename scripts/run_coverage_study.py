@@ -9,12 +9,11 @@ true position slope.
 import argparse
 import warnings
 
-from scipy import stats as sstats
-
 from posiv.estimator import fit_2sls
 from posiv.prepare import build_design, sample_one_per_request
 from posiv.simulator import SimConfig, simulate
 from posiv.specs import get_spec
+from posiv.tails import stdtrit
 
 
 def run(reps: int, n_users: int, requests: int, true_slope: float) -> None:
@@ -34,7 +33,7 @@ def run(reps: int, n_users: int, requests: int, true_slope: float) -> None:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fit = fit_2sls(design)
-        tcrit = sstats.t.ppf(0.975, fit.n_clusters - 1)
+        tcrit = float(stdtrit(fit.n_clusters - 1, 0.975))
         if abs(fit.coefficient("position") - true_slope) <= tcrit * fit.se_of("position"):
             covered += 1
         if (seed + 1) % 50 == 0:

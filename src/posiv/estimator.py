@@ -35,11 +35,12 @@ bucket builds only its own items' instrument columns, so each matrix LAPACK
 factors is the one a fit of that item alone would factor, and a large item,
 or one with arm levels of its own, costs memory only in its own bucket.
 
-Each kernel is one fit over a fixed stack. A check that fails raises for the
-items it flags; they report that EstimationError, and the bucket is fitted
-again without them, once per failing check, so an item leaves at the first
-check it fails and the others go on. A single design is the B = 1 case: one
-bucket of one, where a failure raises.
+Each kernel makes one pass over a stack and fails items by mask, as
+build_design does: a check records its error for each item it flags that has
+none yet, and gives those items finite stand-ins (unit singular values, an
+identity first-stage covariance, G = 2, a unit ILS denominator) for the rest
+of the pass. A check on shape fails the whole bucket and skips the kernel. A
+single design is one bucket of one, whose error is raised.
 """
 
 from __future__ import annotations
@@ -172,43 +173,30 @@ class EffectEstimate:
     per_item: tuple[tuple[str, float], ...]
 
 
-class _Failed(Exception):
-    """A check failed the items flagged in bad; error(i) is item i's error."""
-
-    def __init__(self, bad: np.ndarray, error):
-        super().__init__()
-        self.bad, self.error = bad, error
-
-
 class _Stack:
     """Same-shape designs of B items on a leading axis: y (B, n), w/z/x
     (B, n, .), cluster codes (B, n) numbered 0.. within each item, and the
     item positions they came from.
 
-    A kernel fits the whole stack or none of it: check() raises _Failed for
-    the items a check flags, and _per_item fits without(those items) again.
-    Each matrix of a batched qr, svd, solve or matmul, and each cluster sum,
-    is computed on its own, so the items left get bit-identical numbers in
-    the smaller stack and pass the checks they passed before.
+    check() marks the items a check flags in failed, and the first error an
+    item meets becomes its entry of results. Each matrix of a batched qr,
+    svd, solve or matmul, and each cluster sum, is computed on its own, so a
+    failed item's stand-ins leave the other items' numbers as they would be
+    in a stack without it.
     """
 
-    def __init__(self, pos, z_names, y, w, z, x, codes):
+    def __init__(self, pos, z_names, y, w, z, x, codes, results):
         self.pos, self.z_names = pos, z_names
         self.y, self.w, self.z, self.x = y, w, z, x
         self.codes, self.n_clusters = codes, codes.max(axis=-1) + 1
+        self.failed, self.results = np.zeros(len(pos), dtype=bool), results
 
-    def without(self, bad: np.ndarray) -> _Stack:
-        keep = np.flatnonzero(~bad)
-        return _Stack(
-            self.pos[keep], [self.z_names[i] for i in keep],
-            self.y[keep], self.w[keep], self.z[keep], self.x[keep], self.codes[keep],
-        )
-
-    @staticmethod
-    def check(bad: np.ndarray, error) -> None:
+    def check(self, bad: np.ndarray, error) -> None:
         """Fail the items flagged in bad with error(i)."""
         if bad.any():
-            raise _Failed(bad, error)
+            for i in np.flatnonzero(bad & ~self.failed).tolist():
+                self.results[self.pos[i]] = error(i)
+            self.failed |= bad
 
     def fail_all(self, error: EstimationError) -> None:
         self.check(np.ones(len(self.pos), dtype=bool), lambda i: error)
@@ -219,16 +207,16 @@ class _Stack:
         ))
 
 
-def _stacks(design: DesignMatrix):
+def _stacks(design: DesignMatrix, results: list):
     """The design's items grouped by exact shape (rows, instruments), one
-    _Stack per shape, each with its own instrument columns; a design not
-    stacked by item is one stack of one."""
+    _Stack per shape, each with its own instrument columns and failing its
+    items into results; a design not stacked by item is one stack of one."""
     items = design.items
     if items is None:
         codes = np.unique(design.clusters, return_inverse=True)[1]
         yield _Stack(
             np.zeros(1, dtype=np.intp), [design.z_names], design.y[None],
-            design.w[None], design.z[None], design.x[None], codes[None],
+            design.w[None], design.z[None], design.x[None], codes[None], results,
         )
         return
     sizes, p_z = np.diff(items.bounds), np.diff(items.z_bounds)
@@ -244,60 +232,64 @@ def _stacks(design: DesignMatrix):
             pos, [tuple(items.z_names[c] for c in cols) for cols in z_cols.tolist()],
             design.y[rows], design.w[rows],
             (items.instrument[rows][..., None] == z_cols[:, None, :]).astype(float),
-            design.x[rows], items.codes[rows],
+            design.x[rows], items.codes[rows], results,
         )
 
 
 def _per_item(design: DesignMatrix, kernel, build) -> list:
     """Each item's result, or the EstimationError it failed with, in item
-    order. kernel fits one bucket's stack to arrays with the bucket's items
-    on the leading axis; a bucket with failing items is fitted again without
-    them, once per failing check. build(design, done) turns the (stack,
-    arrays) of every bucket that fitted into their items' results at once,
-    so each distribution function runs once per design, not per bucket. A
-    design not stacked by item has one item, which raises."""
+    order. kernel makes one pass over a bucket's stack and returns arrays with
+    its items on the leading axis (None when it fails them all). build(design,
+    done) turns every bucket's (stack, ok, arrays), cut to the items ok that
+    did not fail, into their results at once, so each distribution function
+    runs once per design, not per bucket."""
     results = [None] if design.items is None else list(design.items.errors)
     done = []
-    for stack in _stacks(design):
-        while len(stack.pos):
-            try:
-                done.append((stack, kernel(design, stack)))
-            except _Failed as failed:
-                if design.items is None:
-                    raise failed.error(0) from None
-                for i in np.flatnonzero(failed.bad):
-                    results[stack.pos[i]] = failed.error(i)
-                stack = stack.without(failed.bad)
-            else:
-                break
+    for stack in _stacks(design, results):
+        out = kernel(design, stack)
+        ok = np.flatnonzero(~stack.failed)
+        if ok.size:
+            done.append((stack, ok, [a[ok] for a in out]))
     if done:
-        pos = np.concatenate([stack.pos for stack, _ in done])
+        pos = np.concatenate([stack.pos[ok] for stack, ok, _ in done])
         for g, result in zip(pos.tolist(), build(design, done)):
             results[g] = result
     return results
 
 
 def _unstack(design: DesignMatrix, results: list):
+    """A stacked design's results; a single design's result, or its error raised."""
+    if design.items is None and isinstance(results[0], EstimationError):
+        raise results[0]
     return results if design.items is not None else results[0]
+
+
+def _raise_first(bad: np.ndarray, error) -> None:
+    """The failure rule of a lone call: raise the first flagged item's error."""
+    if bad.any():
+        raise error(int(np.argmax(bad)))
 
 
 class _Factorization:
     """One R-only QR of a stack of same-shape [M, right-hand sides], of which
     only the k rows R[..., :k, :] are kept (M has k columns), and an SVD of
     their k x k leading block R_11. Since M'M = R_11'R_11, that SVD gives
-    the condition check, solve and sandwich bread. An item whose M reaches
-    condition number 1e12 fails as Collinear."""
+    the condition check, solve and sandwich bread. fail(bad, error) fails the
+    items whose M reaches condition number 1e12 as Collinear, and unit
+    singular values keep their solve and bread finite."""
 
-    def __init__(self, a: np.ndarray, k: int, what: str):
+    def __init__(self, a: np.ndarray, k: int, what: str, fail):
         if a.shape[-2] < k:
             raise Underdetermined(f"{a.shape[-2]} rows for {k} {what} columns")
         self.r = np.linalg.qr(a, mode="r")[..., :k, :]
         self.u, self.s, self.vt = np.linalg.svd(self.r[..., :k])
         with np.errstate(divide="ignore", invalid="ignore"):
             cond = np.where(self.s[:, -1] <= 0.0, math.inf, self.s[:, 0] / self.s[:, -1])
-        _Stack.check(cond >= CONDITION_LIMIT, lambda i: Collinear(
+        collinear = cond >= CONDITION_LIMIT
+        fail(collinear, lambda i: Collinear(
             f"{what} matrix condition number {cond[i]:.3g} exceeds 1e12"
         ))
+        self.s[collinear] = 1.0
 
     def solve(self) -> np.ndarray:
         """Per matrix, the (k, r) coefficients of the r right-hand sides on M."""
@@ -325,6 +317,8 @@ def cluster_cov(
     G_b. The score sums of every matrix come from one bincount over codes
     offset per matrix, which adds each cluster's scores in row order; when
     every matrix's codes are 0..n-1 in row order, the scores are the sums.
+    Only a single matrix raises TooFewClusters: a matrix of a stack with
+    fewer than 2 clusters is scaled as if G were 2, for its caller to fail.
     """
     single = m.ndim == 2
     if single:
@@ -332,13 +326,10 @@ def cluster_cov(
         m, residuals, clusters = m[None], residuals[None], clusters[None]
         bread = None if bread is None else bread[None]
     n_groups = clusters.max(axis=-1, initial=-1) + 1
-    if n_groups.min() < 2:
-        raise TooFewClusters(f"need at least 2 clusters, got {n_groups.min()}")
+    if single and n_groups[0] < 2:
+        raise TooFewClusters(f"need at least 2 clusters, got {n_groups[0]}")
     if bread is None:
-        try:
-            bread = _Factorization(m, m.shape[-1], "regressor").bread()
-        except _Failed as failed:
-            raise failed.error(int(np.argmax(failed.bad))) from None
+        bread = _Factorization(m, m.shape[-1], "regressor", _raise_first).bread()
     b, n, k = m.shape
     scores = m * residuals[..., None]
     offsets = np.cumsum(n_groups) - n_groups
@@ -358,7 +349,8 @@ def cluster_cov(
         else:
             blocks = sums[offsets[of_g][:, None] + np.arange(g)]
         meat[of_g] = blocks.swapaxes(-1, -2) @ blocks
-    scale = (n_groups / (n_groups - 1.0)) * ((n - 1.0) / max(n - k, 1))
+    groups = np.maximum(n_groups, 2)
+    scale = (groups / (groups - 1.0)) * ((n - 1.0) / max(n - k, 1))
     cov = bread @ meat @ bread * scale[:, None, None]
     cov = 0.5 * (cov + cov.swapaxes(-1, -2))
     return (cov[0], int(n_groups[0])) if single else (cov, n_groups)
@@ -407,12 +399,12 @@ def _inference(
 def _fit_results(method: str, design: DesignMatrix, done: list) -> list[FitResult]:
     """The FitResults of every bucket's items, in bucket order: one stdtr
     call gives all their p-values and one stacked_stars call their stars."""
-    fits = _Fits(*(np.concatenate(parts) for parts in zip(*(out for _, out in done))))
+    fits = _Fits(*(np.concatenate(parts) for parts in zip(*(out for _, _, out in done))))
     p_value = 2.0 * tails.stdtr((fits.n_clusters - 1)[:, None], -np.abs(fits.t_stat))
     stars = stacked_stars(p_value).tolist()
     weakest = fits.first_stage_f.min(axis=1, initial=math.inf)
     labels = [None if design.items is None else design.items.labels[g]
-              for stack, _ in done for g in stack.pos]
+              for stack, ok, _ in done for g in stack.pos[ok]]
     names = design.w_names + design.x_names
     return [
         FitResult(
@@ -441,7 +433,7 @@ def _fit_results(method: str, design: DesignMatrix, done: list) -> list[FitResul
 
 def _ols(design: DesignMatrix, s: _Stack) -> _Fits:
     m = np.concatenate([s.w, s.x], axis=-1)
-    fact = _Factorization(np.concatenate([m, s.y[..., None]], axis=-1), m.shape[-1], "design")
+    fact = _Factorization(np.concatenate([m, s.y[..., None]], -1), m.shape[-1], "design", s.check)
     return _inference(design, s, fact.solve()[..., 0], m, fact.bread())
 
 
@@ -466,7 +458,7 @@ def _first_stage(design: DesignMatrix, s: _Stack):
     p_z, p_w = s.z.shape[-1], s.w.shape[-1]
     a = np.concatenate([s.z, s.x, s.w, s.y[..., None]], axis=-1)
     k = p_z + s.x.shape[-1]
-    fact = _Factorization(a, k, "instrument")
+    fact = _Factorization(a, k, "instrument", s.check)
     if design.w_names:  # the first cluster sum comes before anything else can fail
         s.check_clusters()
     solved = fact.solve()  # (B, p_z + p_x, p_w + 1)
@@ -478,6 +470,7 @@ def _first_stage(design: DesignMatrix, s: _Stack):
     for j in range(p_w):
         cov_zz = cluster_cov(p, s.w[..., j] - fitted[..., j], s.codes, bread)[0][:, :p_z, :p_z]
         se[:, j] = np.sqrt(np.clip(np.diagonal(cov_zz, axis1=-2, axis2=-1), 0.0, None))
+        cov_zz[s.failed] = np.eye(p_z)  # a failed item's cov_zz can be singular
         try:
             wald = np.linalg.solve(cov_zz, coef[:, j, :, None])
         except np.linalg.LinAlgError:  # a cov_zz exactly singular: F by pinv for the stack
@@ -495,15 +488,15 @@ def _projected(s: _Stack, first: _Factorization, w_hat: np.ndarray):
     k = r.shape[-2]
     block = np.concatenate([r[..., k:-1], r[..., p_z:k], r[..., -1:]], axis=-1)
     m2 = np.concatenate([w_hat, s.x], axis=-1)
-    return m2, _Factorization(block, m2.shape[-1], "projected design")
+    return m2, _Factorization(block, m2.shape[-1], "projected design", s.check)
 
 
 def _two_stage(design: DesignMatrix, s: _Stack) -> _Fits:
     p_w, p_z = design.w.shape[1], s.z.shape[-1]
     if p_w == 0:
-        s.fail_all(Underidentified("no endogenous columns to instrument"))
+        return s.fail_all(Underidentified("no endogenous columns to instrument"))
     if p_z < p_w:
-        s.fail_all(Underidentified(f"{p_z} instruments for {p_w} endogenous columns"))
+        return s.fail_all(Underidentified(f"{p_z} instruments for {p_w} endogenous columns"))
     first, _, w_hat, _, _, f_stat = _first_stage(design, s)
     m2, fact2 = _projected(s, first, w_hat)
     return _inference(design, s, fact2.solve()[..., 0], m2, fact2.bread(), f_stat)
@@ -521,7 +514,7 @@ def fit_2sls(design: DesignMatrix) -> FitResult:
 def _indirect(design: DesignMatrix, s: _Stack) -> _Fits:
     p_w, p_z = design.w.shape[1], s.z.shape[-1]
     if p_w != 1 or p_z != 1:
-        s.fail_all(NotJustIdentified(
+        return s.fail_all(NotJustIdentified(
             f"ILS needs exactly 1 endogenous and 1 instrument column, got {p_w} and {p_z}"
         ))
     first, solved, w_hat, _, se, _ = _first_stage(design, s)
@@ -538,6 +531,7 @@ def _indirect(design: DesignMatrix, s: _Stack) -> _Fits:
         return ZeroFirstStage("first-stage coefficient is exactly zero")
 
     s.check(indistinct | ((se_pi == 0.0) & (pi == 0.0)), zero)
+    pi = np.where(s.failed, 1.0, pi)  # a failed item's pi can be 0
     rho = solved[..., -1]  # reduced form on [Z, X]
     beta_w = rho[:, 0] / pi
     beta_x = rho[:, 1:] - solved[:, 1:, 0] * beta_w[:, None]
@@ -558,7 +552,7 @@ def fit_ils(design: DesignMatrix) -> FitResult:
 
 def _first_stage_only(design: DesignMatrix, s: _Stack):
     if s.z.shape[-1] == 0:
-        s.fail_all(Underidentified("design has no instruments"))
+        return s.fail_all(Underidentified("design has no instruments"))
     return _first_stage(design, s)[3:]
 
 
@@ -566,15 +560,15 @@ def _first_stage_reports(design: DesignMatrix, done: list) -> list[FirstStageRep
     """The FirstStageReports of every bucket's items, in bucket order: one
     fdtrc call gives all their F p-values and one stdtrit call their CI
     critical values."""
-    at = np.cumsum([len(stack.pos) for stack, _ in done])[:-1]
-    df = np.concatenate([stack.n_clusters for stack, _ in done]) - 1
-    p_z = np.concatenate([np.full(len(stack.pos), stack.z.shape[-1]) for stack, _ in done])
-    f_stats = np.concatenate([f_stat for _, (_, _, f_stat) in done])
+    at = np.cumsum([ok.size for _, ok, _ in done])[:-1]
+    df = np.concatenate([s.n_clusters[ok] for s, ok, _ in done]) - 1
+    p_z = np.concatenate([np.full(ok.size, s.z.shape[-1]) for s, ok, _ in done])
+    f_stats = np.concatenate([f_stat for _, _, (_, _, f_stat) in done])
     # a near-singular cov_zz can leave F a rounding error below 0, where fdtrc is 1
     p_values = np.split(tails.fdtrc(p_z[:, None], df[:, None], f_stats), at)
     tcrits = np.split(tails.stdtrit(df, 0.975), at)
     reports = []
-    for (s, (coef, se, f_stat)), p_value, tcrit in zip(done, p_values, tcrits):
+    for (s, ok, (coef, se, f_stat)), p_value, tcrit in zip(done, p_values, tcrits):
         half_width = tcrit[:, None, None] * se
         ci_low, ci_high = coef - half_width, coef + half_width
         lead = np.select([ci_high[..., 0] < 0, ci_low[..., 0] > 0], ["negative", "positive"], "null")
@@ -583,7 +577,7 @@ def _first_stage_reports(design: DesignMatrix, done: list) -> list[FirstStageRep
                 equations=tuple(
                     FirstStageEquation(
                         endogenous=name,
-                        instrument_names=s.z_names[i],
+                        instrument_names=s.z_names[g],
                         coef=coef[i, j],
                         se=se[i, j],
                         ci_low=ci_low[i, j],
@@ -595,9 +589,9 @@ def _first_stage_reports(design: DesignMatrix, done: list) -> list[FirstStageRep
                     for j, name in enumerate(design.w_names)
                 ),
                 n_obs=s.y.shape[-1],
-                n_clusters=int(s.n_clusters[i]) if design.w_names else 0,
+                n_clusters=int(s.n_clusters[g]) if design.w_names else 0,
             )
-            for i in range(len(s.pos))
+            for i, g in enumerate(ok.tolist())
         ]
     return reports
 

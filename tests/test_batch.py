@@ -10,7 +10,9 @@ import pytest
 
 from posiv.cli import main
 from posiv.datamodel import Dataset, write_dataset
-from posiv.errors import Collinear, ConstantColumn, EstimationError, TooFewClusters
+from posiv.errors import (
+    Collinear, ConstantColumn, EstimationError, TooFewClusters, ZeroFirstStage,
+)
 from posiv.estimator import FirstStageReport, FitResult, first_stage, fit_2sls, fit_ils, fit_ols
 from posiv.prepare import DesignMatrix, ItemBlocks, build_design, slice_by_item, top_items
 from posiv.simulator import SimConfig, simulate
@@ -154,9 +156,10 @@ def test_batch_matches_one_item_at_a_time(mixed, seed, spec_name):
     assert 1 < len(set(shapes)) < len(shapes)  # several buckets, some holding many items
 
 
-def test_a_bucket_is_fitted_again_once_per_failing_check(mixed, factorizations):
-    """Items that fail one check leave their bucket together: ILS fits each
-    bucket once more per failing check, not once more per failing item."""
+def test_ils_factors_each_bucket_once_though_some_of_its_items_fail(mixed, factorizations):
+    """ILS fails items of the mixed fixture as ZeroFirstStage in buckets
+    whose other items fit: a failed item stays in its stack, so each
+    bucket's tall matrix is factored once, with all its items."""
     ds, items = mixed
     design = build_design(slice_by_item(ds, items, 0), ILS, by_item=True)
     fits = fit_ils(design)
@@ -165,13 +168,10 @@ def test_a_bucket_is_fitted_again_once_per_failing_check(mixed, factorizations):
     for g, error in enumerate(design.items.errors):
         if error is None:
             buckets.setdefault((rows[g], cols[g]), []).append(fits[g])
-    failed = [[r for r in fitted if isinstance(r, EstimationError)] for fitted in buckets.values()]
-    checks = [len({type(error) for error in f}) for f in failed]  # ZeroFirstStage only, here
-    per_check = sum(1 + c for c in checks)  # a pass factors its n rows once
-    per_item = sum(len(f) + 1 for f in failed)  # refitting once per item
-    assert per_check < per_item
+    assert any(any(isinstance(r, ZeroFirstStage) for r in fitted)
+               and any(isinstance(r, FitResult) for r in fitted) for fitted in buckets.values())
     tall = [shape for shape in factorizations["qr"] if shape[-2] in rows]
-    assert len(buckets) <= len(tall) <= per_check
+    assert sorted(shape[:2] for shape in tall) == sorted((len(f), n) for (n, _), f in buckets.items())
     assert all(shape[-2] == shape[-1] not in rows for shape in factorizations["svd"])
 
 
@@ -211,6 +211,63 @@ def test_a_collinear_projected_design_fails_only_its_item():
         _assert_same(got, want)
 
 
+def _bucket(parts, arms: int) -> DesignMatrix:
+    """A design stacked by item whose items are parts, (y, w, arm, x, codes)
+    with the same row count: arm is each row's arm (-1 for the baseline, 0..
+    for the treated arms), one instrument column per treated arm and item,
+    and x one control, so all the items share one bucket."""
+    n, b = len(parts[0][0]), len(parts)
+    items = ItemBlocks(
+        labels=tuple(str(g) for g in range(b)), bounds=np.arange(b + 1) * n,
+        codes=np.concatenate([p[4] for p in parts]),
+        instrument=np.concatenate([np.where(p[2] < 0, -1, p[2] + arms * g)
+                                   for g, p in enumerate(parts)]),
+        z_names=tuple(f"z{c}" for c in range(arms * b)), z_cols=np.arange(arms * b),
+        z_bounds=np.arange(b + 1) * arms, errors=(None,) * b,
+    )
+    x = np.concatenate([p[3] for p in parts])
+    return DesignMatrix(
+        y=np.concatenate([p[0] for p in parts]), w=np.concatenate([p[1] for p in parts])[:, None],
+        z=np.empty((x.size, 0)), x=np.column_stack([x, np.ones(x.size)]),
+        w_names=("w",), z_names=(), x_names=("x", "Constant"),
+        clusters=np.zeros(x.size, dtype=np.uint64), items=items,
+    )
+
+
+@pytest.mark.parametrize("fit, arms", [(fit_2sls, 2), (fit_ols, 2), (fit_ils, 1)])
+def test_failed_items_leave_the_other_items_of_their_bucket_bit_identical(fit, arms):
+    """One item whose control is all zeros (an exactly singular R_11, so a
+    zero singular value) and one whose rows are one cluster (with a zero
+    endogenous column, so its first-stage covariance and ILS denominator are
+    exactly 0) fail inside a bucket of well-posed items. Their stand-ins
+    keep every number finite: the stacked solve raises no LinAlgError, no
+    RuntimeWarning appears, and every other item gets the bytes it gets in
+    the bucket without them."""
+    rng = np.random.default_rng(21)
+    n = 120
+    parts = []
+    for _ in range(5):
+        arm = rng.integers(-1, arms, n)
+        x = rng.normal(size=n)
+        w = np.select([arm == 0, arm == 1], [1.5, -0.7], 0.0) + 0.5 * x + rng.normal(size=n)
+        parts.append((0.3 - 0.2 * w + x + rng.normal(size=n), w, arm, x, np.arange(n) % 30))
+    singular, one_cluster = 1, 3
+    y, w, arm, x, codes = parts[singular]
+    parts[singular] = (y, w, arm, np.zeros(n), codes)
+    y, w, arm, x, codes = parts[one_cluster]
+    parts[one_cluster] = (y, np.zeros(n), arm, x, np.zeros(n, dtype=np.intp))
+    good = [g for g in range(len(parts)) if g not in (singular, one_cluster)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fits = fit(_bucket(parts, arms))
+        alone = fit(_bucket([parts[g] for g in good], arms))
+    assert isinstance(fits[singular], Collinear)
+    assert isinstance(fits[one_cluster], Collinear if fit is fit_ols else TooFewClusters)
+    for got, want in zip([fits[g] for g in good], alone, strict=True):
+        assert (got.coef == want.coef).all() and (got.cov == want.cov).all()
+        assert got.first_stage_f == want.first_stage_f
+
+
 def _own_arm_labels(ds: Dataset, copies: int = 1) -> Dataset:
     """ds with each item's arm levels renamed "<item>:<arm>", so that no two
     items share an arm level, as in a log where every campaign names its own
@@ -238,10 +295,10 @@ def test_items_with_their_own_arm_labels_fit_as_alone(mixed, spec_name):
     assert sum(isinstance(r, FitResult) for r in batch) > len(items) // 3
 
 
-def test_items_refitted_in_a_bucket_keep_their_own_instrument_names(mixed):
+def test_items_in_a_bucket_with_a_failed_item_keep_their_own_instrument_names(mixed):
     """A bucket of items that each name their own arms, one of which fails
     at fit time (all its rows from one user: TooFewClusters) ahead of the
-    others: the items fitted again keep their own instrument names."""
+    others: the items after it keep their own instrument names."""
     ds, items = mixed
     ds = _own_arm_labels(ds)
     lone = np.unique(ds.column("item_id"))[3]
@@ -258,7 +315,7 @@ def test_items_refitted_in_a_bucket_keep_their_own_instrument_names(mixed):
     later = [h for h in range(g + 1, len(batch)) if design.items.errors[h] is None
              and (shape[0][h], shape[1][h]) == (shape[0][g], shape[1][g])]
     names = {batch[h].equations[0].instrument_names for h in later}
-    assert len(names) == len(later) > 1  # the bucket refits items with names of their own
+    assert len(names) == len(later) > 1  # items after the failed one, each with its own names
     for got, want in zip(batch, _one_by_one(ds, items, spec, first_stage, 0), strict=True):
         _assert_same(got, want)
 

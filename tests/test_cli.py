@@ -627,6 +627,22 @@ def test_cli_import_leaves_scipy_stats_out(ads_outdir, tmp_path):
     ], "assert not [name for name in sys.modules if name.split('.')[0] == 'scipy']\n")
 
 
+def test_coverage_script_runs_without_scipy():
+    """scripts/run_coverage_study.py takes its t critical value from
+    posiv.tails, so it runs to its coverage line in a fresh interpreter in
+    which scipy cannot be imported."""
+    script = str(Path(__file__).resolve().parents[1] / "scripts" / "run_coverage_study.py")
+    src = str(Path(posiv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", (
+        "import runpy, sys\n"
+        "sys.modules['scipy'] = None\n"
+        f"sys.argv = [{script!r}, '--reps', '2', '--users', '300']\n"
+        f"runpy.run_path({script!r}, run_name='__main__')\n"
+    )], env=env, check=True, capture_output=True, text=True).stdout
+    assert out.startswith("coverage ") and out.rstrip().endswith("(nominal 0.95)")
+
+
 @pytest.mark.parametrize("command, layers", [
     ("simulate", ["cli", "datamodel", "errors", "rng", "simulator", "specs"]),
     ("prepare", ["cli", "datamodel", "errors", "prepare", "rng", "specs"]),

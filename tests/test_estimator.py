@@ -476,7 +476,7 @@ def test_stacked_iv_fits_build_no_first_stage_reports(items_log, first_stage_wor
     assert fitted >= 6
     assert first_stage_work["FirstStageReport"] == first_stage_work["FirstStageEquation"] == fitted
     # one call each for the whole design, not one per shape bucket
-    assert len(list(estimator._stacks(design))) > 1
+    assert len(list(estimator._stacks(design, []))) > 1
     assert first_stage_work["fdtrc"] == first_stage_work["stdtrit"] == 1
 
 
@@ -485,7 +485,7 @@ def test_stacked_iv_fits_build_no_first_stage_reports(items_log, first_stage_wor
 def test_a_stacked_fit_makes_one_stdtr_call(items_log, monkeypatch, fit, spec):
     """Every bucket's p-values come from one stdtr call per fit."""
     design = build_design(items_log, spec, by_item=True)
-    assert len(list(estimator._stacks(design))) > 1
+    assert len(list(estimator._stacks(design, []))) > 1
     calls = []
 
     def counting(*args, _real=tails.stdtr):
