@@ -105,6 +105,14 @@ def _outdir(args) -> Path:
     return out
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Every CSV a command writes: UTF-8, "\n" line ends, csv's minimal quoting."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _fit_for(spec: ModelSpec, design):
     from . import estimator
 
@@ -191,11 +199,7 @@ def cmd_prepare(args) -> int:
         ids, n_rows = np.unique(ds.column("item_id"), return_counts=True)
         counts = dict(zip(ids.tolist(), n_rows.tolist()))
         path = out / "top_items.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["item_id", "n_rows"])
-            for i in items:
-                writer.writerow([i, counts[i]])
+        _write_csv(path, ["item_id", "n_rows"], ([i, counts[i]] for i in items))
         print(f"wrote {path}")
         return 0
     if args.session_top_cut is not None:
@@ -260,16 +264,16 @@ def cmd_diagnose(args) -> int:
     ]
     out = _outdir(args)
     csv_path = out / "first_stage.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["item_id", "coef", "se", "ci_low", "ci_high", "status", "classification"])
-        for label, report in zip(design.items.labels, reports):
-            if isinstance(report, EstimationError):
-                writer.writerow([label, "", "", "", "", _status(report), ""])
-                continue
-            eq = report.equation("position")
-            cells = (eq.coef, eq.se, eq.ci_low, eq.ci_high)
-            writer.writerow([label, *(repr(float(c[0])) for c in cells), "ok", eq.classification])
+
+    def csv_row(label, report):
+        if isinstance(report, EstimationError):
+            return [label, "", "", "", "", _status(report), ""]
+        eq = report.equation("position")
+        cells = (eq.coef, eq.se, eq.ci_low, eq.ci_high)
+        return [label, *(repr(float(c[0])) for c in cells), "ok", eq.classification]
+
+    header = ["item_id", "coef", "se", "ci_low", "ci_high", "status", "classification"]
+    _write_csv(csv_path, header, map(csv_row, design.items.labels, reports))
     if not rows:
         raise EstimationError(f"every item failed; {_failures(statuses)}; wrote {csv_path}")
     svg_path = out / "first_stage.svg"
@@ -312,17 +316,16 @@ def cmd_report(args) -> int:
 
     out = _outdir(args)
     csv_path = out / "effects.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["item_id", "spec", "coef", "se", "status"])
-        for label, results in zip(labels, per_item):
-            for spec, fit in zip(args.specs, results):
-                if isinstance(fit, EstimationError):
-                    writer.writerow([label, spec.name, "", "", _status(fit)])
-                else:
-                    name = estimator.effect_name(fit)
-                    writer.writerow([label, spec.name, repr(fit.coefficient(name)),
-                                     repr(fit.se_of(name)), "ok"])
+
+    def csv_row(label, spec, fit):
+        if isinstance(fit, EstimationError):
+            return [label, spec.name, "", "", _status(fit)]
+        name = estimator.effect_name(fit)
+        return [label, spec.name, repr(fit.coefficient(name)), repr(fit.se_of(name)), "ok"]
+
+    _write_csv(csv_path, ["item_id", "spec", "coef", "se", "status"],
+               (csv_row(label, spec, fit) for label, results in zip(labels, per_item)
+                for spec, fit in zip(args.specs, results)))
     ok = [i for i, status in enumerate(statuses) if status == "ok"]
     if not ok:
         raise EstimationError(f"every item failed; {_failures(statuses)}; wrote {csv_path}")

@@ -40,7 +40,9 @@ build_design does: a check records its error for each item it flags that has
 none yet, and gives those items finite stand-ins (unit singular values, an
 identity first-stage covariance, G = 2, a unit ILS denominator) for the rest
 of the pass. A check on shape fails the whole bucket and skips the kernel. A
-single design is one bucket of one, whose error is raised.
+single design is one bucket of one, whose error is raised. An item whose
+first-stage covariance reaches condition number 1e12 gets the identity too,
+and a NaN (undefined) joint F, but does not fail.
 """
 
 from __future__ import annotations
@@ -73,6 +75,8 @@ WEAK_F_THRESHOLD = 10.0
 # below this; a coefficient statistically indistinguishable from zero cannot
 # support a ratio estimate.
 ILS_ZERO_T = 4.0
+UNDEFINED_F_NOTE = ("weak instruments: joint first-stage F undefined "
+                    "(instrument covariance condition number at or past 1e12)")
 
 
 def stacked_stars(p: np.ndarray) -> np.ndarray:
@@ -133,7 +137,9 @@ class FitResult:
             "r_squared": None if math.isnan(self.r_squared) else float(self.r_squared),
             "resid_std_error": float(self.resid_std_error),
             "warnings": list(self.warnings),
-            "first_stage_f": {k: float(v) for k, v in self.first_stage_f.items()},
+            "first_stage_f": {
+                k: None if math.isnan(v) else float(v) for k, v in self.first_stage_f.items()
+            },
         }
 
 
@@ -402,7 +408,7 @@ def _fit_results(method: str, design: DesignMatrix, done: list) -> list[FitResul
     fits = _Fits(*(np.concatenate(parts) for parts in zip(*(out for _, _, out in done))))
     p_value = 2.0 * tails.stdtr((fits.n_clusters - 1)[:, None], -np.abs(fits.t_stat))
     stars = stacked_stars(p_value).tolist()
-    weakest = fits.first_stage_f.min(axis=1, initial=math.inf)
+    weakest = fits.first_stage_f.min(axis=1, initial=math.inf)  # NaN if any F is undefined
     labels = [None if design.items is None else design.items.labels[g]
               for stack, ok, _ in done for g in stack.pos[ok]]
     names = design.w_names + design.x_names
@@ -423,7 +429,8 @@ def _fit_results(method: str, design: DesignMatrix, done: list) -> list[FitResul
             r_squared=float(fits.r_squared[i]),
             resid_std_error=float(fits.resid_std_error[i]),
             label=label,
-            warnings=(f"weak instruments: joint first-stage F = {weakest[i]:.3g} < 10",)
+            warnings=(UNDEFINED_F_NOTE,) if math.isnan(weakest[i])
+            else (f"weak instruments: joint first-stage F = {weakest[i]:.3g} < 10",)
             if weakest[i] < WEAK_F_THRESHOLD else (),
             first_stage_f=dict(zip(design.w_names, fits.first_stage_f[i].tolist())),
         )
@@ -471,11 +478,11 @@ def _first_stage(design: DesignMatrix, s: _Stack):
         cov_zz = cluster_cov(p, s.w[..., j] - fitted[..., j], s.codes, bread)[0][:, :p_z, :p_z]
         se[:, j] = np.sqrt(np.clip(np.diagonal(cov_zz, axis1=-2, axis2=-1), 0.0, None))
         cov_zz[s.failed] = np.eye(p_z)  # a failed item's cov_zz can be singular
-        try:
-            wald = np.linalg.solve(cov_zz, coef[:, j, :, None])
-        except np.linalg.LinAlgError:  # a cov_zz exactly singular: F by pinv for the stack
-            wald = np.linalg.pinv(cov_zz, hermitian=True) @ coef[:, j, :, None]
-        f_stat[:, j] = (coef[:, j, None, :] @ wald)[:, 0, 0] / p_z
+        eig = np.linalg.eigvalsh(cov_zz)  # ascending
+        undefined = ~(eig[:, 0] * CONDITION_LIMIT > eig[:, -1])  # cond >= 1e12, eig <= 0, NaN
+        cov_zz[undefined] = np.eye(p_z)
+        wald = np.linalg.solve(cov_zz, coef[:, j, :, None])
+        f_stat[:, j] = np.where(undefined, math.nan, (coef[:, j, None, :] @ wald)[:, 0, 0] / p_z)
     return fact, solved, fitted, coef, se, f_stat
 
 
@@ -564,7 +571,6 @@ def _first_stage_reports(design: DesignMatrix, done: list) -> list[FirstStageRep
     df = np.concatenate([s.n_clusters[ok] for s, ok, _ in done]) - 1
     p_z = np.concatenate([np.full(ok.size, s.z.shape[-1]) for s, ok, _ in done])
     f_stats = np.concatenate([f_stat for _, _, (_, _, f_stat) in done])
-    # a near-singular cov_zz can leave F a rounding error below 0, where fdtrc is 1
     p_values = np.split(tails.fdtrc(p_z[:, None], df[:, None], f_stats), at)
     tcrits = np.split(tails.stdtrit(df, 0.975), at)
     reports = []

@@ -11,6 +11,8 @@ from typing import Sequence
 
 WIDTH, HEIGHT = 960.0, 540.0
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 150.0, 30.0, 50.0, 45.0
+PLOT_W = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+PLOT_H = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
 CLASS_COLORS = {
     "negative": "#c0392b",  # instrument moves the item up the ranking
@@ -33,24 +35,24 @@ def _header(title: str) -> list[str]:
     ]
 
 
+def _axis_range(lo: float, hi: float) -> tuple[float, float]:
+    """The value axis of data spanning [lo, hi]: widened to include 0, then
+    padded by 5% of its span on each side."""
+    lo, hi = min(lo, 0.0), max(hi, 0.0)
+    span = (hi - lo) or 1.0
+    return lo - 0.05 * span, hi + 0.05 * span
+
+
 def forest_svg(entries: Sequence[tuple[str, float, float, float, str]]) -> str:
     """Forest plot: one (label, coef, ci_low, ci_high, classification) per row."""
     if not entries:
         raise ValueError("no entries to plot")
-    lo = min(e[2] for e in entries)
-    hi = max(e[3] for e in entries)
-    lo, hi = min(lo, 0.0), max(hi, 0.0)
-    span = (hi - lo) or 1.0
-    lo -= 0.05 * span
-    hi += 0.05 * span
-
-    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+    lo, hi = _axis_range(min(e[2] for e in entries), max(e[3] for e in entries))
 
     def sx(v: float) -> float:
-        return MARGIN_LEFT + (v - lo) / (hi - lo) * plot_w
+        return MARGIN_LEFT + (v - lo) / (hi - lo) * PLOT_W
 
-    step = plot_h / len(entries)
+    step = PLOT_H / len(entries)
     parts = _header("First-stage effect of treatment on position")
     zero_x = sx(0.0)
     parts.append(
@@ -89,19 +91,13 @@ def bars_svg(
     if not item_labels or not group_labels:
         raise ValueError("nothing to plot")
     flat = [v for row in values for v in row]
-    lo, hi = min(min(flat), 0.0), max(max(flat), 0.0)
-    span = (hi - lo) or 1.0
-    lo -= 0.05 * span
-    hi += 0.05 * span
-
-    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+    lo, hi = _axis_range(min(flat), max(flat))
 
     def sy(v: float) -> float:
-        return MARGIN_TOP + (hi - v) / (hi - lo) * plot_h
+        return MARGIN_TOP + (hi - v) / (hi - lo) * PLOT_H
 
     n_items, n_groups = len(item_labels), len(group_labels)
-    slot = plot_w / n_items
+    slot = PLOT_W / n_items
     bar = slot * 0.8 / n_groups
 
     parts = _header("Position effect by item and specification")

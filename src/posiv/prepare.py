@@ -41,8 +41,8 @@ class ItemBlocks:
     item at fit time and never for the whole stack: instrument holds each
     row's column as an index into z_names (-1 for a row in no column), and
     item g's columns are z_cols[z_bounds[g]:z_bounds[g+1]]. An item that
-    could not be built owns no rows and keeps the EstimationError it raised
-    in errors[g].
+    could not be built keeps its rows and columns and the EstimationError it
+    raised in errors[g], by which the fits skip it.
     """
 
     labels: tuple[str, ...]
@@ -360,13 +360,6 @@ def build_design(ds: Dataset, spec: ModelSpec, by_item: bool = False) -> DesignM
         f"{sizes[g]} rows for {p_w + p_z[g] + p_x} columns"
     ))
 
-    built = np.array([e is None for e in errors])
-    if not built.all():  # failed items give up their rows and columns
-        keep = built[item]
-        idx, item, pair, y, w, x = (a[keep] for a in (idx, item, pair, y, w, x))
-        sizes = np.where(built, sizes, 0)
-        bounds = np.concatenate([[0], np.cumsum(sizes)])
-        col_item, col = col_item[built[col_item]], col[built[col_item]]
     in_use = _distinct(col)
     z_names = tuple(name(c) for c in in_use.tolist())
     clusters = ds.column(spec.cluster)[idx]
@@ -383,7 +376,7 @@ def build_design(ds: Dataset, spec: ModelSpec, by_item: bool = False) -> DesignM
             instrument=np.where(np.append(in_use, -1)[at] == pair, at, -1),
             z_names=z_names,
             z_cols=np.searchsorted(in_use, col),
-            z_bounds=np.searchsorted(col_item, np.arange(n_items + 1)),
+            z_bounds=item_start,
             errors=tuple(errors),
         )
         z, z_names = np.empty((idx.size, 0)), ()

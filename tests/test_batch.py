@@ -2,6 +2,8 @@
 time, against the one-item path it replaces (slice one item, build its
 design, fit it) on every item, spec and failure."""
 
+import json
+import math
 import tracemalloc
 import warnings
 
@@ -11,9 +13,12 @@ import pytest
 from posiv.cli import main
 from posiv.datamodel import Dataset, write_dataset
 from posiv.errors import (
-    Collinear, ConstantColumn, EstimationError, TooFewClusters, ZeroFirstStage,
+    Collinear, ConstantColumn, EstimationError, TooFewClusters, WeakInstrumentWarning,
+    ZeroFirstStage,
 )
-from posiv.estimator import FirstStageReport, FitResult, first_stage, fit_2sls, fit_ils, fit_ols
+from posiv.estimator import (
+    UNDEFINED_F_NOTE, FirstStageReport, FitResult, first_stage, fit_2sls, fit_ils, fit_ols,
+)
 from posiv.prepare import DesignMatrix, ItemBlocks, build_design, slice_by_item, top_items
 from posiv.simulator import SimConfig, simulate
 from posiv.specs import ModelSpec, get_spec
@@ -234,6 +239,18 @@ def _bucket(parts, arms: int) -> DesignMatrix:
     )
 
 
+def _well_posed_parts(rng, n: int, arms: int) -> list:
+    """Five items for _bucket, n rows each over 30 clusters, whose
+    endogenous column each treated arm shifts."""
+    parts = []
+    for _ in range(5):
+        arm = rng.integers(-1, arms, n)
+        x = rng.normal(size=n)
+        w = np.select([arm == 0, arm == 1], [1.5, -0.7], 0.0) + 0.5 * x + rng.normal(size=n)
+        parts.append((0.3 - 0.2 * w + x + rng.normal(size=n), w, arm, x, np.arange(n) % 30))
+    return parts
+
+
 @pytest.mark.parametrize("fit, arms", [(fit_2sls, 2), (fit_ols, 2), (fit_ils, 1)])
 def test_failed_items_leave_the_other_items_of_their_bucket_bit_identical(fit, arms):
     """One item whose control is all zeros (an exactly singular R_11, so a
@@ -243,14 +260,8 @@ def test_failed_items_leave_the_other_items_of_their_bucket_bit_identical(fit, a
     keep every number finite: the stacked solve raises no LinAlgError, no
     RuntimeWarning appears, and every other item gets the bytes it gets in
     the bucket without them."""
-    rng = np.random.default_rng(21)
     n = 120
-    parts = []
-    for _ in range(5):
-        arm = rng.integers(-1, arms, n)
-        x = rng.normal(size=n)
-        w = np.select([arm == 0, arm == 1], [1.5, -0.7], 0.0) + 0.5 * x + rng.normal(size=n)
-        parts.append((0.3 - 0.2 * w + x + rng.normal(size=n), w, arm, x, np.arange(n) % 30))
+    parts = _well_posed_parts(np.random.default_rng(21), n, arms)
     singular, one_cluster = 1, 3
     y, w, arm, x, codes = parts[singular]
     parts[singular] = (y, w, arm, np.zeros(n), codes)
@@ -266,6 +277,55 @@ def test_failed_items_leave_the_other_items_of_their_bucket_bit_identical(fit, a
     for got, want in zip([fits[g] for g in good], alone, strict=True):
         assert (got.coef == want.coef).all() and (got.cov == want.cov).all()
         assert got.first_stage_f == want.first_stage_f
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_an_ill_conditioned_instrument_covariance_leaves_f_undefined(mixed, tmp_path, capsys,
+                                                                     seed):
+    """The third item of the mixed fixture fits spec4 on four rows with two
+    instruments, whose first-stage covariance has rank 1 (condition number
+    past 1e12): its joint F and F p-value are NaN, fit_2sls carries the
+    undefined note, and estimate writes the F as null and prints the note."""
+    ds, _ = mixed
+    item = np.unique(ds.column("item_id"))[2]
+    design = build_design(slice_by_item(ds, item, seed), get_spec("spec4"))
+    eq = first_stage(design).equation("position")
+    assert math.isnan(eq.f_stat) and math.isnan(eq.p_value)
+    with pytest.warns(WeakInstrumentWarning) as caught:
+        fit = fit_2sls(design)
+    assert fit.warnings == (UNDEFINED_F_NOTE,) == tuple(str(w.message) for w in caught)
+    assert math.isnan(fit.first_stage_f["position"]) and np.isfinite(fit.coef).all()
+
+    data = tmp_path / "mixed.csv"
+    write_dataset(ds, str(data))
+    capsys.readouterr()
+    assert main(["estimate", str(data), "--spec", "spec4", "--item", str(item),
+                 "--sample-seed", str(seed), "--format", "json",
+                 "--out", str(tmp_path / "out")]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["first_stage_f"] == {"position": None}
+    assert '"position": null' in (tmp_path / "out" / "fit.json").read_text(encoding="utf-8")
+    assert err == f"warning: {UNDEFINED_F_NOTE}\n"
+
+
+def test_a_zero_instrument_covariance_leaves_the_f_of_its_bucket_mates_as_alone():
+    """One item of a bucket has an all-zero endogenous column over 30
+    clusters, so its first-stage instrument covariance is exactly 0: its F
+    is NaN, and every other item's F is the one it gets in the bucket
+    without it."""
+    n, zero = 120, 2
+    parts = _well_posed_parts(np.random.default_rng(23), n, 2)
+    y, _, arm, x, codes = parts[zero]
+    parts[zero] = (y, np.zeros(n), arm, x, codes)
+    others = [g for g in range(len(parts)) if g != zero]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        reports = first_stage(_bucket(parts, 2))
+        alone = first_stage(_bucket([parts[g] for g in others], 2))
+    for got, want in zip([reports[g] for g in others], alone, strict=True):
+        assert got.equations[0].f_stat == want.equations[0].f_stat
+        assert got.equations[0].p_value == want.equations[0].p_value
+    assert math.isnan(reports[zero].equations[0].f_stat)
 
 
 def _own_arm_labels(ds: Dataset, copies: int = 1) -> Dataset:

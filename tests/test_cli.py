@@ -627,20 +627,52 @@ def test_cli_import_leaves_scipy_stats_out(ads_outdir, tmp_path):
     ], "assert not [name for name in sys.modules if name.split('.')[0] == 'scipy']\n")
 
 
-def test_coverage_script_runs_without_scipy():
-    """scripts/run_coverage_study.py takes its t critical value from
-    posiv.tails, so it runs to its coverage line in a fresh interpreter in
-    which scipy cannot be imported."""
-    script = str(Path(__file__).resolve().parents[1] / "scripts" / "run_coverage_study.py")
+def _run_script(name: str, *argv: str) -> str:
+    """The stdout of scripts/<name> run with argv to its end in a fresh
+    interpreter in which scipy cannot be imported."""
+    script = str(Path(__file__).resolve().parents[1] / "scripts" / name)
     src = str(Path(posiv.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", (
+    return subprocess.run([sys.executable, "-c", (
         "import runpy, sys\n"
         "sys.modules['scipy'] = None\n"
-        f"sys.argv = [{script!r}, '--reps', '2', '--users', '300']\n"
+        f"sys.argv = {[script, *argv]!r}\n"
         f"runpy.run_path({script!r}, run_name='__main__')\n"
     )], env=env, check=True, capture_output=True, text=True).stdout
+
+
+def test_coverage_script_runs_without_scipy():
+    """scripts/run_coverage_study.py takes its t critical value from
+    posiv.tails, so it runs to its coverage line without scipy."""
+    out = _run_script("run_coverage_study.py", "--reps", "2", "--users", "300")
     assert out.startswith("coverage ") and out.rstrip().endswith("(nominal 0.95)")
+
+
+def test_recovery_script_prints_a_row_per_confounding_level():
+    """scripts/run_recovery_study.py fits 2SLS and OLS per seed and prints
+    finite bias, RMSE and first-stage F for each of its four levels."""
+    lines = _run_script("run_recovery_study.py", "--seeds", "2", "--users", "300").splitlines()
+    assert lines[0] == "true slope -0.04; 2 seeds x 300 users"
+    assert lines[1].split() == ["confound", "2SLS", "mean", "2SLS", "rmse", "OLS", "mean",
+                                "OLS", "rmse", "minF"]
+    rows = np.array([line.split() for line in lines[2:]], dtype=float)
+    assert rows.shape == (4, 6) and np.isfinite(rows).all()
+    assert rows[:, 0].tolist() == [-0.5, 0.0, 0.25, 0.5]
+
+
+def test_demo_report_script_writes_every_artifact(tmp_path):
+    """scripts/make_demo_report.py runs simulate, diagnose and report and
+    renders a three-spec table for the busiest campaign into one directory."""
+    out = _run_script("make_demo_report.py", "--out", str(tmp_path))
+    assert out.rstrip().endswith(f"artifacts in {tmp_path}/")
+    for name in ("sim_config.json", "dataset.csv", "truth.json", "first_stage.csv",
+                 "first_stage.svg", "effects.csv", "effects.svg", "campaign_table.txt"):
+        assert (tmp_path / name).stat().st_size > 0, name
+    table = (tmp_path / "campaign_table.txt").read_text(encoding="utf-8")
+    assert "Ad click (campaign " in table and table in out
+    with open(tmp_path / "effects.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["item_id", "spec", "coef", "se", "status"] and len(rows) == 1 + 5 * 3
 
 
 @pytest.mark.parametrize("command, layers", [

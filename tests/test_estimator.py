@@ -154,19 +154,6 @@ def test_2sls_collinear_projected_design():
         fit_2sls(d)
 
 
-def test_first_stage_f_by_pseudo_inverse_when_cov_is_singular(monkeypatch):
-    y, w, _, z, x = projected_collinear(np.random.default_rng(11), 240, collinear=False)
-    d = make_design(y, w, z, x, clusters=np.arange(240) % 30)
-    want = [eq.f_stat for eq in first_stage(d).equations]
-
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    monkeypatch.setattr(np.linalg, "solve", singular)
-    for eq, f in zip(first_stage(d).equations, want, strict=True):
-        assert _rel_err(eq.f_stat, f) < 1e-10
-
-
 def test_2sls_with_endogenous_in_instruments_equals_ols():
     rng = np.random.default_rng(5)
     n = 150
