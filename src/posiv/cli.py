@@ -29,7 +29,6 @@ from .errors import (
     ParseError,
     PosivError,
     UnknownItem,
-    WeakInstrumentWarning,
 )
 from .specs import ModelSpec, builtin_specs, get_spec, parse_spec
 
@@ -220,13 +219,11 @@ def cmd_estimate(args) -> int:
     ds = _load(args.data, _read_config(args.config))
     ds = _estimation_dataset(ds, args.spec, args)
     design = prepare.build_design(ds, args.spec)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", WeakInstrumentWarning)
+    with warnings.catch_warnings(record=True):  # the fit's notes are printed from fit.warnings
         fit = _fit_for(args.spec, design)
     fit.label = args.spec.name
-    for w in caught:
-        if issubclass(w.category, WeakInstrumentWarning):
-            print(f"warning: {w.message}", file=sys.stderr)
+    for note in fit.warnings:
+        print(f"warning: {note}", file=sys.stderr)
 
     table = tables.render_table([fit])
     out = _outdir(args)
@@ -239,8 +236,8 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _status(result) -> str:
-    return type(result).__name__ if isinstance(result, EstimationError) else "ok"
+def _status(error) -> str:
+    return "ok" if error is None else type(error).__name__
 
 
 def _failures(statuses: list[str]) -> str:
@@ -256,38 +253,30 @@ def cmd_diagnose(args) -> int:
     items = prepare.top_items(ds, args.top_n)
     spec = ModelSpec("first-stage", "edge", "outcome", ("position",), "arm", ())
     design = prepare.build_design(prepare.slice_by_item(ds, items), spec, by_item=True)
-    reports = estimator.first_stage(design)
-    statuses = [_status(r) for r in reports]
-    rows = [
-        (label, r.equation("position"))
-        for label, r in zip(design.items.labels, reports) if not isinstance(r, EstimationError)
-    ]
+    fs = estimator.first_stage(design)
+    statuses = [_status(error) for error in fs.errors]
+    # per item: label, then the lead instrument's coef, se, ci_low, ci_high and class
+    lead = list(zip(design.items.labels,
+                    *(c[:, 0, 0].tolist() for c in (fs.coef, fs.se, fs.ci_low, fs.ci_high)),
+                    fs.classification[:, 0].tolist()))
     out = _outdir(args)
     csv_path = out / "first_stage.csv"
-
-    def csv_row(label, report):
-        if isinstance(report, EstimationError):
-            return [label, "", "", "", "", _status(report), ""]
-        eq = report.equation("position")
-        cells = (eq.coef, eq.se, eq.ci_low, eq.ci_high)
-        return [label, *(repr(float(c[0])) for c in cells), "ok", eq.classification]
-
     header = ["item_id", "coef", "se", "ci_low", "ci_high", "status", "classification"]
-    _write_csv(csv_path, header, map(csv_row, design.items.labels, reports))
-    if not rows:
+    _write_csv(csv_path, header, (
+        [label, *map(repr, cells), "ok", cls] if status == "ok"
+        else [label, "", "", "", "", status, ""]
+        for (label, *cells, cls), status in zip(lead, statuses)))
+    fitted = [row for row, status in zip(lead, statuses) if status == "ok"]
+    if not fitted:
         raise EstimationError(f"every item failed; {_failures(statuses)}; wrote {csv_path}")
     svg_path = out / "first_stage.svg"
-    svg_path.write_text(
-        plots.forest_svg([(label, float(eq.coef[0]), float(eq.ci_low[0]), float(eq.ci_high[0]),
-                           eq.classification) for label, eq in rows]),
-        encoding="utf-8",
-    )
-    shares = {cls: 0 for cls in ("negative", "null", "positive")}
-    for _, eq in rows:
-        shares[eq.classification] += 1
+    svg_path.write_text(plots.forest_svg([(label, coef, lo, hi, cls)
+                                          for label, coef, _, lo, hi, cls in fitted]),
+                        encoding="utf-8")
+    shares = Counter(row[-1] for row in fitted)
     print(
         f"wrote {csv_path} and {svg_path}; classes: "
-        + ", ".join(f"{k}={v}" for k, v in shares.items())
+        + ", ".join(f"{k}={shares[k]}" for k in ("negative", "null", "positive"))
     )
     print(_failures(statuses))
     return 0
@@ -303,40 +292,37 @@ def cmd_report(args) -> int:
     for flag, k in (("--k1", args.k1), ("--k2", args.k2)):
         if k > last:
             raise InputError(f"{flag} {k} is past the last position of the items' rows ({last})")
-    by_spec = []  # per spec: each item's FitResult or EstimationError
+    by_spec = []  # per spec, per item: (status, coef, se) of the effect, position else the first
     for spec in args.specs:
-        design = prepare.build_design(sliced, spec, by_item=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", WeakInstrumentWarning)
-            by_spec.append(_fit_for(spec, design))
+        result = _fit_for(spec, prepare.build_design(sliced, spec, by_item=True))
+        names = result.design.w_names + result.design.x_names
+        effect = names.index("position") if "position" in names else 0
+        by_spec.append(list(zip(map(_status, result.errors), result.fits.coef[:, effect].tolist(),
+                                result.fits.se[:, effect].tolist())))
     labels = [str(item) for item in items]
-    per_item = list(zip(*by_spec))  # per item: one result per spec
+    per_item = list(zip(*by_spec))  # per item: one (status, coef, se) per spec
     # an item fails when any of its specs does, so every tau averages one item set
-    statuses = [next((s for s in map(_status, res) if s != "ok"), "ok") for res in per_item]
+    statuses = [next((s for s, _, _ in cells if s != "ok"), "ok") for cells in per_item]
 
     out = _outdir(args)
     csv_path = out / "effects.csv"
-
-    def csv_row(label, spec, fit):
-        if isinstance(fit, EstimationError):
-            return [label, spec.name, "", "", _status(fit)]
-        name = estimator.effect_name(fit)
-        return [label, spec.name, repr(fit.coefficient(name)), repr(fit.se_of(name)), "ok"]
-
-    _write_csv(csv_path, ["item_id", "spec", "coef", "se", "status"],
-               (csv_row(label, spec, fit) for label, results in zip(labels, per_item)
-                for spec, fit in zip(args.specs, results)))
+    _write_csv(csv_path, ["item_id", "spec", "coef", "se", "status"], (
+        [label, spec.name, repr(c), repr(s), "ok"] if status == "ok"
+        else [label, spec.name, "", "", status]
+        for label, cells in zip(labels, per_item)
+        for spec, (status, c, s) in zip(args.specs, cells)))
     ok = [i for i, status in enumerate(statuses) if status == "ok"]
     if not ok:
         raise EstimationError(f"every item failed; {_failures(statuses)}; wrote {csv_path}")
     svg_path = out / "effects.svg"
-    values = [[r.coefficient(estimator.effect_name(r)) for r in per_item[i]] for i in ok]
     svg_path.write_text(
-        plots.bars_svg([labels[i] for i in ok], [s.name for s in args.specs], values),
+        plots.bars_svg([labels[i] for i in ok], [s.name for s in args.specs],
+                       [[c for _, c, _ in per_item[i]] for i in ok]),
         encoding="utf-8",
     )
-    for spec, fits in zip(args.specs, by_spec):
-        effect = estimator.aggregate_effect([fits[i] for i in ok], args.k1, args.k2)
+    by_id = sorted(ok, key=items.__getitem__)  # each tau averages in ascending item id
+    for spec, cells in zip(args.specs, by_spec):
+        effect = estimator.aggregate_effect([cells[i][1] for i in by_id], args.k1, args.k2)
         se_txt = "n/a" if effect.se is None else tables.format_value(effect.se)
         print(
             f"{spec.name}: tau({args.k1}->{args.k2}) = "

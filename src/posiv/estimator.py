@@ -26,32 +26,35 @@ than the outcome mean, and that is expected behavior, not an error.
 One stacked kernel does every fit. It works on (B, n, k) stacks of
 same-shape designs: one np.linalg.qr call factors all B matrices, the
 solves, breads and 1e12 checks run per matrix on the stack, and the cluster
-score sums of all B come from one bincount. The kernel returns arrays; the
-t and F tails (posiv.tails, in numpy) and the result objects are made once
-per design, over every bucket's items together. A design stacked by item
-(build_design(..., by_item=True)) is cut into shape buckets: the items with
-the same row count and instrument count. There is no zero padding, and a
-bucket builds only its own items' instrument columns, so each matrix LAPACK
-factors is the one a fit of that item alone would factor, and a large item,
-or one with arm levels of its own, costs memory only in its own bucket.
+score sums of all B come from one bincount. The kernel returns arrays, which
+are copied into columns with a row per item (FitColumns, FirstStageColumns).
+A FitResult or FirstStageReport, with its t or F tails (posiv.tails, in
+numpy), is built only when one item is asked for; the first stage's CI
+critical values come from one stdtrit call over every fitted item. A design
+stacked by item (build_design(..., by_item=True)) is cut into shape buckets:
+the items with the same row count and instrument count. There is no zero
+padding, and a bucket builds only its own items' instrument columns, so each
+matrix LAPACK factors is the one a fit of that item alone would factor, and
+a large item, or one with arm levels of its own, costs memory only in its
+own bucket.
 
 Each kernel makes one pass over a stack and fails items by mask, as
 build_design does: a check records its error for each item it flags that has
 none yet, and gives those items finite stand-ins (unit singular values, an
 identity first-stage covariance, G = 2, a unit ILS denominator) for the rest
 of the pass. A check on shape fails the whole bucket and skips the kernel. A
-single design is one bucket of one, whose error is raised. An item whose
-first-stage covariance reaches condition number 1e12 gets the identity too,
-and a NaN (undefined) joint F, but does not fail.
+single design is one bucket of one: its result, or its error raised. An
+item whose first-stage covariance reaches condition number 1e12 gets the
+identity too, and a NaN (undefined) joint F, but does not fail.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import partial
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -176,7 +179,6 @@ class EffectEstimate:
     tau_hat: float
     se: float | None
     n_items: int
-    per_item: tuple[tuple[str, float], ...]
 
 
 class _Stack:
@@ -185,23 +187,22 @@ class _Stack:
     item positions they came from.
 
     check() marks the items a check flags in failed, and the first error an
-    item meets becomes its entry of results. Each matrix of a batched qr,
+    item meets becomes its entry of errors. Each matrix of a batched qr,
     svd, solve or matmul, and each cluster sum, is computed on its own, so a
     failed item's stand-ins leave the other items' numbers as they would be
     in a stack without it.
     """
 
-    def __init__(self, pos, z_names, y, w, z, x, codes, results):
-        self.pos, self.z_names = pos, z_names
-        self.y, self.w, self.z, self.x = y, w, z, x
+    def __init__(self, pos, y, w, z, x, codes, errors):
+        self.pos, self.y, self.w, self.z, self.x = pos, y, w, z, x
         self.codes, self.n_clusters = codes, codes.max(axis=-1) + 1
-        self.failed, self.results = np.zeros(len(pos), dtype=bool), results
+        self.failed, self.errors = np.zeros(len(pos), dtype=bool), errors
 
     def check(self, bad: np.ndarray, error) -> None:
         """Fail the items flagged in bad with error(i)."""
         if bad.any():
             for i in np.flatnonzero(bad & ~self.failed).tolist():
-                self.results[self.pos[i]] = error(i)
+                self.errors[self.pos[i]] = error(i)
             self.failed |= bad
 
     def fail_all(self, error: EstimationError) -> None:
@@ -213,17 +214,15 @@ class _Stack:
         ))
 
 
-def _stacks(design: DesignMatrix, results: list):
+def _stacks(design: DesignMatrix, errors: list):
     """The design's items grouped by exact shape (rows, instruments), one
     _Stack per shape, each with its own instrument columns and failing its
-    items into results; a design not stacked by item is one stack of one."""
+    items into errors; a design not stacked by item is one stack of one."""
     items = design.items
     if items is None:
         codes = np.unique(design.clusters, return_inverse=True)[1]
-        yield _Stack(
-            np.zeros(1, dtype=np.intp), [design.z_names], design.y[None],
-            design.w[None], design.z[None], design.x[None], codes[None], results,
-        )
+        yield _Stack(np.zeros(1, dtype=np.intp), design.y[None], design.w[None],
+                     design.z[None], design.x[None], codes[None], errors)
         return
     sizes, p_z = np.diff(items.bounds), np.diff(items.z_bounds)
     built = np.flatnonzero([error is None for error in items.errors])
@@ -235,39 +234,53 @@ def _stacks(design: DesignMatrix, results: list):
         rows = items.bounds[pos][:, None] + np.arange(sizes[pos[0]])
         z_cols = items.z_cols[items.z_bounds[pos][:, None] + np.arange(p_z[pos[0]])]
         yield _Stack(
-            pos, [tuple(items.z_names[c] for c in cols) for cols in z_cols.tolist()],
-            design.y[rows], design.w[rows],
+            pos, design.y[rows], design.w[rows],
             (items.instrument[rows][..., None] == z_cols[:, None, :]).astype(float),
-            design.x[rows], items.codes[rows], results,
+            design.x[rows], items.codes[rows], errors,
         )
 
 
-def _per_item(design: DesignMatrix, kernel, build) -> list:
-    """Each item's result, or the EstimationError it failed with, in item
-    order. kernel makes one pass over a bucket's stack and returns arrays with
-    its items on the leading axis (None when it fails them all). build(design,
-    done) turns every bucket's (stack, ok, arrays), cut to the items ok that
-    did not fail, into their results at once, so each distribution function
-    runs once per design, not per bucket."""
-    results = [None] if design.items is None else list(design.items.errors)
-    done = []
-    for stack in _stacks(design, results):
-        out = kernel(design, stack)
-        ok = np.flatnonzero(~stack.failed)
-        if ok.size:
-            done.append((stack, ok, [a[ok] for a in out]))
-    if done:
-        pos = np.concatenate([stack.pos[ok] for stack, ok, _ in done])
-        for g, result in zip(pos.tolist(), build(design, done)):
-            results[g] = result
-    return results
+def _per_item(design: DesignMatrix, kernel) -> tuple[list, list]:
+    """(errors, columns): each item's EstimationError or None, in item order,
+    and each array kernel returns, with a row per item. kernel makes one pass
+    over a bucket's stack and returns arrays with its items on the leading
+    axis (None when it fails them all). A failed item's row is NaN, and so
+    are the cells past an item's own width where buckets differ in width
+    (instrument counts). With no item fitted, columns is empty."""
+    errors = [None] if design.items is None else list(design.items.errors)
+    parts = []
+    for stack in _stacks(design, errors):
+        out, ok = kernel(design, stack), ~stack.failed
+        if ok.any():
+            parts.append((stack.pos[ok], [a[ok] for a in out]))
+    columns = []
+    for arrays in zip(*(out for _, out in parts)):
+        column = np.full((len(errors), *np.max([a.shape[1:] for a in arrays], axis=0)), math.nan)
+        for (pos, _), a in zip(parts, arrays):
+            column[(pos, *map(slice, a.shape[1:]))] = a
+        columns.append(column)
+    return errors, columns
 
 
-def _unstack(design: DesignMatrix, results: list):
-    """A stacked design's results; a single design's result, or its error raised."""
-    if design.items is None and isinstance(results[0], EstimationError):
-        raise results[0]
-    return results if design.items is not None else results[0]
+class _ItemColumns(Sequence):
+    """One fit's results for every item of a design as columns, a row per
+    item, and errors[g], the EstimationError item g failed with or None. A
+    read-only sequence: [g] builds item g's result object when it is asked
+    for, or returns item g's error."""
+
+    def __len__(self) -> int:
+        return len(self.errors)
+
+    def __getitem__(self, g: int):
+        g = range(len(self.errors))[g]  # from the end if negative; IndexError past either end
+        return self.errors[g] or self._item(g)
+
+    def unstacked(self):
+        """These columns for a design stacked by item; for a single design
+        its one result, or its error raised."""
+        if self.design.items is None and self.errors[0] is not None:
+            raise self.errors[0]
+        return self if self.design.items is not None else self._item(0)
 
 
 def _raise_first(bad: np.ndarray, error) -> None:
@@ -363,9 +376,9 @@ def cluster_cov(
 
 
 class _Fits(NamedTuple):
-    """One bucket's fits as arrays, its items on the leading axis;
-    first_stage_f holds 2SLS's first-stage F per endogenous column (no
-    columns for OLS and ILS)."""
+    """Fits as arrays, items on the leading axis: a kernel's for one bucket,
+    or FitColumns' for every item. first_stage_f holds 2SLS's first-stage F
+    per endogenous column (no columns for OLS and ILS)."""
 
     coef: np.ndarray
     cov: np.ndarray
@@ -402,40 +415,46 @@ def _inference(
                  np.sqrt(ssr / max(n - k, 1)), first_stage_f)
 
 
-def _fit_results(method: str, design: DesignMatrix, done: list) -> list[FitResult]:
-    """The FitResults of every bucket's items, in bucket order: one stdtr
-    call gives all their p-values and one stacked_stars call their stars."""
-    fits = _Fits(*(np.concatenate(parts) for parts in zip(*(out for _, _, out in done))))
-    p_value = 2.0 * tails.stdtr((fits.n_clusters - 1)[:, None], -np.abs(fits.t_stat))
-    stars = stacked_stars(p_value).tolist()
-    weakest = fits.first_stage_f.min(axis=1, initial=math.inf)  # NaN if any F is undefined
-    labels = [None if design.items is None else design.items.labels[g]
-              for stack, ok, _ in done for g in stack.pos[ok]]
-    names = design.w_names + design.x_names
-    return [
-        FitResult(
-            method=method,
+class FitColumns(_ItemColumns):
+    """What fit_ols, fit_2sls and fit_ils return for a design stacked by
+    item: the method, the design, errors, and fits, the _Fits arrays with a
+    row per item (NaN in a failed item's rows). [g] is item g's FitResult,
+    with its id as label."""
+
+    def __init__(self, method: str, design: DesignMatrix, errors: list, columns: list):
+        if not columns:  # no item fitted
+            k = len(design.w_names) + len(design.x_names)
+            columns = [np.full((len(errors), *shape), math.nan)
+                       for shape in ((k,), (k, k), (k,), (k,), (), (), (), (), (0,))]
+        self.method, self.design, self.errors, self.fits = method, design, errors, _Fits(*columns)
+
+    def _item(self, g: int) -> FitResult:
+        """One stdtr call gives the item's p-values, as a fit of it alone."""
+        design, fits = self.design, self.fits
+        p_value = 2.0 * tails.stdtr(fits.n_clusters[g] - 1, -np.abs(fits.t_stat[g]))
+        weakest = fits.first_stage_f[g].min(initial=math.inf)  # NaN if any F is undefined
+        names = design.w_names + design.x_names
+        return FitResult(
+            method=self.method,
             outcome=design.outcome_name,
             names=names,
-            coef=fits.coef[i],
-            cov=fits.cov[i],
-            se=fits.se[i],
-            t_stat=fits.t_stat[i],
-            p_value=p_value[i],
-            stars=tuple(stars[i]),
-            n_obs=int(fits.n_obs[i]),
-            n_clusters=int(fits.n_clusters[i]),
-            df_resid=int(fits.n_obs[i]) - len(names),
-            r_squared=float(fits.r_squared[i]),
-            resid_std_error=float(fits.resid_std_error[i]),
-            label=label,
-            warnings=(UNDEFINED_F_NOTE,) if math.isnan(weakest[i])
-            else (f"weak instruments: joint first-stage F = {weakest[i]:.3g} < 10",)
-            if weakest[i] < WEAK_F_THRESHOLD else (),
-            first_stage_f=dict(zip(design.w_names, fits.first_stage_f[i].tolist())),
+            coef=fits.coef[g],
+            cov=fits.cov[g],
+            se=fits.se[g],
+            t_stat=fits.t_stat[g],
+            p_value=p_value,
+            stars=tuple(stacked_stars(p_value).tolist()),
+            n_obs=int(fits.n_obs[g]),
+            n_clusters=int(fits.n_clusters[g]),
+            df_resid=int(fits.n_obs[g]) - len(names),
+            r_squared=float(fits.r_squared[g]),
+            resid_std_error=float(fits.resid_std_error[g]),
+            label=None if design.items is None else design.items.labels[g],
+            warnings=(UNDEFINED_F_NOTE,) if math.isnan(weakest)
+            else (f"weak instruments: joint first-stage F = {weakest:.3g} < 10",)
+            if weakest < WEAK_F_THRESHOLD else (),
+            first_stage_f=dict(zip(design.w_names, fits.first_stage_f[g].tolist())),
         )
-        for i, label in enumerate(labels)
-    ]
 
 
 def _ols(design: DesignMatrix, s: _Stack) -> _Fits:
@@ -444,13 +463,14 @@ def _ols(design: DesignMatrix, s: _Stack) -> _Fits:
     return _inference(design, s, fact.solve()[..., 0], m, fact.bread())
 
 
-def fit_ols(design: DesignMatrix) -> FitResult:
+def fit_ols(design: DesignMatrix) -> FitResult | FitColumns:
     """Least squares of the outcome on [endogenous-as-ordinary, controls].
 
-    On a design stacked by item, a list of each item's FitResult or the
-    EstimationError it failed with, in item order (as for every fit here).
+    On a design stacked by item, the FitColumns of every item, whose [g] is
+    item g's FitResult or the EstimationError it failed with (as for every
+    fit here).
     """
-    return _unstack(design, _per_item(design, _ols, partial(_fit_results, "OLS")))
+    return FitColumns("OLS", design, *_per_item(design, _ols)).unstacked()
 
 
 def _first_stage(design: DesignMatrix, s: _Stack):
@@ -509,13 +529,13 @@ def _two_stage(design: DesignMatrix, s: _Stack) -> _Fits:
     return _inference(design, s, fact2.solve()[..., 0], m2, fact2.bread(), f_stat)
 
 
-def fit_2sls(design: DesignMatrix) -> FitResult:
-    """Two-stage least squares with structural residuals for inference."""
-    fits = _per_item(design, _two_stage, partial(_fit_results, "2SLS"))
-    for fit in fits:
-        if isinstance(fit, FitResult) and fit.warnings:
-            warnings.warn(fit.warnings[0], WeakInstrumentWarning, stacklevel=2)
-    return _unstack(design, fits)
+def fit_2sls(design: DesignMatrix) -> FitResult | FitColumns:
+    """Two-stage least squares with structural residuals for inference. A
+    single design's weak first stage warns; a stacked design's items do not."""
+    fit = FitColumns("2SLS", design, *_per_item(design, _two_stage)).unstacked()
+    if design.items is None and fit.warnings:
+        warnings.warn(fit.warnings[0], WeakInstrumentWarning, stacklevel=2)
+    return fit
 
 
 def _indirect(design: DesignMatrix, s: _Stack) -> _Fits:
@@ -547,62 +567,71 @@ def _indirect(design: DesignMatrix, s: _Stack) -> _Fits:
     return _inference(design, s, coef, m2, fact2.bread())
 
 
-def fit_ils(design: DesignMatrix) -> FitResult:
+def fit_ils(design: DesignMatrix) -> FitResult | FitColumns:
     """Indirect least squares: reduced-form over first-stage coefficient ratio.
 
     Requires a just-identified design. The coefficient algebra is derived
     from the two auxiliary regressions alone, which makes the numerical
     identity with fit_2sls a meaningful check rather than a tautology.
     """
-    return _unstack(design, _per_item(design, _indirect, partial(_fit_results, "ILS")))
+    return FitColumns("ILS", design, *_per_item(design, _indirect)).unstacked()
 
 
 def _first_stage_only(design: DesignMatrix, s: _Stack):
     if s.z.shape[-1] == 0:
         return s.fail_all(Underidentified("design has no instruments"))
-    return _first_stage(design, s)[3:]
+    return (*_first_stage(design, s)[3:], s.n_clusters, np.full(len(s.pos), s.y.shape[-1]))
 
 
-def _first_stage_reports(design: DesignMatrix, done: list) -> list[FirstStageReport]:
-    """The FirstStageReports of every bucket's items, in bucket order: one
-    fdtrc call gives all their F p-values and one stdtrit call their CI
-    critical values."""
-    at = np.cumsum([ok.size for _, ok, _ in done])[:-1]
-    df = np.concatenate([s.n_clusters[ok] for s, ok, _ in done]) - 1
-    p_z = np.concatenate([np.full(ok.size, s.z.shape[-1]) for s, ok, _ in done])
-    f_stats = np.concatenate([f_stat for _, _, (_, _, f_stat) in done])
-    p_values = np.split(tails.fdtrc(p_z[:, None], df[:, None], f_stats), at)
-    tcrits = np.split(tails.stdtrit(df, 0.975), at)
-    reports = []
-    for (s, ok, (coef, se, f_stat)), p_value, tcrit in zip(done, p_values, tcrits):
-        half_width = tcrit[:, None, None] * se
-        ci_low, ci_high = coef - half_width, coef + half_width
-        lead = np.select([ci_high[..., 0] < 0, ci_low[..., 0] > 0], ["negative", "positive"], "null")
-        reports += [
-            FirstStageReport(
-                equations=tuple(
-                    FirstStageEquation(
-                        endogenous=name,
-                        instrument_names=s.z_names[g],
-                        coef=coef[i, j],
-                        se=se[i, j],
-                        ci_low=ci_low[i, j],
-                        ci_high=ci_high[i, j],
-                        f_stat=float(f_stat[i, j]),
-                        p_value=float(p_value[i, j]),
-                        classification=str(lead[i, j]),
-                    )
-                    for j, name in enumerate(design.w_names)
-                ),
-                n_obs=s.y.shape[-1],
-                n_clusters=int(s.n_clusters[g]) if design.w_names else 0,
-            )
-            for i, g in enumerate(ok.tolist())
-        ]
-    return reports
+class FirstStageColumns(_ItemColumns):
+    """What first_stage returns for a design stacked by item: coef, se,
+    ci_low and ci_high (items, p_w, widest p_z), NaN past each item's own
+    instruments; f_stat (items, p_w); n_clusters and n_obs (items,);
+    classification (items, p_w); errors. [g] is item g's FirstStageReport.
+    One stdtrit call over the fitted items gives every CI's critical value."""
+
+    def __init__(self, design: DesignMatrix, errors: list, columns: list):
+        if not columns:  # no item fitted
+            p_w = len(design.w_names)
+            columns = [np.full((len(errors), *shape), math.nan)
+                       for shape in ((p_w, 1), (p_w, 1), (p_w,), (), ())]
+        self.design, self.errors = design, errors
+        self.coef, self.se, self.f_stat, self.n_clusters, self.n_obs = columns
+        # a failed item's df is NaN, which stdtrit leaves out of its Newton steps
+        tcrit = tails.stdtrit(self.n_clusters - 1, 0.975)
+        half_width = tcrit[:, None, None] * self.se
+        self.ci_low, self.ci_high = self.coef - half_width, self.coef + half_width
+        self.classification = np.select([self.ci_high[..., 0] < 0, self.ci_low[..., 0] > 0],
+                                        ["negative", "positive"], "null")
+
+    def _item(self, g: int) -> FirstStageReport:
+        """One fdtrc call gives the item's F p-values, as a fit of it alone."""
+        design, items = self.design, self.design.items
+        z_names = design.z_names if items is None else tuple(items.z_names[c] for c in (
+            items.z_cols[items.z_bounds[g]:items.z_bounds[g + 1]].tolist()))
+        p_z = len(z_names)
+        p_value = tails.fdtrc(p_z, self.n_clusters[g] - 1, self.f_stat[g])
+        return FirstStageReport(
+            equations=tuple(
+                FirstStageEquation(
+                    endogenous=name,
+                    instrument_names=z_names,
+                    coef=self.coef[g, j, :p_z],
+                    se=self.se[g, j, :p_z],
+                    ci_low=self.ci_low[g, j, :p_z],
+                    ci_high=self.ci_high[g, j, :p_z],
+                    f_stat=float(self.f_stat[g, j]),
+                    p_value=float(p_value[j]),
+                    classification=str(self.classification[g, j]),
+                )
+                for j, name in enumerate(design.w_names)
+            ),
+            n_obs=int(self.n_obs[g]),
+            n_clusters=int(self.n_clusters[g]) if design.w_names else 0,
+        )
 
 
-def first_stage(design: DesignMatrix) -> FirstStageReport:
+def first_stage(design: DesignMatrix) -> FirstStageReport | FirstStageColumns:
     """Per-endogenous first-stage diagnostics with cluster-robust inference.
 
     The joint F is the Wald statistic on the excluded instruments divided by
@@ -610,40 +639,23 @@ def first_stage(design: DesignMatrix) -> FirstStageReport:
     squared t-statistic exactly. Classification compares the lead
     instrument's 95% CI to zero: entirely below -> negative (treatment moves
     the column down, e.g. rank improves), entirely above -> positive,
-    otherwise null.
+    otherwise null. On a design stacked by item, the FirstStageColumns of
+    every item.
     """
-    return _unstack(design, _per_item(design, _first_stage_only, _first_stage_reports))
+    return FirstStageColumns(design, *_per_item(design, _first_stage_only)).unstacked()
 
 
-def effect_name(fit: FitResult) -> str:
-    """The coefficient of a fit's position effect: position, else the first."""
-    return "position" if "position" in fit.names else fit.names[0]
-
-
-def aggregate_effect(fits: Sequence[FitResult], k1: int, k2: int) -> EffectEstimate:
-    """System-level effect from per-item fits: tau_i = c_i*(k2-k1), averaged.
+def aggregate_effect(slopes: Sequence[float], k1: int, k2: int) -> EffectEstimate:
+    """System-level effect from per-item slopes c_i: tau_i = c_i*(k2-k1),
+    averaged in the order given.
 
     The SE is the cross-item sample SD over sqrt(N); it is absent for a
-    single item. Fits are ordered by label for determinism.
+    single item.
     """
-    fits = list(fits)
-    if not fits:
+    if not len(slopes):
         raise EmptyInput("no item fits to aggregate")
     if k1 < 1 or k2 < 1:
         raise ValueError("positions must be >= 1")
-
-    def sort_key(fit: FitResult):
-        lbl = fit.label or ""
-        return (0, int(lbl)) if lbl.isdigit() else (1, lbl)
-
-    fits.sort(key=sort_key)
-    taus = np.array([f.coefficient(effect_name(f)) * (k2 - k1) for f in fits])
-    labels = [f.label or "" for f in fits]
-    tau_hat = float(taus.mean())
+    taus = np.asarray(slopes, dtype=float) * (k2 - k1)
     se = float(taus.std(ddof=1) / math.sqrt(len(taus))) if len(taus) > 1 else None
-    return EffectEstimate(
-        tau_hat=tau_hat,
-        se=se,
-        n_items=len(taus),
-        per_item=tuple(zip(labels, (float(t) for t in taus))),
-    )
+    return EffectEstimate(tau_hat=float(taus.mean()), se=se, n_items=len(taus))

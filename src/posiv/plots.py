@@ -2,7 +2,7 @@
 
 No plotting library: elements are written in a fixed order with fixed
 coordinate formatting, so outputs are byte-stable and diffable in golden
-tests. Both charts use a 960x540 (16:9) viewBox.
+tests. Both charts use a 960x540 (16:9) viewBox, and labels are XML-escaped.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ CLASS_COLORS = {
     "null": "#222222",
     "positive": "#2e6da4",
 }
+XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # labels as XML text
 SPEC_PALETTE = ("#4e79a7", "#f28e2b", "#59a14f", "#e15759", "#b07aa1", "#76b7b2")
 
 
@@ -71,7 +72,7 @@ def forest_svg(entries: Sequence[tuple[str, float, float, float, str]]) -> str:
         )
         parts.append(
             f'<text x="{_fmt(MARGIN_LEFT - 8)}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{label}</text>'
+            f'font-family="sans-serif" font-size="12">{label.translate(XML_TEXT)}</text>'
         )
     for v in (lo, 0.0, hi):
         parts.append(
@@ -120,7 +121,7 @@ def bars_svg(
         parts.append(
             f'<text x="{_fmt(MARGIN_LEFT + (i + 0.5) * slot)}" '
             f'y="{_fmt(HEIGHT - MARGIN_BOTTOM + 18)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{label}</text>'
+            f'font-family="sans-serif" font-size="12">{label.translate(XML_TEXT)}</text>'
         )
     for g, label in enumerate(group_labels):
         x = MARGIN_LEFT + g * 130.0
@@ -130,7 +131,7 @@ def bars_svg(
         )
         parts.append(
             f'<text x="{_fmt(x + 16)}" y="{_fmt(HEIGHT - 6)}" '
-            f'font-family="sans-serif" font-size="12">{label}</text>'
+            f'font-family="sans-serif" font-size="12">{label.translate(XML_TEXT)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

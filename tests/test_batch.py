@@ -2,6 +2,7 @@
 time, against the one-item path it replaces (slice one item, build its
 design, fit it) on every item, spec and failure."""
 
+import csv
 import json
 import math
 import tracemalloc
@@ -22,6 +23,7 @@ from posiv.estimator import (
 from posiv.prepare import DesignMatrix, ItemBlocks, build_design, slice_by_item, top_items
 from posiv.simulator import SimConfig, simulate
 from posiv.specs import ModelSpec, get_spec
+from posiv.tables import format_value
 
 from conftest import make_design, projected_collinear
 
@@ -422,3 +424,46 @@ def test_report_factors_each_shape_bucket_once(mixed, tmp_path, factorizations, 
     assert len(tall) == len(sizes) * 3  # one QR per bucket and spec; one item at a time: len(items) * 3
     assert all(shape[-2] == shape[-1] not in sizes for shape in factorizations["svd"])
     assert f"failed items: 0 of {len(items)}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed, specs", [(3, ["spec1", "spec3", "ils"]),
+                                         (0, ["spec4", "spec5", "ils"])])
+def test_report_tau_averages_the_items_every_spec_fits_in_ascending_id(mixed, tmp_path, capsys,
+                                                                      seed, specs):
+    """Each spec's tau on report's stdout is the mean of coef * (k2 - k1) in
+    ascending item id over the items whose effects.csv status is ok under
+    every spec: an item that any spec fails is left out of every tau."""
+    ds, _ = mixed
+    data, ils = tmp_path / "mixed.csv", tmp_path / "ils.json"
+    write_dataset(ds, str(data))
+    ils.write_text(json.dumps({"name": "ils", "level": "edge", "outcome": "outcome",
+                               "endogenous": ["position"], "instruments": "arm",
+                               "method": "ILS"}), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", str(data), "--specs", ",".join(str(ils) if s == "ils" else s
+                                                         for s in specs),
+                 "--top-n", "99", "--sample-seed", str(seed), "--k1", "3", "--k2", "1",
+                 "--out", str(tmp_path / "rep")]) == 0
+    out = capsys.readouterr().out
+    with open(tmp_path / "rep" / "effects.csv", encoding="utf-8", newline="") as fh:
+        rows = {(int(r["item_id"]), r["spec"]): r for r in csv.DictReader(fh)}
+    ok = {item: [rows[item, s]["status"] == "ok" for s in specs] for item, _ in rows}
+    every = sorted(item for item, fits in ok.items() if all(fits))
+    assert any(any(fits) and not all(fits) for fits in ok.values())  # some specs fail an item
+    assert 1 < len(every) < len(ok)
+    for spec, line in zip(specs, out.splitlines()):
+        taus = np.array([float(rows[item, spec]["coef"]) for item in every]) * (1 - 3)
+        assert line.startswith(f"{spec}: tau(3->1) = {format_value(taus.mean())} (se ")
+        assert line.endswith(f", {len(every)} items)")
+
+
+def test_a_stacked_fit_2sls_warns_for_no_item(mixed):
+    """A stacked fit_2sls issues no WeakInstrumentWarning for its items; an
+    item's FitResult still carries its weak-instrument note."""
+    ds, items = mixed
+    design = build_design(slice_by_item(ds, items, 0), get_spec("spec4"), by_item=True)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fits = fit_2sls(design)
+    assert not [w for w in caught if issubclass(w.category, WeakInstrumentWarning)]
+    assert any(isinstance(fit, FitResult) and fit.warnings for fit in fits)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -359,6 +360,21 @@ def test_report_bars_and_summary(ads_outdir, tmp_path, capsys):
     assert svg.count("<rect") == 1 + 15 + 3
     captured = capsys.readouterr()
     assert "spec1: tau(2->1)" in captured.out
+
+
+def test_report_svg_escapes_a_spec_name_into_well_formed_xml(ads_outdir, tmp_path):
+    """A spec named with &, < and > still gives an effects.svg that parses as
+    XML, whose legend text reads the name as given."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "iv<pos>&co", "level": "edge", "outcome": "outcome",
+                                "endogenous": ["position"], "instruments": "arm"}),
+                    encoding="utf-8")
+    out = tmp_path / "rep"
+    assert main(["report", str(ads_outdir / "dataset.csv"), "--specs", f"spec1,{spec}",
+                 "--top-n", "3", "--out", str(out)]) == 0
+    root = ET.parse(out / "effects.svg").getroot()
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert "iv<pos>&co" in texts and "spec1" in texts
 
 
 @pytest.mark.parametrize("flags", [["--k1", "6"], ["--k2", "6"], ["--k1", "9", "--k2", "7"]])

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from posiv import estimator, tails
+from posiv.cli import main
+from posiv.datamodel import write_dataset
 from posiv.errors import (
     Collinear,
     EmptyInput,
@@ -432,59 +434,79 @@ def items_log():
     return slice_by_item(ds, top_items(ds, 8))
 
 
-@pytest.fixture
-def first_stage_work(monkeypatch):
-    """Calls of the first-stage report constructors and of the F and t
-    distribution functions, counted by name while a test runs."""
-    counts = Counter()
-    for owner, name in ((estimator, "FirstStageEquation"), (estimator, "FirstStageReport"),
-                        (tails, "fdtrc"), (tails, "stdtrit")):
-        def counting(*args, _real=getattr(owner, name), _name=name, **kwargs):
-            counts[_name] += 1
+class _CountingTails:
+    """posiv.tails as the estimator sees it, counting each call by name."""
+
+    def __init__(self, counts: Counter):
+        self.counts = counts
+
+    def __getattr__(self, name):
+        def counted(*args, _real=getattr(tails, name), **kwargs):
+            self.counts[name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(owner, name, counting)
+        return counted
+
+
+def _counting(cls, counts: Counter):
+    """A subclass of cls that counts its instances in counts."""
+
+    class Counted(cls):
+        def __init__(self, *args, **kwargs):
+            counts[cls.__name__] += 1
+            super().__init__(*args, **kwargs)
+
+    return Counted
+
+
+@pytest.fixture
+def result_work(monkeypatch):
+    """Result objects the estimator builds and the tails it calls (stdtr,
+    fdtrc, stdtrit), counted by name while a test runs."""
+    counts = Counter()
+    for name in ("FitResult", "FirstStageReport", "FirstStageEquation"):
+        monkeypatch.setattr(estimator, name, _counting(getattr(estimator, name), counts))
+    monkeypatch.setattr(estimator, "tails", _CountingTails(counts))
     return counts
 
 
-@pytest.mark.parametrize("fit, spec", [(fit_2sls, get_spec("spec1")), (fit_ils, ILS)])
-def test_stacked_iv_fits_build_no_first_stage_reports(items_log, first_stage_work, fit, spec):
-    """2SLS and ILS read the first-stage F and se as arrays; only
-    first_stage() builds reports and computes F p-values and CIs."""
+@pytest.mark.parametrize("fit, spec", [(fit_ols, get_spec("spec3")), (fit_2sls, get_spec("spec1")),
+                                       (fit_ils, ILS), (first_stage, get_spec("spec1"))])
+def test_a_stacked_fit_builds_no_result_until_an_item_is_indexed(items_log, result_work, fit,
+                                                                  spec):
+    """A stacked fit returns columns: no FitResult, FirstStageReport or
+    FirstStageEquation is built and no p-value computed until an item is
+    indexed; then one item's object and one tail call over its numbers."""
     design = build_design(items_log, spec, by_item=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", WeakInstrumentWarning)
-        fits = fit(design)
-    assert sum(isinstance(f, FitResult) for f in fits) >= 6
-    assert first_stage_work == {}
+    assert len(list(estimator._stacks(design, []))) > 1  # several shape buckets
+    results = fit(design)
+    assert len(results) == len(design.items.labels)
+    fitted = [g for g, error in enumerate(results.errors) if error is None]
+    assert len(fitted) >= 6
+    # first_stage's CI critical values: one stdtrit call over every fitted item
+    assert result_work == ({"stdtrit": 1} if fit is first_stage else {})
+    result_work.clear()
+    item = results[fitted[-1]]
+    if fit is first_stage:
+        assert isinstance(item, FirstStageReport)
+        assert result_work == {"FirstStageReport": 1, "FirstStageEquation": 1, "fdtrc": 1}
+    else:
+        assert isinstance(item, FitResult) and item.label == design.items.labels[fitted[-1]]
+        assert result_work == {"FitResult": 1, "stdtr": 1}
 
-    reports = first_stage(design)
-    fitted = sum(isinstance(r, FirstStageReport) for r in reports)
-    assert fitted >= 6
-    assert first_stage_work["FirstStageReport"] == first_stage_work["FirstStageEquation"] == fitted
-    # one call each for the whole design, not one per shape bucket
-    assert len(list(estimator._stacks(design, []))) > 1
-    assert first_stage_work["fdtrc"] == first_stage_work["stdtrit"] == 1
 
-
-@pytest.mark.parametrize("fit, spec", [(fit_ols, get_spec("spec3")),
-                                       (fit_2sls, get_spec("spec1")), (fit_ils, ILS)])
-def test_a_stacked_fit_makes_one_stdtr_call(items_log, monkeypatch, fit, spec):
-    """Every bucket's p-values come from one stdtr call per fit."""
-    design = build_design(items_log, spec, by_item=True)
-    assert len(list(estimator._stacks(design, []))) > 1
-    calls = []
-
-    def counting(*args, _real=tails.stdtr):
-        calls.append(args)
-        return _real(*args)
-
-    monkeypatch.setattr(tails, "stdtr", counting)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", WeakInstrumentWarning)
-        fits = fit(design)
-    assert sum(isinstance(f, FitResult) for f in fits) >= 6
-    assert len(calls) == 1
+def test_cli_report_and_diagnose_read_columns(items_log, result_work, tmp_path, capsys):
+    """report writes its effects from the fits' columns, with no result
+    object and no stdtr call; diagnose builds no report, makes no fdtrc call
+    and one stdtrit call for every CI."""
+    data = tmp_path / "items.csv"
+    write_dataset(items_log, str(data))
+    assert main(["report", str(data), "--specs", "spec1,spec2,spec3", "--top-n", "8",
+                 "--out", str(tmp_path / "rep")]) == 0
+    assert result_work == {}
+    assert main(["diagnose", str(data), "--top-n", "8", "--out", str(tmp_path / "diag")]) == 0
+    assert result_work == {"stdtrit": 1}
+    assert "failed items: 0 of 8" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------- invariances
@@ -523,46 +545,27 @@ def test_control_affine_rescale():
 # ---------------------------------------------------------------- aggregation
 
 
-def _fit_with(coef, label):
-    d = make_design(
-        coef * np.arange(8, dtype=float), np.arange(8, dtype=float), [], [],
-        clusters=np.arange(8) % 4, w_names=("position",),
-    )
-    f = fit_ols(d)
-    f.label = label
-    return f
-
-
 def test_aggregate_effect_single_item():
-    fit = _fit_with(-0.04, "7")
-    eff = aggregate_effect([fit], k1=3, k2=2)
+    eff = aggregate_effect([-0.04], k1=3, k2=2)
     assert eff.se is None
     assert eff.n_items == 1
     assert abs(eff.tau_hat - (-0.04) * (2 - 3)) < 1e-10
 
 
 def test_aggregate_effect_equal_slopes_zero_se():
-    fits = [_fit_with(-0.05, str(i)) for i in range(4)]
-    eff = aggregate_effect(fits, k1=5, k2=1)
+    eff = aggregate_effect([-0.05] * 4, k1=5, k2=1)
     assert eff.se == 0.0
     assert abs(eff.tau_hat - (-0.05) * (1 - 5)) < 1e-10
 
 
 def test_aggregate_effect_mixed_slopes_matches_arithmetic():
-    fits = [_fit_with(-0.02, "1"), _fit_with(-0.06, "2")]
-    eff = aggregate_effect(fits, k1=5, k2=1)
+    eff = aggregate_effect([-0.02, -0.06], k1=5, k2=1)
     assert abs(eff.tau_hat - 0.16) < 1e-10
 
 
 def test_aggregate_effect_empty():
     with pytest.raises(EmptyInput):
         aggregate_effect([], 2, 1)
-
-
-def test_aggregate_effect_sorts_by_label():
-    fits = [_fit_with(-0.02, "10"), _fit_with(-0.06, "2")]
-    eff = aggregate_effect(fits, 2, 1)
-    assert [p[0] for p in eff.per_item] == ["2", "10"]
 
 
 # ---------------------------------------------------------------- stars
