@@ -495,6 +495,46 @@ def test_a_stacked_fit_builds_no_result_until_an_item_is_indexed(items_log, resu
         assert result_work == {"FitResult": 1, "stdtr": 1}
 
 
+@pytest.mark.parametrize("fit, spec", [(fit_2sls, get_spec("spec1")), (fit_ils, ILS)])
+def test_stacked_iv_fits_build_no_first_stage_reports(items_log, result_work, fit, spec):
+    """2SLS and ILS read the first-stage F as a column: neither the fit nor
+    any item's FitResult builds a first-stage report or computes an F
+    p-value or CI; first_stage() builds a report per indexed item."""
+    design = build_design(items_log, spec, by_item=True)
+    results = fit(design)
+    fitted = [results[g] for g, error in enumerate(results.errors) if error is None]
+    assert len(fitted) >= 6 and all(isinstance(f, FitResult) for f in fitted)
+    assert result_work == {"FitResult": len(fitted), "stdtr": len(fitted)}
+
+    result_work.clear()
+    reports = first_stage(design)
+    assert [g for g, error in enumerate(reports.errors) if error is None] == \
+        [g for g, error in enumerate(results.errors) if error is None]
+    # every CI's critical value from one call for the whole design, not one per shape bucket
+    assert len(list(estimator._stacks(design, []))) > 1
+    assert result_work == {"stdtrit": 1}
+    assert sum(isinstance(r, FirstStageReport) for r in reports) == len(fitted)
+    assert result_work["FirstStageReport"] == result_work["FirstStageEquation"] == len(fitted)
+
+
+@pytest.mark.parametrize("fit, spec", [(fit_ols, get_spec("spec3")),
+                                       (fit_2sls, get_spec("spec1")), (fit_ils, ILS)])
+def test_a_stacked_fit_makes_one_stdtr_call(items_log, result_work, fit, spec):
+    """A stacked fit makes no stdtr call; each item's p-values, in any shape
+    bucket, come from one stdtr call when its FitResult is built."""
+    design = build_design(items_log, spec, by_item=True)
+    assert len(list(estimator._stacks(design, []))) > 1
+    results = fit(design)
+    assert result_work == {}
+    fitted = 0
+    for g, error in enumerate(results.errors):
+        if error is None:
+            assert np.isfinite(results[g].p_value).all()
+            fitted += 1
+            assert result_work == {"FitResult": fitted, "stdtr": fitted}
+    assert fitted >= 6
+
+
 def test_cli_report_and_diagnose_read_columns(items_log, result_work, tmp_path, capsys):
     """report writes its effects from the fits' columns, with no result
     object and no stdtr call; diagnose builds no report, makes no fdtrc call
