@@ -23,29 +23,32 @@ M is the projected design [W_hat, X] while the residuals u are structural
 go negative: a coefficient pulled away from the OLS minimizer can fit worse
 than the outcome mean, and that is expected behavior, not an error.
 
-One stacked kernel does every fit. It works on (B, n, k) stacks of
-same-shape designs: one np.linalg.qr call factors all B matrices, the
-solves, breads and 1e12 checks run per matrix on the stack, and the cluster
-score sums of all B come from one bincount. The kernel returns arrays, which
-are copied into columns with a row per item (FitColumns, FirstStageColumns).
-A FitResult or FirstStageReport, with its t or F tails (posiv.tails, in
-numpy), is built only when one item is asked for; the first stage's CI
-critical values come from one stdtrit call over every fitted item. A design
-stacked by item (build_design(..., by_item=True)) is cut into shape buckets:
-the items with the same row count and instrument count. There is no zero
-padding, and a bucket builds only its own items' instrument columns, so each
-matrix LAPACK factors is the one a fit of that item alone would factor, and
-a large item, or one with arm levels of its own, costs memory only in its
-own bucket.
+One stacked kernel does every fit, on a stack of the items with the same
+instrument count of a design stacked by item (build_design(...,
+by_item=True)). A stack holds its items' rows flat, ordered by row count,
+so each part, a run of items with the same row count n, is a (B, n, .) view
+of them. Only the calls that read rows run once per part: the tall R-only
+np.linalg.qr, the fitted values and residuals, the sums of squares and the
+cluster score sums, from one bincount. The k x k work (SVDs, checks,
+solves, breads, sandwiches, the joint F and the second stage's k-row
+factorization) runs once per stack. There is no zero padding, which can
+change the last bits of R, and a stack builds only its own items'
+instrument columns, so each matrix LAPACK factors is the one a fit of that
+item alone would factor. The kernel returns arrays, which are copied into
+columns with a row per item (FitColumns, FirstStageColumns). A FitResult or
+FirstStageReport, with its t or F tails (posiv.tails, in numpy), is built
+only when one item is asked for; the first stage's CI critical values come
+from one stdtrit call over every fitted item.
 
 Each kernel makes one pass over a stack and fails items by mask, as
 build_design does: a check records its error for each item it flags that has
 none yet, and gives those items finite stand-ins (unit singular values, an
 identity first-stage covariance, G = 2, a unit ILS denominator) for the rest
-of the pass. A check on shape fails the whole bucket and skips the kernel. A
-single design is one bucket of one: its result, or its error raised. An
-item whose first-stage covariance reaches condition number 1e12 gets the
-identity too, and a NaN (undefined) joint F, but does not fail.
+of the pass. A check on shape fails the whole stack and skips the kernel. A
+single design is one stack of one part of one item: its result, or its
+error raised. An item whose first-stage covariance reaches condition number
+1e12 gets the identity too, and a NaN (undefined) joint F, but does not
+fail.
 """
 
 from __future__ import annotations
@@ -182,9 +185,11 @@ class EffectEstimate:
 
 
 class _Stack:
-    """Same-shape designs of B items on a leading axis: y (B, n), w/z/x
-    (B, n, .), cluster codes (B, n) numbered 0.. within each item, and the
-    item positions they came from.
+    """The items of one instrument count (positions pos, n_obs rows each):
+    the first stage's [Z, X, W, y] as a (N, k + p_w + 1), viewed as z, x and
+    w (y is a copy), and cluster codes (N,) numbered 0.. per item hold their
+    rows item after item in ascending row count. parts(a) views rows as one
+    (B_p, n, .) array per run of items with n rows; split(a) cuts per item.
 
     check() marks the items a check flags in failed, and the first error an
     item meets becomes its entry of errors. Each matrix of a batched qr,
@@ -193,10 +198,24 @@ class _Stack:
     in a stack without it.
     """
 
-    def __init__(self, pos, y, w, z, x, codes, errors):
-        self.pos, self.y, self.w, self.z, self.x = pos, y, w, z, x
-        self.codes, self.n_clusters = codes, codes.max(axis=-1) + 1
+    def __init__(self, pos, n_obs, a, p_z, p_w, codes, errors):
+        self.pos, self.n_obs, self.a, self.k = pos, n_obs, a, a.shape[-1] - p_w - 1
+        self.z, self.x, self.w = a[:, :p_z], a[:, p_z:self.k], a[:, self.k:-1]
+        self.y = a[:, -1].copy()  # contiguous, so the sums over each item's rows keep their order
+        starts = np.cumsum(n_obs) - n_obs
+        self.codes, self.n_clusters = codes, np.maximum.reduceat(codes, starts) + 1
+        first = np.flatnonzero(np.append(True, np.diff(n_obs))).tolist()  # each part's first item
+        self.sizes, bounds = n_obs[first].tolist(), [*starts[first].tolist(), len(a)]
+        self.item_parts = list(map(slice, first, [*first[1:], len(pos)]))
+        self.row_parts = list(map(slice, bounds[:-1], bounds[1:]))
         self.failed, self.errors = np.zeros(len(pos), dtype=bool), errors
+
+    def parts(self, a: np.ndarray) -> list:
+        return [a[rows].reshape((rows.stop - rows.start) // n, n, *a.shape[1:])
+                for rows, n in zip(self.row_parts, self.sizes)]
+
+    def split(self, a: np.ndarray) -> list:
+        return [a[items] for items in self.item_parts]
 
     def check(self, bad: np.ndarray, error) -> None:
         """Fail the items flagged in bad with error(i)."""
@@ -213,40 +232,48 @@ class _Stack:
             f"need at least 2 clusters, got {self.n_clusters[i]}"
         ))
 
+    def cluster_cov(self, m: list, residuals: list, bread: np.ndarray) -> np.ndarray:
+        parts = zip(m, residuals, self.parts(self.codes), self.split(self.n_clusters))
+        return _cluster_cov(parts, bread, self.n_clusters, self.n_obs)
+
 
 def _stacks(design: DesignMatrix, errors: list):
-    """The design's items grouped by exact shape (rows, instruments), one
-    _Stack per shape, each with its own instrument columns and failing its
-    items into errors; a design not stacked by item is one stack of one."""
+    """The design's items grouped by instrument count, one _Stack per count,
+    each with its own instrument columns and failing its items into errors;
+    a design not stacked by item is one stack of one item."""
     items = design.items
+    p_w = design.w.shape[1]
     if items is None:
         codes = np.unique(design.clusters, return_inverse=True)[1]
-        yield _Stack(np.zeros(1, dtype=np.intp), design.y[None], design.w[None],
-                     design.z[None], design.x[None], codes[None], errors)
+        a = np.concatenate([design.z, design.x, design.w, design.y[:, None]], axis=1)
+        yield _Stack(np.zeros(1, dtype=np.intp), np.array([len(a)]), a, design.z.shape[1], p_w,
+                     codes, errors)
         return
     sizes, p_z = np.diff(items.bounds), np.diff(items.z_bounds)
     built = np.flatnonzero([error is None for error in items.errors])
-    if not built.size:
-        return
-    shape = (sizes * (p_z.max() + 1) + p_z)[built]
-    by_shape = np.argsort(shape, kind="stable")
-    for pos in np.split(built[by_shape], np.flatnonzero(np.diff(shape[by_shape])) + 1):
-        rows = items.bounds[pos][:, None] + np.arange(sizes[pos[0]])
-        z_cols = items.z_cols[items.z_bounds[pos][:, None] + np.arange(p_z[pos[0]])]
-        yield _Stack(
-            pos, design.y[rows], design.w[rows],
-            (items.instrument[rows][..., None] == z_cols[:, None, :]).astype(float),
-            design.x[rows], items.codes[rows], errors,
-        )
+    for width in sorted(set(p_z[built].tolist())):
+        pos = built[p_z[built] == width]
+        pos = pos[np.argsort(sizes[pos], kind="stable")]
+        n_obs = sizes[pos]
+        starts = np.cumsum(n_obs) - n_obs
+        rows = np.repeat(items.bounds[pos] - starts, n_obs) + np.arange(n_obs.sum())
+        z_cols = items.z_cols[items.z_bounds[pos][:, None] + np.arange(width)]
+        a = np.empty((len(rows), width + design.x.shape[1] + p_w + 1))
+        a[:, :width] = items.instrument[rows][:, None] == np.repeat(z_cols, n_obs, axis=0)
+        # np.take gathers the rows of a 2-D array faster than indexing with rows
+        a[:, width:-1 - p_w] = np.take(design.x, rows, axis=0)
+        a[:, -1 - p_w:-1] = np.take(design.w, rows, axis=0)
+        a[:, -1] = design.y[rows]
+        yield _Stack(pos, n_obs, a, width, p_w, items.codes[rows], errors)
 
 
 def _per_item(design: DesignMatrix, kernel) -> tuple[list, list]:
     """(errors, columns): each item's EstimationError or None, in item order,
     and each array kernel returns, with a row per item. kernel makes one pass
-    over a bucket's stack and returns arrays with its items on the leading
-    axis (None when it fails them all). A failed item's row is NaN, and so
-    are the cells past an item's own width where buckets differ in width
-    (instrument counts). With no item fitted, columns is empty."""
+    over a stack and returns arrays with its items on the leading axis (None
+    when it fails them all). A failed item's row is NaN, and so are the
+    cells past an item's own width where stacks differ in width (instrument
+    counts). With no item fitted, columns is empty."""
     errors = [None] if design.items is None else list(design.items.errors)
     parts = []
     for stack in _stacks(design, errors):
@@ -290,17 +317,18 @@ def _raise_first(bad: np.ndarray, error) -> None:
 
 
 class _Factorization:
-    """One R-only QR of a stack of same-shape [M, right-hand sides], of which
-    only the k rows R[..., :k, :] are kept (M has k columns), and an SVD of
-    their k x k leading block R_11. Since M'M = R_11'R_11, that SVD gives
-    the condition check, solve and sandwich bread. fail(bad, error) fails the
-    items whose M reaches condition number 1e12 as Collinear, and unit
-    singular values keep their solve and bread finite."""
+    """One R-only QR per part, a stack of same-shape [M, right-hand sides],
+    of which only the k rows R[..., :k, :] are kept (M has k columns), and
+    one SVD of all their k x k leading blocks R_11. Since M'M = R_11'R_11,
+    that SVD gives the condition check, solve and sandwich bread. fail(bad,
+    error) fails the items whose M reaches condition number 1e12 as
+    Collinear, and unit singular values keep their solve and bread finite."""
 
-    def __init__(self, a: np.ndarray, k: int, what: str, fail):
-        if a.shape[-2] < k:
-            raise Underdetermined(f"{a.shape[-2]} rows for {k} {what} columns")
-        self.r = np.linalg.qr(a, mode="r")[..., :k, :]
+    def __init__(self, parts: list, k: int, what: str, fail):
+        n = min(a.shape[-2] for a in parts)
+        if n < k:
+            raise Underdetermined(f"{n} rows for {k} {what} columns")
+        self.r = np.concatenate([np.linalg.qr(a, mode="r")[..., :k, :] for a in parts])
         self.u, self.s, self.vt = np.linalg.svd(self.r[..., :k])
         with np.errstate(divide="ignore", invalid="ignore"):
             cond = np.where(self.s[:, -1] <= 0.0, math.inf, self.s[:, 0] / self.s[:, -1])
@@ -319,6 +347,40 @@ class _Factorization:
         return (self.vt.swapaxes(-1, -2) / self.s[:, None, :] ** 2) @ self.vt
 
 
+def _cluster_cov(parts, bread: np.ndarray, n_groups: np.ndarray, n_obs: np.ndarray):
+    """The CR1 covariances of a stack, scaled by each item's own G (2 if
+    below) and n, from its breads and parts (m, residuals, clusters, G) of
+    (B_p, n, k) matrices with codes 0..G-1. A part's score sums come from one
+    bincount per column, which adds each cluster's scores in row order; when
+    every code is its row, the scores are the sums."""
+    meats = []
+    for m, residuals, clusters, part_groups in parts:
+        b, n, k = m.shape
+        offsets = np.cumsum(part_groups) - part_groups
+        if (clusters == np.arange(n)).all():  # every cluster one row, in row order
+            sums = (m * residuals[..., None]).reshape(-1, k)
+            sums += 0.0  # bincount's sums start at +0.0, so a -0.0 score sums to +0.0
+        else:
+            scores = np.multiply(np.moveaxis(m, -1, 0), residuals, out=np.empty((k, b, n)))
+            slots, total = (clusters + offsets[:, None]).ravel(), int(part_groups.sum())
+            sums = np.empty((total, k))
+            for j in range(k):
+                sums[:, j] = np.bincount(slots, weights=scores[j].ravel(), minlength=total)
+        meat = np.empty((b, k, k))
+        for g in sorted(set(part_groups.tolist())):  # one matmul per cluster count
+            of_g = np.flatnonzero(part_groups == g)
+            if len(of_g) == b:
+                blocks = sums.reshape(b, g, k)
+            else:
+                blocks = sums[offsets[of_g][:, None] + np.arange(g)]
+            meat[of_g] = blocks.swapaxes(-1, -2) @ blocks
+        meats.append(meat)
+    groups, k = np.maximum(n_groups, 2), bread.shape[-1]
+    scale = (groups / (groups - 1.0)) * ((n_obs - 1.0) / np.maximum(n_obs - k, 1))
+    cov = bread @ np.concatenate(meats) @ bread * scale[:, None, None]
+    return 0.5 * (cov + cov.swapaxes(-1, -2))
+
+
 def cluster_cov(
     m: np.ndarray,
     residuals: np.ndarray,
@@ -333,11 +395,9 @@ def cluster_cov(
     m may also be a stack (B, n, k) of same-shape matrices with residuals
     and clusters (B, n). Clusters are then codes 0..G_b-1 within each matrix,
     every code used, and (B, k, k) covariances come back with the B counts
-    G_b. The score sums of every matrix come from one bincount over codes
-    offset per matrix, which adds each cluster's scores in row order; when
-    every matrix's codes are 0..n-1 in row order, the scores are the sums.
-    Only a single matrix raises TooFewClusters: a matrix of a stack with
-    fewer than 2 clusters is scaled as if G were 2, for its caller to fail.
+    G_b. Only a single matrix raises TooFewClusters: a matrix of a stack
+    with fewer than 2 clusters is scaled as if G were 2, for its caller to
+    fail.
     """
     single = m.ndim == 2
     if single:
@@ -348,35 +408,14 @@ def cluster_cov(
     if single and n_groups[0] < 2:
         raise TooFewClusters(f"need at least 2 clusters, got {n_groups[0]}")
     if bread is None:
-        bread = _Factorization(m, m.shape[-1], "regressor", _raise_first).bread()
-    b, n, k = m.shape
-    scores = m * residuals[..., None]
-    offsets = np.cumsum(n_groups) - n_groups
-    if (clusters == np.arange(n)).all():  # every cluster one row, in row order
-        sums = scores.reshape(-1, k)
-        sums += 0.0  # bincount's sums start at +0.0, so a -0.0 score sums to +0.0
-    else:
-        slots = ((clusters + offsets[:, None]) * k)[..., None] + np.arange(k)
-        sums = np.bincount(
-            slots.ravel(), weights=scores.ravel(), minlength=int(n_groups.sum()) * k
-        ).reshape(-1, k)
-    meat = np.empty((b, k, k))
-    for g in sorted(set(n_groups.tolist())):  # one matmul per cluster count
-        of_g = np.flatnonzero(n_groups == g)
-        if len(of_g) == b:
-            blocks = sums.reshape(b, g, k)
-        else:
-            blocks = sums[offsets[of_g][:, None] + np.arange(g)]
-        meat[of_g] = blocks.swapaxes(-1, -2) @ blocks
-    groups = np.maximum(n_groups, 2)
-    scale = (groups / (groups - 1.0)) * ((n - 1.0) / max(n - k, 1))
-    cov = bread @ meat @ bread * scale[:, None, None]
-    cov = 0.5 * (cov + cov.swapaxes(-1, -2))
+        bread = _Factorization([m], m.shape[-1], "regressor", _raise_first).bread()
+    b, n = m.shape[:2]
+    cov = _cluster_cov([(m, residuals, clusters, n_groups)], bread, n_groups, np.full(b, n))
     return (cov[0], int(n_groups[0])) if single else (cov, n_groups)
 
 
 class _Fits(NamedTuple):
-    """Fits as arrays, items on the leading axis: a kernel's for one bucket,
+    """Fits as arrays, items on the leading axis: a kernel's for one stack,
     or FitColumns' for every item. first_stage_f holds 2SLS's first-stage F
     per endogenous column (no columns for OLS and ILS)."""
 
@@ -395,24 +434,25 @@ def _inference(
     design: DesignMatrix,
     s: _Stack,
     coef: np.ndarray,
-    m: np.ndarray,
+    m: list,
     bread: np.ndarray,
     first_stage_f: np.ndarray | None = None,
 ) -> _Fits:
     s.check_clusters()
-    structural_resid = s.y - (np.concatenate([s.w, s.x], axis=-1) @ coef[..., None])[..., 0]
-    cov, n_groups = cluster_cov(m, structural_resid, s.codes, bread)
-    ssr = (structural_resid[:, None, :] @ structural_resid[..., None])[:, 0, 0]
-    tss = ((s.y - s.y.mean(axis=-1, keepdims=True)) ** 2).sum(axis=-1)
+    resid = [y - (np.concatenate([w, x], axis=-1) @ c[..., None])[..., 0] for y, w, x, c in zip(
+        s.parts(s.y), s.parts(s.w), s.parts(s.x), s.split(coef))]
+    cov = s.cluster_cov(m, resid, bread)
+    ssr = np.concatenate([(u[:, None, :] @ u[..., None])[:, 0, 0] for u in resid])
+    tss = np.concatenate([((y - y.mean(axis=-1, keepdims=True)) ** 2).sum(axis=-1)
+                          for y in s.parts(s.y)])
     with np.errstate(divide="ignore", invalid="ignore"):
         se = np.sqrt(np.clip(np.diagonal(cov, axis1=-2, axis2=-1), 0.0, None))
         t_stat = coef / se
         r_squared = np.where(tss > 0, 1.0 - ssr / tss, math.nan)
-    n, k = m.shape[-2:]
     if first_stage_f is None:
         first_stage_f = np.empty((len(s.pos), 0))
-    return _Fits(coef, cov, se, t_stat, n_groups, np.full(len(s.pos), n), r_squared,
-                 np.sqrt(ssr / max(n - k, 1)), first_stage_f)
+    return _Fits(coef, cov, se, t_stat, s.n_clusters, s.n_obs, r_squared,
+                 np.sqrt(ssr / np.maximum(s.n_obs - coef.shape[-1], 1)), first_stage_f)
 
 
 class FitColumns(_ItemColumns):
@@ -458,9 +498,12 @@ class FitColumns(_ItemColumns):
 
 
 def _ols(design: DesignMatrix, s: _Stack) -> _Fits:
-    m = np.concatenate([s.w, s.x], axis=-1)
-    fact = _Factorization(np.concatenate([m, s.y[..., None]], -1), m.shape[-1], "design", s.check)
-    return _inference(design, s, fact.solve()[..., 0], m, fact.bread())
+    # with no instruments and no endogenous columns, [Z, X, W, y] is [W, X, y]
+    m = s.a if s.a.shape[-1] == s.x.shape[-1] + 1 else np.concatenate(
+        [s.w, s.x, s.y[:, None]], axis=-1)
+    k = m.shape[-1] - 1
+    fact = _Factorization(s.parts(m), k, "design", s.check)
+    return _inference(design, s, fact.solve()[..., 0], s.parts(m[:, :k]), fact.bread())
 
 
 def fit_ols(design: DesignMatrix) -> FitResult | FitColumns:
@@ -479,23 +522,23 @@ def _first_stage(design: DesignMatrix, s: _Stack):
     first_stage.
 
     Returns (fact, solved, fitted, coef, se, f_stat): solved holds gamma, the
-    first-stage coefficients, then the reduced form; coef and se (B, p_w, p_z)
+    first-stage coefficients, then the reduced form; fitted holds each
+    part's first-stage fitted values; coef and se (B, p_w, p_z)
     are each endogenous column's instrument coefficients and their
     cluster-robust standard errors, f_stat (B, p_w) their joint F."""
-    p_z, p_w = s.z.shape[-1], s.w.shape[-1]
-    a = np.concatenate([s.z, s.x, s.w, s.y[..., None]], axis=-1)
-    k = p_z + s.x.shape[-1]
-    fact = _Factorization(a, k, "instrument", s.check)
+    p_z, p_w, k = s.z.shape[-1], s.w.shape[-1], s.k
+    fact = _Factorization(s.parts(s.a), k, "instrument", s.check)
     if design.w_names:  # the first cluster sum comes before anything else can fail
         s.check_clusters()
     solved = fact.solve()  # (B, p_z + p_x, p_w + 1)
-    p, gamma = a[..., :k], solved[..., :p_w]
-    fitted = p @ gamma
-    bread = fact.bread()
+    p, gamma = s.parts(s.a[:, :k]), solved[..., :p_w]
+    fitted = [pp @ g for pp, g in zip(p, s.split(gamma))]
+    w, bread = s.parts(s.w), fact.bread()
     coef = gamma[:, :p_z].swapaxes(-1, -2)
     se, f_stat = np.empty_like(coef), np.empty(coef.shape[:-1])
     for j in range(p_w):
-        cov_zz = cluster_cov(p, s.w[..., j] - fitted[..., j], s.codes, bread)[0][:, :p_z, :p_z]
+        resid = [wp[..., j] - fp[..., j] for wp, fp in zip(w, fitted)]
+        cov_zz = s.cluster_cov(p, resid, bread)[:, :p_z, :p_z]
         se[:, j] = np.sqrt(np.clip(np.diagonal(cov_zz, axis1=-2, axis2=-1), 0.0, None))
         cov_zz[s.failed] = np.eye(p_z)  # a failed item's cov_zz can be singular
         eig = np.linalg.eigvalsh(cov_zz)  # ascending
@@ -506,16 +549,16 @@ def _first_stage(design: DesignMatrix, s: _Stack):
     return fact, solved, fitted, coef, se, f_stat
 
 
-def _projected(s: _Stack, first: _Factorization, w_hat: np.ndarray):
-    """The second-stage design [W_hat, X] and its factorization. For the
-    first k = p_z + p_x columns Q_P of the first stage's Q, W_hat = Q_P R_PW,
-    X = Q_P R_PX and Q_P'y = R_Py, so the k-row block [R_PW, R_PX, R_Py] of
-    its R is factored in place of n rows."""
+def _projected(s: _Stack, first: _Factorization, w_hat: list):
+    """Each part's second-stage design [W_hat, X], and their factorization.
+    For the first k = p_z + p_x columns Q_P of the first stage's Q, W_hat =
+    Q_P R_PW, X = Q_P R_PX and Q_P'y = R_Py, so the k-row block [R_PW, R_PX,
+    R_Py] of its R is factored in place of n rows."""
     r, p_z = first.r, s.z.shape[-1]
     k = r.shape[-2]
     block = np.concatenate([r[..., k:-1], r[..., p_z:k], r[..., -1:]], axis=-1)
-    m2 = np.concatenate([w_hat, s.x], axis=-1)
-    return m2, _Factorization(block, m2.shape[-1], "projected design", s.check)
+    m2 = (np.concatenate([f, x], axis=-1) for f, x in zip(w_hat, s.parts(s.x)))
+    return m2, _Factorization([block], s.w.shape[-1] + s.x.shape[-1], "projected design", s.check)
 
 
 def _two_stage(design: DesignMatrix, s: _Stack) -> _Fits:
@@ -580,7 +623,7 @@ def fit_ils(design: DesignMatrix) -> FitResult | FitColumns:
 def _first_stage_only(design: DesignMatrix, s: _Stack):
     if s.z.shape[-1] == 0:
         return s.fail_all(Underidentified("design has no instruments"))
-    return (*_first_stage(design, s)[3:], s.n_clusters, np.full(len(s.pos), s.y.shape[-1]))
+    return (*_first_stage(design, s)[3:], s.n_clusters, s.n_obs)
 
 
 class FirstStageColumns(_ItemColumns):

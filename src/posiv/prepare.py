@@ -112,11 +112,15 @@ def _winner_per_request(
     equal scores go to the lowest ordinal. With groups (an item per row), the rule runs within each (group, request).
     Returned indices are in ascending dataset order.
     """
-    if groups is None:
-        order = np.argsort(request_ids, kind="stable")
-        keys = (request_ids[order],)
-    else:
-        order = np.lexsort((request_ids, groups))
+    order = np.argsort(request_ids, kind="stable")  # fast on a log in request order
+    keys = (request_ids[order],)
+    if groups is not None:
+        # each request's rank times the group count, plus the group: a stable
+        # sort of these keys puts each (group, request)'s rows together
+        new = np.ones(len(order), dtype=np.int64)
+        new[1:] = keys[0][1:] != keys[0][:-1]
+        pair = (np.cumsum(new) - 1) * (int(groups.max(initial=0)) + 1) + groups[order]
+        order = order[np.argsort(pair, kind="stable")]
         keys = (request_ids[order], groups[order])
     n = len(order)
     new_group = np.zeros(n + 1, dtype=bool)
@@ -153,9 +157,8 @@ def slice_by_item(ds: Dataset, items: int | Sequence[int], seed: int = 0) -> Dat
     seed).
 
     An item's rows keep their dataset order, and each item's rows are exactly
-    those of slicing that item alone. Each row's item is looked up among the
-    wanted ids, so slicing a few items costs little more than one pass over
-    the item column.
+    those of slicing that item alone. Only the distinct item ids, from one
+    sort of the item column, are looked up among the wanted ids.
     """
     try:
         wanted = np.atleast_1d(np.array(items, dtype=np.uint64))
@@ -164,19 +167,20 @@ def slice_by_item(ds: Dataset, items: int | Sequence[int], seed: int = 0) -> Dat
     if not wanted.size or len(_distinct(wanted)) < wanted.size:
         raise ValueError("items must be one or more distinct ids")
     item_ids = ds.column("item_id")
+    distinct, inverse = np.unique(item_ids, return_inverse=True)
     by_id = np.argsort(wanted)
-    at = np.minimum(np.searchsorted(wanted[by_id], item_ids), len(wanted) - 1)
+    at = np.minimum(np.searchsorted(wanted[by_id], distinct), len(wanted) - 1)
     # the smallest integer type for item positions lets the stable sort run as a radix sort
-    group = by_id.astype(np.min_scalar_type(len(wanted)))[at]
-    rows = np.flatnonzero(wanted[group] == item_ids)
-    group = group[rows]
+    code = by_id.astype(np.min_scalar_type(len(wanted)))[at]
+    rows = np.flatnonzero((wanted[code] == distinct)[inverse])
+    group = code[inverse[rows]]
     sizes = np.bincount(group, minlength=len(wanted))
     if not sizes.all():
         raise UnknownItem(f"item {wanted[np.argmin(sizes)]} not present")
-    by_item = np.argsort(group, kind="stable")
-    rows, group = rows[by_item], group[by_item]
     winners = _winner_per_request(ds.column("request_id")[rows], seed, group)
-    return ds.subset(rows[winners], provenance=f"{ds.provenance} | items={len(wanted)}")
+    rows, group = rows[winners], group[winners]
+    return ds.subset(rows[np.argsort(group, kind="stable")],
+                     provenance=f"{ds.provenance} | items={len(wanted)}")
 
 
 def top_items(ds: Dataset, n: int) -> list[int]:

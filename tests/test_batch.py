@@ -1,6 +1,7 @@
-"""The per-item engine: a design stacked by item, fitted one shape bucket at a
-time, against the one-item path it replaces (slice one item, build its
-design, fit it) on every item, spec and failure."""
+"""The per-item engine: a design stacked by item, fitted one stack of items
+with the same instrument count at a time, against the one-item path it
+replaces (slice one item, build its design, fit it) on every item, spec and
+failure."""
 
 import csv
 import json
@@ -161,6 +162,49 @@ def test_batch_matches_one_item_at_a_time(mixed, seed, spec_name):
     rows, cols = np.diff(design.items.bounds), np.diff(design.items.z_bounds)
     shapes = [(rows[g], cols[g]) for g in built]
     assert 1 < len(set(shapes)) < len(shapes)  # several buckets, some holding many items
+
+
+def _numbers(result) -> bytes:
+    """Every number of a FitResult or FirstStageReport but the CIs, as bytes.
+    The CIs' critical values come from one stdtrit call over every item,
+    whose Newton steps run until every item's root has converged, so their
+    last bits can depend on the other items' G."""
+    if isinstance(result, FitResult):
+        arrays = [result.coef, result.se, result.cov, result.t_stat, result.p_value,
+                  [result.r_squared, result.resid_std_error, *result.first_stage_f.values()]]
+    else:
+        arrays = [a for eq in result.equations for a in (eq.coef, eq.se, [eq.f_stat, eq.p_value])]
+    return b"".join(np.asarray(a, dtype=float).tobytes() for a in arrays)
+
+
+@pytest.mark.parametrize("spec_name", ["spec2", "spec4", "spec5", "ils", "first-stage spec4"])
+def test_stacked_fits_equal_lone_fits_bit_for_bit(mixed, spec_name):
+    """Over stacks of several instrument counts, each cut into several
+    row-count parts and holding items that fail, every fitted item's
+    numbers have the bits of a fit of that item alone."""
+    ds, items = mixed
+    if spec_name.startswith("first-stage"):
+        spec, fit = get_spec(spec_name.split()[1]), first_stage
+    else:
+        spec = ILS if spec_name == "ils" else get_spec(spec_name)
+        fit = FITS[spec.method]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        design = build_design(slice_by_item(ds, items, 0), spec, by_item=True)
+        batch = fit(design)
+        single = _one_by_one(ds, items, spec, fit, 0)
+    built = [g for g, error in enumerate(design.items.errors) if error is None]
+    rows, cols = np.diff(design.items.bounds)[built], np.diff(design.items.z_bounds)[built]
+    assert any(len(set(rows[cols == width])) > 1 for width in set(cols))
+    assert (len(set(cols)) > 1) == (spec.instruments != "arm")
+    assert any(isinstance(r, EstimationError) for r in batch)
+    fitted = 0
+    for got, want in zip(batch, single, strict=True):
+        _assert_same(got, want)
+        if not isinstance(want, EstimationError):
+            assert _numbers(got) == _numbers(want)
+            fitted += 1
+    assert fitted > len(items) // 3
 
 
 def test_ils_factors_each_bucket_once_though_some_of_its_items_fail(mixed, factorizations):
@@ -410,6 +454,9 @@ def test_sample_seed_changes_the_batch_as_it_does_one_item(mixed):
 
 
 def test_report_factors_each_shape_bucket_once(mixed, tmp_path, factorizations, capsys):
+    """report runs the tall QR once per row count and spec, and the k x k
+    SVD once per factorization of a spec (2SLS factors its first stage and
+    its projected design) and instrument count: the specs here have one."""
     ds, _ = mixed
     ids = np.unique(ds.column("item_id"))
     ds = ds.subset(~np.isin(ds.column("item_id"), ids[:2]))  # every item left fits
@@ -423,6 +470,7 @@ def test_report_factors_each_shape_bucket_once(mixed, tmp_path, factorizations, 
     tall = [shape for shape in factorizations["qr"] if shape[-2] in sizes]
     assert len(tall) == len(sizes) * 3  # one QR per bucket and spec; one item at a time: len(items) * 3
     assert all(shape[-2] == shape[-1] not in sizes for shape in factorizations["svd"])
+    assert [shape[0] for shape in factorizations["svd"]] == [len(items)] * (2 + 2 + 1)
     assert f"failed items: 0 of {len(items)}" in capsys.readouterr().out
 
 
