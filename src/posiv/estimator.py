@@ -23,32 +23,33 @@ M is the projected design [W_hat, X] while the residuals u are structural
 go negative: a coefficient pulled away from the OLS minimizer can fit worse
 than the outcome mean, and that is expected behavior, not an error.
 
-One stacked kernel does every fit, on a stack of the items with the same
-instrument count of a design stacked by item (build_design(...,
-by_item=True)). A stack holds its items' rows flat, ordered by row count,
-so each part, a run of items with the same row count n, is a (B, n, .) view
-of them. Only the calls that read rows run once per part: the tall R-only
-np.linalg.qr, the fitted values and residuals, the sums of squares and the
-cluster score sums, from one bincount. The k x k work (SVDs, checks,
-solves, breads, sandwiches, the joint F and the second stage's k-row
-factorization) runs once per stack. There is no zero padding, which can
-change the last bits of R, and a stack builds only its own items'
-instrument columns, so each matrix LAPACK factors is the one a fit of that
-item alone would factor. The kernel returns arrays, which are copied into
-columns with a row per item (FitColumns, FirstStageColumns). A FitResult or
-FirstStageReport, with its t or F tails (posiv.tails, in numpy), is built
-only when one item is asked for; the first stage's CI critical values come
-from one stdtrit call over every fitted item.
+Every design stacks its items' rows (build_design(..., by_item=True)), and
+a single design is the stack of one item, labelled None. One stacked kernel
+does every fit, on a stack of the design's items with the same instrument
+count p_z, whose instruments are the first p_z columns of the design's z. A
+stack holds its items' rows flat, ordered by row count, so each part, a run
+of items with the same row count n, is a (B, n, .) view of them. Only the
+calls that read rows run once per part: the tall R-only np.linalg.qr, the
+fitted values and residuals, the sums of squares and the cluster score
+sums, from one bincount. The k x k work (SVDs, checks, solves, breads,
+sandwiches, the joint F and the second stage's k-row factorization) runs
+once per stack. There is no zero padding, which can change the last bits of
+R, and a stack reads only its own items' instrument columns, so each matrix
+LAPACK factors is the one a fit of that item alone would factor. The kernel
+returns arrays, which are copied into columns with a row per item
+(FitColumns, FirstStageColumns). A FitResult or FirstStageReport, with its
+t or F tails (posiv.tails, in numpy), is built only when one item is asked
+for; the first stage's CI critical values come from one stdtrit call over
+every fitted item.
 
 Each kernel makes one pass over a stack and fails items by mask, as
 build_design does: a check records its error for each item it flags that has
 none yet, and gives those items finite stand-ins (unit singular values, an
 identity first-stage covariance, G = 2, a unit ILS denominator) for the rest
 of the pass. A check on shape fails the whole stack and skips the kernel. A
-single design is one stack of one part of one item: its result, or its
-error raised. An item whose first-stage covariance reaches condition number
-1e12 gets the identity too, and a NaN (undefined) joint F, but does not
-fail.
+fit of a single design returns its one result, or raises its error. An item
+whose first-stage covariance reaches condition number 1e12 gets the identity
+too, and a NaN (undefined) joint F, but does not fail.
 """
 
 from __future__ import annotations
@@ -238,17 +239,10 @@ class _Stack:
 
 
 def _stacks(design: DesignMatrix, errors: list):
-    """The design's items grouped by instrument count, one _Stack per count,
-    each with its own instrument columns and failing its items into errors;
-    a design not stacked by item is one stack of one item."""
-    items = design.items
-    p_w = design.w.shape[1]
-    if items is None:
-        codes = np.unique(design.clusters, return_inverse=True)[1]
-        a = np.concatenate([design.z, design.x, design.w, design.y[:, None]], axis=1)
-        yield _Stack(np.zeros(1, dtype=np.intp), np.array([len(a)]), a, design.z.shape[1], p_w,
-                     codes, errors)
-        return
+    """The design's built items grouped by instrument count, one _Stack per
+    count, each with its items' own instrument columns (the first count
+    columns of z) and failing its items into errors."""
+    items, p_w = design.items, design.w.shape[1]
     sizes, p_z = np.diff(items.bounds), np.diff(items.z_bounds)
     built = np.flatnonzero([error is None for error in items.errors])
     for width in sorted(set(p_z[built].tolist())):
@@ -257,10 +251,9 @@ def _stacks(design: DesignMatrix, errors: list):
         n_obs = sizes[pos]
         starts = np.cumsum(n_obs) - n_obs
         rows = np.repeat(items.bounds[pos] - starts, n_obs) + np.arange(n_obs.sum())
-        z_cols = items.z_cols[items.z_bounds[pos][:, None] + np.arange(width)]
         a = np.empty((len(rows), width + design.x.shape[1] + p_w + 1))
-        a[:, :width] = items.instrument[rows][:, None] == np.repeat(z_cols, n_obs, axis=0)
         # np.take gathers the rows of a 2-D array faster than indexing with rows
+        a[:, :width] = np.take(design.z[:, :width], rows, axis=0)
         a[:, width:-1 - p_w] = np.take(design.x, rows, axis=0)
         a[:, -1 - p_w:-1] = np.take(design.w, rows, axis=0)
         a[:, -1] = design.y[rows]
@@ -274,7 +267,7 @@ def _per_item(design: DesignMatrix, kernel) -> tuple[list, list]:
     when it fails them all). A failed item's row is NaN, and so are the
     cells past an item's own width where stacks differ in width (instrument
     counts). With no item fitted, columns is empty."""
-    errors = [None] if design.items is None else list(design.items.errors)
+    errors = list(design.items.errors)
     parts = []
     for stack in _stacks(design, errors):
         out, ok = kernel(design, stack), ~stack.failed
@@ -304,10 +297,12 @@ class _ItemColumns(Sequence):
 
     def unstacked(self):
         """These columns for a design stacked by item; for a single design
-        its one result, or its error raised."""
-        if self.design.items is None and self.errors[0] is not None:
+        (one item labelled None) its one result, or its error raised."""
+        if self.design.items.labels != (None,):
+            return self
+        if self.errors[0] is not None:
             raise self.errors[0]
-        return self if self.design.items is not None else self._item(0)
+        return self._item(0)
 
 
 def _raise_first(bad: np.ndarray, error) -> None:
@@ -391,27 +386,16 @@ def cluster_cov(
 
     Returns (covariance, G). With every observation its own cluster this
     reduces exactly to the HC1 heteroskedasticity-robust covariance.
-
-    m may also be a stack (B, n, k) of same-shape matrices with residuals
-    and clusters (B, n). Clusters are then codes 0..G_b-1 within each matrix,
-    every code used, and (B, k, k) covariances come back with the B counts
-    G_b. Only a single matrix raises TooFewClusters: a matrix of a stack
-    with fewer than 2 clusters is scaled as if G were 2, for its caller to
-    fail.
     """
-    single = m.ndim == 2
-    if single:
-        clusters = np.unique(clusters, return_inverse=True)[1]
-        m, residuals, clusters = m[None], residuals[None], clusters[None]
-        bread = None if bread is None else bread[None]
-    n_groups = clusters.max(axis=-1, initial=-1) + 1
-    if single and n_groups[0] < 2:
+    codes = np.unique(clusters, return_inverse=True)[1]
+    n_groups = np.array([codes.max(initial=-1) + 1])
+    if n_groups[0] < 2:
         raise TooFewClusters(f"need at least 2 clusters, got {n_groups[0]}")
-    if bread is None:
-        bread = _Factorization([m], m.shape[-1], "regressor", _raise_first).bread()
-    b, n = m.shape[:2]
-    cov = _cluster_cov([(m, residuals, clusters, n_groups)], bread, n_groups, np.full(b, n))
-    return (cov[0], int(n_groups[0])) if single else (cov, n_groups)
+    m = m[None]
+    bread = _Factorization([m], m.shape[-1], "regressor", _raise_first).bread() \
+        if bread is None else bread[None]
+    parts = [(m, residuals[None], codes[None], n_groups)]
+    return _cluster_cov(parts, bread, n_groups, np.array([len(codes)]))[0], int(n_groups[0])
 
 
 class _Fits(NamedTuple):
@@ -489,7 +473,7 @@ class FitColumns(_ItemColumns):
             df_resid=int(fits.n_obs[g]) - len(names),
             r_squared=float(fits.r_squared[g]),
             resid_std_error=float(fits.resid_std_error[g]),
-            label=None if design.items is None else design.items.labels[g],
+            label=design.items.labels[g],
             warnings=(UNDEFINED_F_NOTE,) if math.isnan(weakest)
             else (f"weak instruments: joint first-stage F = {weakest:.3g} < 10",)
             if weakest < WEAK_F_THRESHOLD else (),
@@ -576,7 +560,7 @@ def fit_2sls(design: DesignMatrix) -> FitResult | FitColumns:
     """Two-stage least squares with structural residuals for inference. A
     single design's weak first stage warns; a stacked design's items do not."""
     fit = FitColumns("2SLS", design, *_per_item(design, _two_stage)).unstacked()
-    if design.items is None and fit.warnings:
+    if design.items.labels == (None,) and fit.warnings:
         warnings.warn(fit.warnings[0], WeakInstrumentWarning, stacklevel=2)
     return fit
 
@@ -650,7 +634,7 @@ class FirstStageColumns(_ItemColumns):
     def _item(self, g: int) -> FirstStageReport:
         """One fdtrc call gives the item's F p-values, as a fit of it alone."""
         design, items = self.design, self.design.items
-        z_names = design.z_names if items is None else tuple(items.z_names[c] for c in (
+        z_names = tuple(design.z_names[c] for c in (
             items.z_cols[items.z_bounds[g]:items.z_bounds[g + 1]].tolist()))
         p_z = len(z_names)
         p_value = tails.fdtrc(p_z, self.n_clusters[g] - 1, self.f_stat[g])

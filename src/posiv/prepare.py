@@ -9,7 +9,8 @@ on iteration order.
 The per-item analyses stack their items: slice_by_item takes a list of items
 and groups their rows with one stable argsort, and build_design(by_item=True)
 builds every item's design in one vectorized pass over those rows, each item
-with the semantics of a design built from its slice alone.
+with the semantics of a design built from its slice alone. Every design has
+one form: a design not built by item is the stack of one item, labelled None.
 """
 
 from __future__ import annotations
@@ -34,22 +35,20 @@ from .specs import ModelSpec
 
 @dataclass(frozen=True)
 class ItemBlocks:
-    """Where each item of a design stacked by item lives.
+    """Where each item of a design lives.
 
     Item g owns rows bounds[g]:bounds[g+1]. codes numbers each item's
-    clusters 0.. in the order of their ids. Instrument columns are built per
-    item at fit time and never for the whole stack: instrument holds each
-    row's column as an index into z_names (-1 for a row in no column), and
-    item g's columns are z_cols[z_bounds[g]:z_bounds[g+1]]. An item that
-    could not be built keeps its rows and columns and the EstimationError it
-    raised in errors[g], by which the fits skip it.
+    clusters 0.. in the order of their ids. Item g's instruments are the
+    first z_bounds[g+1] - z_bounds[g] columns of the design's z, and their
+    names are z_names[c] for c in z_cols[z_bounds[g]:z_bounds[g+1]]. An item
+    that could not be built keeps its rows and columns and the
+    EstimationError it raised in errors[g], by which the fits skip it. A
+    single design is one item labelled None.
     """
 
-    labels: tuple[str, ...]
+    labels: tuple[str | None, ...]
     bounds: np.ndarray
     codes: np.ndarray
-    instrument: np.ndarray
-    z_names: tuple[str, ...]
     z_cols: np.ndarray
     z_bounds: np.ndarray
     errors: tuple[EstimationError | None, ...]
@@ -57,45 +56,35 @@ class ItemBlocks:
 
 @dataclass
 class DesignMatrix:
-    """Columns for one regression: outcome, endogenous, instruments, controls.
+    """Columns for one regression per item: outcome, endogenous, instruments,
+    controls.
 
     x always ends with the constant column. Instruments are the excluded ones
-    only (controls are implicitly included in the first stage).
-
-    A design built with by_item=True stacks one design per item: its arrays
-    hold the items' rows one item after another, z has no columns and
-    `items` says which rows, clusters and instruments belong to which item.
+    only (controls are implicitly included in the first stage). The arrays
+    hold the items' rows one item after another, and `items` says which
+    rows, clusters and instruments belong to which item. z is as wide as the
+    item with the most instruments, and holds each item's own columns first:
+    z_names holds every item's names once, and items picks each item's.
     """
 
     y: np.ndarray
     w: np.ndarray  # (n, p_w) endogenous
-    z: np.ndarray  # (n, p_z) excluded instruments
+    z: np.ndarray  # (n, widest p_z) excluded instruments, item-local columns
     x: np.ndarray  # (n, p_x) controls, constant last
     w_names: tuple[str, ...]
     z_names: tuple[str, ...]
     x_names: tuple[str, ...]
-    clusters: np.ndarray
+    items: ItemBlocks
     outcome_name: str = "outcome"
     n_dropped: int = 0
-    items: ItemBlocks | None = None
 
     def __post_init__(self):
         n = len(self.y)
         for name, arr in (("w", self.w), ("z", self.z), ("x", self.x)):
             if arr.ndim != 2 or arr.shape[0] != n:
                 raise ValueError(f"{name} must be (n, k) with n == len(y)")
-        if len(self.clusters) != n:
-            raise ValueError("clusters length mismatch")
-        if self.items is not None:
-            return  # build_design has checked each item
-        k_total = self.w.shape[1] + self.z.shape[1] + self.x.shape[1]
-        if n < k_total:
-            raise Underdetermined(f"{n} rows for {k_total} columns")
-        # order condition; a design with no instruments at all is OLS-only
-        if 0 < self.z.shape[1] < self.w.shape[1]:
-            raise Underidentified(
-                f"{self.z.shape[1]} instruments for {self.w.shape[1]} endogenous columns"
-            )
+        if len(self.items.codes) != n:
+            raise ValueError("cluster codes length mismatch")
 
     @property
     def n_obs(self) -> int:
@@ -236,7 +225,8 @@ def build_design(ds: Dataset, spec: ModelSpec, by_item: bool = False) -> DesignM
     built as if from that item's rows alone: its own drops, baseline arm
     level, reason levels and clusters. Each item's rows must lie together,
     as slice_by_item returns them. An item that cannot be built records its
-    EstimationError in design.items instead of raising.
+    EstimationError in design.items instead of raising. Without it, ds is
+    one item labelled None, whose first error is raised.
     """
     needed = [spec.outcome, *spec.endogenous, *spec.controls]
     str_cols = []
@@ -283,8 +273,6 @@ def build_design(ds: Dataset, spec: ModelSpec, by_item: bool = False) -> DesignM
         for g in np.flatnonzero(bad):
             if errors[g] is None:
                 errors[g] = error(g)
-        if not by_item and errors[0] is not None:
-            raise errors[0]
 
     fail(sizes == 0, lambda g: Underdetermined("no rows left after dropping missing values"))
 
@@ -298,7 +286,7 @@ def build_design(ds: Dataset, spec: ModelSpec, by_item: bool = False) -> DesignM
     # coded arm * n_reasons + reason ("arm" alone has one reason level);
     # item g's columns are the pairs (col_item == g, col) it shows with an
     # arm level other than its baseline
-    pair = np.zeros(idx.size, dtype=np.intp)
+    pair, n_pairs = np.zeros(idx.size, dtype=np.intp), 1
     col_item, col = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
     p_z = np.zeros(n_items, dtype=np.intp)
 
@@ -320,8 +308,8 @@ def build_design(ds: Dataset, spec: ModelSpec, by_item: bool = False) -> DesignM
             reason_levels, reason = np.array([""]), np.zeros(idx.size, dtype=np.intp)
         else:
             reason_levels, reason = shown_levels(_reason_column(ds))
-        pair = arm * len(reason_levels) + reason
-        col_item, col = _pairs(item, pair, len(arm_levels) * len(reason_levels))
+        pair, n_pairs = arm * len(reason_levels) + reason, len(arm_levels) * len(reason_levels)
+        col_item, col = _pairs(item, pair, n_pairs)
         col_arm, col_reason = np.divmod(col, len(reason_levels))
         n_arms = np.bincount(_pairs(col_item, col_arm, len(arm_levels))[0], minlength=n_items)
         baseline = _reduce_items(np.minimum, arm, bounds)  # lowest level is the baseline
@@ -363,42 +351,40 @@ def build_design(ds: Dataset, spec: ModelSpec, by_item: bool = False) -> DesignM
     fail(sizes < p_w + p_z + p_x, lambda g: Underdetermined(
         f"{sizes[g]} rows for {p_w + p_z[g] + p_x} columns"
     ))
+    if not by_item and errors[0] is not None:
+        raise errors[0]
 
+    # a row's instrument column is the rank of its pair among its item's
+    # columns, which lie sorted by (item, pair) in own
+    own, key = col_item * n_pairs + col, item * n_pairs + pair
+    at = np.searchsorted(own, key)
+    rows = np.flatnonzero(np.append(own, -1)[at] == key)
+    z = np.zeros((idx.size, int(np.diff(item_start).max(initial=0))), dtype=bool)
+    z[rows, at[rows] - item_start[item[rows]]] = True
     in_use = _distinct(col)
-    z_names = tuple(name(c) for c in in_use.tolist())
-    clusters = ds.column(spec.cluster)[idx]
-    if by_item:
-        # number each item's clusters 0.. in the order of their ids
-        ids, codes = np.unique(clusters, return_inverse=True)
-        item_cluster, codes = np.unique(item * len(ids) + codes, return_inverse=True)
-        per_item = np.bincount(item_cluster // max(len(ids), 1), minlength=n_items)
-        at = np.searchsorted(in_use, pair)  # each row's column, -1 for none
-        items = ItemBlocks(
-            labels=labels,
-            bounds=bounds,
-            codes=codes - (np.cumsum(per_item) - per_item)[item],
-            instrument=np.where(np.append(in_use, -1)[at] == pair, at, -1),
-            z_names=z_names,
-            z_cols=np.searchsorted(in_use, col),
-            z_bounds=item_start,
-            errors=tuple(errors),
-        )
-        z, z_names = np.empty((idx.size, 0)), ()
-    else:
-        items, z = None, (pair[:, None] == in_use).astype(float)
-
+    # number each item's clusters 0.. in the order of their ids
+    ids, codes = np.unique(ds.column(spec.cluster)[idx], return_inverse=True)
+    item_cluster, codes = np.unique(item * len(ids) + codes, return_inverse=True)
+    per_item = np.bincount(item_cluster // max(len(ids), 1), minlength=n_items)
+    items = ItemBlocks(
+        labels=labels,
+        bounds=bounds,
+        codes=codes - (np.cumsum(per_item) - per_item)[item],
+        z_cols=np.searchsorted(in_use, col),
+        z_bounds=item_start,
+        errors=tuple(errors),
+    )
     return DesignMatrix(
         y=y,
         w=w,
         z=z,
         x=x,
         w_names=tuple(spec.endogenous),
-        z_names=z_names,
+        z_names=tuple(name(c) for c in in_use.tolist()),
         x_names=tuple(spec.controls) + ("Constant",),
-        clusters=clusters,
+        items=items,
         outcome_name=spec.outcome,
         n_dropped=dropped,
-        items=items,
     )
 
 

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from posiv.datamodel import EDGE_SCHEMA, Dataset
-from posiv.prepare import DesignMatrix
+from posiv.prepare import DesignMatrix, ItemBlocks
 
 EDGE_FIELDS = ("request_id", "user_id", "item_id", "position", "outcome",
                "arm", "reason", "relevance_score", "session_depth")
 
 
 def make_design(y, w, z, x_controls, clusters, w_names=None, z_names=None, x_names=None):
-    """DesignMatrix from plain arrays; appends the constant column."""
+    """A single design (one item labelled None) from plain arrays; appends
+    the constant column and numbers the clusters 0.. in the order of their
+    ids."""
     y = np.asarray(y, dtype=float)
     n = len(y)
 
@@ -33,18 +35,21 @@ def make_design(y, w, z, x_controls, clusters, w_names=None, z_names=None, x_nam
         w_names=tuple(w_names or [f"w{i}" for i in range(w.shape[1])]),
         z_names=tuple(z_names or [f"z{i}" for i in range(z.shape[1])]),
         x_names=tuple(x_names or [f"x{i}" for i in range(xc.shape[1])]) + ("Constant",),
-        clusters=np.asarray(clusters, dtype=np.uint64),
+        items=ItemBlocks(
+            labels=(None,), bounds=np.array([0, n]),
+            codes=np.unique(np.asarray(clusters, dtype=np.uint64), return_inverse=True)[1],
+            z_cols=np.arange(z.shape[1]), z_bounds=np.array([0, z.shape[1]]), errors=(None,),
+        ),
     )
 
 
 def projected_collinear(rng, n, collinear=True):
-    """(y, w, instrument, z, x) for two endogenous columns, w2 = 2*w1 + e
-    where e is orthogonal to [Z, X]: [Z, X] and [W, X] are well conditioned,
-    but the projections of w1 and w2 on [Z, X] are collinear. With
-    collinear=False, w2 is instrumented on its own. z holds the dummies of
-    the two treated arms; instrument is each row's arm, -1 for the baseline."""
-    instrument = np.arange(n) % 3 - 1
-    z = (instrument[:, None] == np.arange(2)).astype(float)
+    """(y, w, z, x) for two endogenous columns, w2 = 2*w1 + e where e is
+    orthogonal to [Z, X]: [Z, X] and [W, X] are well conditioned, but the
+    projections of w1 and w2 on [Z, X] are collinear. With collinear=False,
+    w2 is instrumented on its own. z holds the dummies of the two treated
+    arms."""
+    z = ((np.arange(n) % 3 - 1)[:, None] == np.arange(2)).astype(float)
     x = rng.normal(size=n)
     p = np.column_stack([z, x, np.ones(n)])
     w1 = z @ np.array([1.0, -0.7]) + rng.normal(size=n)
@@ -52,7 +57,7 @@ def projected_collinear(rng, n, collinear=True):
     e -= p @ np.linalg.lstsq(p, e, rcond=None)[0]
     w2 = 2.0 * w1 + e if collinear else z @ np.array([-0.4, 0.9]) + rng.normal(size=n)
     y = 0.5 - 0.3 * w1 + 0.2 * w2 + x + rng.normal(size=n)
-    return y, np.column_stack([w1, w2]), instrument, z, x
+    return y, np.column_stack([w1, w2]), z, x
 
 
 def edge_columns(rows):

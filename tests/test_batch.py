@@ -235,31 +235,97 @@ def test_a_collinear_projected_design_fails_only_its_item():
     parts = [projected_collinear(rng, n, collinear=g == bad) for g in range(3)]
     clusters = np.arange(n) % 30
     alone = []
-    for g, (y, w, _, z, x) in enumerate(parts):
+    for g, (y, w, z, x) in enumerate(parts):
         if g != bad:
             alone.append(fit_2sls(make_design(y, w, z, x, clusters,
                                               z_names=(f"z{2 * g}", f"z{2 * g + 1}"))))
             alone[-1].label = str(g)
     items = ItemBlocks(
         labels=("0", "1", "2"), bounds=np.arange(4) * n, codes=np.tile(clusters, 3),
-        instrument=np.concatenate([np.where(p[2] < 0, -1, p[2] + 2 * g)
-                                   for g, p in enumerate(parts)]),
-        z_names=tuple(f"z{c}" for c in range(6)), z_cols=np.arange(6),
-        z_bounds=np.arange(4) * 2, errors=(None,) * 3,
+        z_cols=np.arange(6), z_bounds=np.arange(4) * 2, errors=(None,) * 3,
     )
-    x = np.concatenate([p[4] for p in parts])
+    x = np.concatenate([p[3] for p in parts])
     design = DesignMatrix(
         y=np.concatenate([p[0] for p in parts]), w=np.concatenate([p[1] for p in parts]),
-        z=np.empty((3 * n, 0)), x=np.column_stack([x, np.ones(3 * n)]),
-        w_names=("w0", "w1"), z_names=(), x_names=("x0", "Constant"),
-        clusters=np.concatenate([clusters + 100 * g for g in range(3)]).astype(np.uint64),
-        items=items,
+        z=np.concatenate([p[2] for p in parts]), x=np.column_stack([x, np.ones(3 * n)]),
+        w_names=("w0", "w1"), z_names=tuple(f"z{c}" for c in range(6)),
+        x_names=("x0", "Constant"), items=items,
     )
     fits = fit_2sls(design)
     assert isinstance(fits[bad], Collinear)
     assert "projected design matrix condition number" in str(fits[bad])
     for got, want in zip([fits[0], fits[2]], alone, strict=True):
         _assert_same(got, want)
+
+
+@pytest.mark.parametrize("spec_name", ["spec1", "spec4", "spec5"])
+def test_a_single_design_is_its_one_item_stack(mixed, spec_name):
+    """build_design of one item's slice and build_design of the same slice
+    by item give one form: the same arrays, names and cluster codes, with
+    the label None for the single design; an item the single design raises
+    for records that error in the stack."""
+    ds, items = mixed
+    spec, built = get_spec(spec_name), 0
+    for item in items:
+        sliced = slice_by_item(ds, item, 0)
+        stacked = build_design(sliced, spec, by_item=True)
+        assert stacked.items.labels == (str(item),)
+        try:
+            single = build_design(sliced, spec)
+        except EstimationError as exc:
+            error = stacked.items.errors[0]
+            assert (type(error), str(error)) == (type(exc), str(exc))
+            continue
+        assert single.items.labels == (None,) and stacked.items.errors == (None,)
+        for name in ("y", "w", "x", "z"):
+            got, want = getattr(single, name), getattr(stacked, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert single.z_names == stacked.z_names
+        assert np.array_equal(single.items.codes, stacked.items.codes)
+        built += 1
+    assert len(items) // 3 < built < len(items)
+
+
+def test_a_stack_reads_only_its_items_first_instrument_columns():
+    """A hand-built design of four items with continuous instruments, two
+    with one and two with two, whose one-instrument items hold nonzero cells
+    in z's second column: each item fits as it does alone, on its own
+    columns only."""
+    rng = np.random.default_rng(31)
+    widths, n = (1, 2, 1, 2), (100, 100, 100, 120)
+    names = {1: ("u",), 2: ("v0", "v1")}
+    parts = []
+    for rows, width in zip(n, widths):
+        z, x = rng.normal(size=(rows, 2)), rng.normal(size=rows)
+        w = z[:, :width] @ np.array([1.2, -0.8])[:width] + 0.4 * x + rng.normal(size=rows)
+        parts.append((0.5 - 0.3 * w + x + rng.normal(size=rows), w, z, x, np.arange(rows) % 20))
+    items = ItemBlocks(
+        labels=("0", "1", "2", "3"), bounds=np.concatenate([[0], np.cumsum(n)]),
+        codes=np.concatenate([p[4] for p in parts]), z_cols=np.array([0, 1, 2, 0, 1, 2]),
+        z_bounds=np.array([0, 1, 3, 4, 6]), errors=(None,) * 4,
+    )
+    x = np.concatenate([p[3] for p in parts])
+    design = DesignMatrix(
+        y=np.concatenate([p[0] for p in parts]), w=np.concatenate([p[1] for p in parts])[:, None],
+        z=np.concatenate([p[2] for p in parts]), x=np.column_stack([x, np.ones(x.size)]),
+        w_names=("w",), z_names=("u", "v0", "v1"), x_names=("x", "Constant"), items=items,
+    )
+    assert (design.z[:n[0], 1] != 0).all()
+    for fit in (fit_2sls, fit_ils, first_stage):
+        fits, fitted = fit(design), 0
+        for g, (y, w, z, x, codes) in enumerate(parts):
+            try:
+                alone = fit(make_design(y, w, z[:, :widths[g]], x, codes,
+                                        w_names=("w",), z_names=names[widths[g]], x_names=("x",)))
+                if fit is not first_stage:
+                    alone.label = str(g)
+            except EstimationError as exc:
+                alone = exc
+            _assert_same(fits[g], alone)
+            if not isinstance(alone, EstimationError):
+                assert _numbers(fits[g]) == _numbers(alone)
+                fitted += 1
+        assert fitted == (2 if fit is fit_ils else 4)
 
 
 def _bucket(parts, arms: int) -> DesignMatrix:
@@ -270,18 +336,16 @@ def _bucket(parts, arms: int) -> DesignMatrix:
     n, b = len(parts[0][0]), len(parts)
     items = ItemBlocks(
         labels=tuple(str(g) for g in range(b)), bounds=np.arange(b + 1) * n,
-        codes=np.concatenate([p[4] for p in parts]),
-        instrument=np.concatenate([np.where(p[2] < 0, -1, p[2] + arms * g)
-                                   for g, p in enumerate(parts)]),
-        z_names=tuple(f"z{c}" for c in range(arms * b)), z_cols=np.arange(arms * b),
+        codes=np.concatenate([p[4] for p in parts]), z_cols=np.arange(arms * b),
         z_bounds=np.arange(b + 1) * arms, errors=(None,) * b,
     )
     x = np.concatenate([p[3] for p in parts])
+    arm = np.concatenate([p[2] for p in parts])
     return DesignMatrix(
         y=np.concatenate([p[0] for p in parts]), w=np.concatenate([p[1] for p in parts])[:, None],
-        z=np.empty((x.size, 0)), x=np.column_stack([x, np.ones(x.size)]),
-        w_names=("w",), z_names=(), x_names=("x", "Constant"),
-        clusters=np.zeros(x.size, dtype=np.uint64), items=items,
+        z=arm[:, None] == np.arange(arms), x=np.column_stack([x, np.ones(x.size)]),
+        w_names=("w",), z_names=tuple(f"z{c}" for c in range(arms * b)),
+        x_names=("x", "Constant"), items=items,
     )
 
 
