@@ -20,6 +20,12 @@ KIND says which commands run on the CSV file DATA:
            items 3, 4 and 7 (tests/test_batch.py's mixed fixture as a CSV)
     pymk   estimate --format json of spec1, spec3, spec4, spec5, spec6 and
            spec7 (a `posiv simulate` file in pymk mode)
+    prepare  prepare with --sample-seed 77, with --session-top-cut 4, with
+           --item 7 and with --top-n 10; estimate --spec specA2 --format
+           json (an edge-level file, such as the pymk one)
+
+Column sidecars (.*.posiv) are not compared: their key covers the loader's
+own source, so they differ between trees whose loader differs.
 
 perfbench/worker.py mc also runs once per tree, on PARENT_TREE's
 perfbench/inputs.py MC_SIM over mc_seeds(77), and its estimates and failure
@@ -69,7 +75,12 @@ def commands(kind: str, data: str, ils: str) -> list[tuple[str, list[str]]]:
     if kind == "pymk":
         return [(f"estimate-{spec}", ["estimate", data, "--spec", spec, "--format", "json"])
                 for spec in ("spec1", "spec3", "spec4", "spec5", "spec6", "spec7")]
-    raise SystemExit(f"unknown kind {kind!r}: use ads, mixed or pymk")
+    if kind == "prepare":
+        return [(f"prepare{flag}-{value}", ["prepare", data, flag, value])
+                for flag, value in (("--sample-seed", "77"), ("--session-top-cut", "4"),
+                                    ("--item", "7"), ("--top-n", "10"))] + [
+            ("estimate-specA2", ["estimate", data, "--spec", "specA2", "--format", "json"])]
+    raise SystemExit(f"unknown kind {kind!r}: use ads, mixed, pymk or prepare")
 
 
 def run(tree: Path, argv: list[str], out: Path) -> tuple[int, str, str]:
@@ -85,7 +96,7 @@ def run(tree: Path, argv: list[str], out: Path) -> tuple[int, str, str]:
 
 def files(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
-            if p.is_file()}
+            if p.is_file() and not (p.name.startswith(".") and p.name.endswith(".posiv"))}
 
 
 def compare(name: str, got: list, out: list[Path]) -> list[str]:
@@ -112,7 +123,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("data", nargs="+", help="KIND=PATH, KIND one of ads, mixed, pymk")
+    ap.add_argument("data", nargs="+", help="KIND=PATH, KIND one of ads, mixed, pymk, prepare")
     args = ap.parse_args()
     trees = (args.parent.resolve(), args.change.resolve())
 

@@ -14,28 +14,38 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import warnings
 from collections import Counter
 from dataclasses import fields as dc_fields
 from pathlib import Path
 
-import numpy as np
+# The order of BLAS sums depends on its thread count: one thread, set before
+# numpy loads, gives the same bytes on every host, unless the caller chose one
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(name in os.environ for name in _BLAS_THREADS):
+    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
 
-from .datamodel import Dataset, load_dataset, parse_id, write_dataset
-from .errors import (
+import numpy as np  # noqa: E402
+
+from .datamodel import Dataset, load_dataset, parse_id, write_dataset  # noqa: E402
+from .errors import (  # noqa: E402
     EstimationError,
     InputError,
     ParseError,
     PosivError,
     UnknownItem,
 )
-from .specs import ModelSpec, builtin_specs, get_spec, parse_spec
+from .specs import ModelSpec, builtin_specs, get_spec, parse_spec  # noqa: E402
 
 
 def _read_config(path: str | None) -> dict:
+    """The config as {"sim": simulator fields, "schema_map": ...}. The fields
+    sit at the top level or under "sim", with only "schema_map" beside them.
+    Every command rejects any other key, so one config serves them all."""
     if not path:
-        return {}
+        return {"sim": {}}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -46,25 +56,19 @@ def _read_config(path: str | None) -> dict:
         raise ParseError(f"malformed config JSON in {path!r}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("config JSON must be an object")
-    return obj
-
-
-def _sim_config(config: dict, seed_flag: int | None):
     from .simulator import SimConfig
 
-    sim = config.get("sim", {k: v for k, v in config.items() if k != "schema_map"})
+    sim = obj.get("sim", {k: v for k, v in obj.items() if k != "schema_map"})
     if not isinstance(sim, dict):
         raise ParseError(f'config "sim" must be an object, got {sim!r}')
-    beside = set(config) - {"sim", "schema_map"} if "sim" in config else set()
+    beside = set(obj) - {"sim", "schema_map"} if "sim" in obj else set()
     if beside:
         raise ParseError(f'config keys beside "sim": {sorted(beside)}')
     known = {f.name for f in dc_fields(SimConfig)}
     unknown = set(sim) - known
     if unknown:
         raise ParseError(f"unknown simulator config keys: {sorted(unknown)}")
-    if seed_flag is not None:
-        sim = {**sim, "seed": seed_flag}
-    return SimConfig(**sim)
+    return {"sim": sim, "schema_map": obj.get("schema_map")}
 
 
 def _load(path: str, config: dict) -> Dataset:
@@ -161,9 +165,10 @@ def _estimation_dataset(ds: Dataset, spec: ModelSpec, args) -> Dataset:
 
 
 def cmd_simulate(args) -> int:
-    from .simulator import ground_truth_tau, simulate
+    from .simulator import SimConfig, ground_truth_tau, simulate
 
-    config = _sim_config(_read_config(args.config), args.seed)
+    seed = {} if args.seed is None else {"seed": args.seed}
+    config = SimConfig(**{**_read_config(args.config)["sim"], **seed})
     out = _outdir(args)
     ds, truth = simulate(config)
     write_dataset(ds, str(out / "dataset.csv"))

@@ -263,9 +263,10 @@ def _read_columns(path: str, digest=None) -> tuple[list[str], dict[str, _Cells]]
     JSON lines), the file's bytes read once and, given a hash object
     `digest`, fed to it.
 
-    One leading UTF-8 byte-order mark is skipped. A plain CSV file is split
-    from its bytes by _split_plain; any other goes through csv.reader, and
-    both give the same cells. CSV keeps the csv.DictReader conventions: blank
+    One leading UTF-8 byte-order mark is skipped. A plain CSV file, or one
+    that differs only by "\r\n" line ends, is split from its bytes by
+    _split_plain; any other goes through csv.reader, and both give the same
+    cells. CSV keeps the csv.DictReader conventions: blank
     rows are skipped, short rows padded with "", extra cells ignored, and of
     repeated header names the last column wins. A cell longer than
     csv.field_size_limit() is an InputError. A JSON line's absent key or
@@ -292,6 +293,9 @@ def _read_columns(path: str, digest=None) -> tuple[list[str], dict[str, _Cells]]
                 key: _encode(["" if (v := rec.get(key)) is None else str(v) for rec in records])
                 for key in header
             }
+        if b"\r" in data and b'"' not in data:
+            # outside quotes csv.reader ends a row at "\r\n", and no cell can hold one
+            data = data.replace(b"\r\n", b"\n")
         plain = _split_plain(data)
         if plain is not None:
             return plain
@@ -449,13 +453,13 @@ def _number_column(
     return values, failed & ~missing
 
 
-def _ranks(keys: np.ndarray) -> np.ndarray:
-    """Each key's rank among the distinct keys, np.unique(keys,
-    return_inverse=True)[1], from a sorted copy and a binary search: no
-    argsort permutation."""
-    ordered = np.sort(keys)
-    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    return np.searchsorted(distinct, keys)
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values, as np.unique(values) gives them, from one
+    sort: np.unique without a return_* flag imports numpy.ma."""
+    ordered = np.sort(values)
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first]
 
 
 def _text_column(cells: _Cells, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -464,8 +468,9 @@ def _text_column(cells: _Cells, keep: np.ndarray) -> tuple[np.ndarray, np.ndarra
     Each cell is keyed by its bytes read as big-endian uint64 words, zero
     padded, so one word keys a cell of up to 8 bytes and word order is byte
     order, which for UTF-8 is code point order. The cells are ranked by the
-    first word, then each rank is split by the rank of the next word; one
-    cell per level is decoded. Zero padding makes trailing NULs no part of a
+    first word, then each rank is split by the rank of the next word, a rank
+    being a binary search among the sorted distinct keys; one cell per level
+    is decoded. Zero padding makes trailing NULs no part of a
     cell, as in a <U array."""
     index = np.flatnonzero(keep)
     start = cells.start[index]
@@ -480,11 +485,11 @@ def _text_column(cells: _Cells, keep: np.ndarray) -> tuple[np.ndarray, np.ndarra
         tail = np.flatnonzero(start + at > last)
         word[tail] <<= ((start[tail] + at - last) * 8).astype(np.uint64)
         word &= _HEAD_BYTES[np.clip(length - at, 0, 8)]
-        rank = _ranks(word)
+        rank = np.searchsorted(_distinct(word), word)
         if at:  # both ranks are below n, so the pair's key is below n**2
             codes *= rank.max() + 1
             codes += rank
-            rank = _ranks(codes)
+            rank = np.searchsorted(_distinct(codes), codes)
         codes = rank
     first = np.empty(codes.max() + 1, dtype=np.intp)
     first[codes[::-1]] = np.arange(len(codes))[::-1]  # the last write is a level's first cell

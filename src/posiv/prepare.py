@@ -11,6 +11,8 @@ and groups their rows with one stable argsort, and build_design(by_item=True)
 builds every item's design in one vectorized pass over those rows, each item
 with the semantics of a design built from its slice alone. Every design has
 one form: a design not built by item is the stack of one item, labelled None.
+Instruments come from the arm and reason codes the Dataset already holds:
+code order is string order, so no level is coded again.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .datamodel import SESSION_SCHEMA, Dataset
+from .datamodel import SESSION_SCHEMA, Dataset, _distinct
 from .errors import (
     ConstantColumn,
     EstimationError,
@@ -198,15 +200,6 @@ def _reduce_items(ufunc, values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return out
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The sorted distinct values, as np.unique(values) gives them, from one
-    sort: np.unique without a return_* flag imports numpy.ma."""
-    ordered = np.sort(values)
-    first = np.ones(len(ordered), dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    return ordered[first]
-
-
 def _pairs(item: np.ndarray, codes: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct (item, level) pairs the rows show, sorted by item, then level."""
     flat = _distinct(item * n_levels + codes)
@@ -218,8 +211,9 @@ def build_design(ds: Dataset, spec: ModelSpec, by_item: bool = False) -> DesignM
 
     Rows missing any named value are dropped (and counted). The "arm*reason"
     expression expands to indicator products of each non-baseline arm level
-    with every observed reason level; the baseline arm level (lowest id) is
-    dropped, which with a binary arm leaves treatment-only indicators.
+    with every observed reason level; the baseline arm level (the first in
+    string order) is dropped, which with a binary arm leaves treatment-only
+    indicators. Levels that no kept row shows make no column.
 
     With by_item=True the design stacks one design per item of ds, each
     built as if from that item's rows alone: its own drops, baseline arm
@@ -295,19 +289,14 @@ def build_design(ds: Dataset, spec: ModelSpec, by_item: bool = False) -> DesignM
         both = spec.instruments == "arm*reason"
         return f"arm={arm_levels[a]}" + (f"*reason={reason_levels[r]}" if both else "")
 
-    def shown_levels(name: str) -> tuple[np.ndarray, np.ndarray]:
-        # the levels the kept rows show and each row's rank among them;
-        # code order is string order
-        codes, levels = texts[name]
-        shown = np.bincount(codes[idx], minlength=len(levels)) > 0
-        return levels[shown], (np.cumsum(shown) - 1)[codes[idx]]
-
     if spec.instruments != "none":
-        arm_levels, arm = shown_levels("arm")
-        if spec.instruments == "arm":
-            reason_levels, reason = np.array([""]), np.zeros(idx.size, dtype=np.intp)
-        else:
-            reason_levels, reason = shown_levels(_reason_column(ds))
+        # cast the codes before any arithmetic: uint8 codes times an int stay uint8
+        arm_codes, arm_levels = texts["arm"]
+        arm = arm_codes[idx].astype(np.intp)
+        reason_levels, reason = np.array([""]), np.zeros(idx.size, dtype=np.intp)
+        if spec.instruments == "arm*reason":
+            reason_codes, reason_levels = texts[_reason_column(ds)]
+            reason = reason_codes[idx].astype(np.intp)
         pair, n_pairs = arm * len(reason_levels) + reason, len(arm_levels) * len(reason_levels)
         col_item, col = _pairs(item, pair, n_pairs)
         col_arm, col_reason = np.divmod(col, len(reason_levels))
@@ -398,8 +387,10 @@ def aggregate_sessions(ds: Dataset, top_cut: int = 4) -> Dataset:
         raise ValueError("empty dataset")
     if top_cut < 0:
         raise ValueError("top_cut must be >= 0")
-    req = ds.column("request_id")
-    uniq, inverse = np.unique(req, return_inverse=True)
+    # np.unique's index is each request's first row
+    uniq, first, inverse = np.unique(
+        ds.column("request_id"), return_index=True, return_inverse=True
+    )
     g = len(uniq)
     position = ds.column("position")
     outcome = ds.column("outcome")
@@ -407,10 +398,6 @@ def aggregate_sessions(ds: Dataset, top_cut: int = 4) -> Dataset:
     n_top = np.bincount(inverse, weights=(position <= top_cut).astype(float), minlength=g)
     n_all = np.bincount(inverse, minlength=g)
     invite = np.bincount(inverse, weights=outcome.astype(float), minlength=g)
-
-    # first occurrence per group
-    first = np.full(g, len(req), dtype=np.int64)
-    np.minimum.at(first, inverse, np.arange(len(req)))
 
     data: dict[str, np.ndarray] = {
         "request_id": uniq,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)

@@ -31,6 +31,10 @@ PYMK_CONFIG = dict(
     base_rate=0.55, marketplace_mode="pymk", n_reasons=8, seed=12,
 )
 
+# flags that keep each data command small on the ads_outdir file
+QUICK_FLAGS = {"estimate": ["--spec", "spec1", "--item", "1"],
+               "diagnose": ["--top-n", "3"], "report": ["--top-n", "3"]}
+
 
 @pytest.fixture
 def ads_outdir(tmp_path):
@@ -119,6 +123,47 @@ def test_bad_schema_map_exits_2(ads_outdir, tmp_path, capsys, schema_map, messag
                  "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "prepare", "diagnose", "report"])
+def test_a_data_command_checks_config_keys_as_simulate_does(ads_outdir, tmp_path, capsys,
+                                                             command):
+    """A misspelt key exits 2 with simulate's message; a config that
+    simulate takes, its fields under "sim" beside a schema_map, loads."""
+    data, cfg = str(ads_outdir / "dataset.csv"), tmp_path / "cfg.json"
+    flags = QUICK_FLAGS.get(command, [])
+    for config, message in [
+        ({"schema_mapp": {"arm": "arm"}}, "unknown simulator config keys: ['schema_mapp']"),
+        ({"n_userz": 5}, "unknown simulator config keys: ['n_userz']"),
+        ({"sim": ADS_CONFIG, "n_items": 3}, """config keys beside "sim": ['n_items']"""),
+    ]:
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "bad"
+        assert main([command, data, *flags, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+    cfg.write_text(json.dumps({"sim": ADS_CONFIG, "schema_map": {"arm": "arm"}}),
+                   encoding="utf-8")
+    assert main([command, data, *flags, "--config", str(cfg),
+                 "--out", str(tmp_path / "ok")]) == 0
+
+
+@pytest.mark.parametrize("given, seen", [
+    ({}, ["1", "1", "1"]),
+    ({"OPENBLAS_NUM_THREADS": "2"}, ["2", None, None]),
+    ({"MKL_NUM_THREADS": "3"}, [None, None, "3"]),
+], ids=["unset", "openblas-given", "mkl-given"])
+def test_the_cli_pins_one_blas_thread_unless_one_is_given(given, seen):
+    """BLAS sums in an order set by its thread count, so a process that
+    imports posiv.cli runs one thread, unless any of the three is set."""
+    names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+    src = str(Path(posiv.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env.update(given, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", (
+        f"import os, posiv.cli; print([os.environ.get(n) for n in {names!r}])"
+    )], env=env, check=True, capture_output=True, text=True).stdout
+    assert out == f"{seen!r}\n"
 
 
 def test_simulate_non_numeric_config_value_exits_2(tmp_path, capsys):
@@ -709,8 +754,7 @@ def test_a_command_loads_only_its_own_layers(ads_outdir, tmp_path, command, laye
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(ADS_CONFIG), encoding="utf-8")
     source = ["--config", str(cfg)] if command == "simulate" else [str(ads_outdir / "dataset.csv")]
-    flags = {"estimate": ["--spec", "spec1", "--item", "1"],
-             "diagnose": ["--top-n", "3"], "report": ["--top-n", "3"]}.get(command, [])
+    flags = QUICK_FLAGS.get(command, [])
     loaded = _run_main([[command, *source, *flags, "--out", str(tmp_path / "out")]],
                        "print(*sorted(m for m in sys.modules if m.startswith('posiv.')))\n"
                        "print('numpy.ma' in sys.modules)\n")

@@ -726,6 +726,32 @@ def test_front_ends_agree_on_simulated_logs(tmp_path, mode):
     _assert_front_ends_agree(path)
 
 
+@pytest.mark.parametrize("mode", ["pymk", "ads"])
+def test_a_crlf_file_without_quotes_takes_the_byte_path(tmp_path, monkeypatch, mode):
+    """A file with "\r\n" line ends and no quote loads as its "\n" twin,
+    to the byte, without csv.reader."""
+    ds, _ = simulate(SimConfig(n_users=150, n_items=15, slots_per_request=5,
+                               marketplace_mode=mode, seed=3))
+    path = tmp_path / f"{mode}.csv"
+    _with_injected_rows(ds, path, seed=7)
+    want = load_dataset(str(path))
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+
+    def no_reader(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(csv, "reader", no_reader)
+    got = load_dataset(str(path))
+    assert got.column_names == want.column_names
+    for name in want.column_names:
+        a, b = got.coded(name)[0], want.coded(name)[0]
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+        assert np.array_equal(got.coded(name)[1], want.coded(name)[1]), name
+    assert (got.n_rows, got.n_dropped, got.n_duplicates, got.provenance) == (
+        want.n_rows, want.n_dropped, want.n_duplicates, want.provenance
+    )
+
+
 @pytest.mark.parametrize("quoted", [False, True])
 def test_cell_over_the_csv_field_limit_is_an_input_error(tmp_path, quoted):
     """Both front-ends apply csv.field_size_limit(), which counts characters."""

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 
 from posiv import rng
 from posiv.datamodel import EDGE_SCHEMA, Dataset
-from posiv.errors import ConstantColumn, MissingColumn, Underidentified, UnknownItem
+from posiv.errors import (
+    ConstantColumn,
+    EstimationError,
+    MissingColumn,
+    Underidentified,
+    UnknownItem,
+)
 from posiv.prepare import (
     _mode_per_group,
     _winner_per_request,
@@ -288,6 +294,62 @@ def test_build_design_underidentified():
     ds = Dataset(edge_columns(rows), EDGE_SCHEMA)
     with pytest.raises(Underidentified):
         build_design(ds, get_spec("spec6"))
+
+
+def _design_outcome(ds, spec, by_item):
+    """What build_design gives: the instrument columns, their names and
+    bounds and each item's error, or the error it raises."""
+    try:
+        d = build_design(ds, spec, by_item=by_item)
+    except EstimationError as exc:
+        return type(exc), str(exc)
+    errors = [None if e is None else (type(e), str(e)) for e in d.items.errors]
+    return (d.z.dtype, d.z.shape, d.z.tobytes(), d.z_names, d.items.z_cols.tolist(),
+            d.items.z_bounds.tolist(), errors)
+
+
+def test_build_design_ignores_levels_its_rows_do_not_show():
+    """Coding over the Dataset's own levels, with unused arm and reason
+    levels that sort before and after the shown ones and a "" arm level on
+    rows that are dropped, builds what coding over the shown levels builds."""
+    arms = {1: ["control", "treatment"], 2: ["treatment"], 3: ["control", "treatment"],
+            4: ["", "control", "treatment", "tz"]}
+    rows = []
+    for item, shown in arms.items():
+        for i in range(24):
+            arm, reason = shown[i % len(shown)], f"r{1 + i // len(shown) % 2}"
+            if item == 3 and arm == "treatment":
+                reason = "r1"  # treatment*reason=r2 is never shown
+            rows.append(edge(100 * item + i, 100 * item + i, item, 1 + i % 4,
+                             out=int(i % 3 == 0), arm=arm, reason=reason))
+    data = edge_columns(rows)
+    levels = {"arm": np.array(["", "a", "control", "treatment", "tz", "zz"]),
+              "reason": np.array(["a0", "r1", "r2", "z9"])}
+    coded = {**data, **{k: np.searchsorted(v, data[k]).astype(np.uint8)
+                        for k, v in levels.items()}}
+    full = Dataset(coded, EDGE_SCHEMA, levels=levels)
+    assert full.column("arm").tolist() == data["arm"].tolist()
+
+    def shown_only(ds):
+        return Dataset({name: ds.column(name) for name in ds.column_names}, ds.schema)
+
+    seen = set()
+    for spec in (get_spec("spec1"), get_spec("spec4")):
+        stack = slice_by_item(full, list(arms))
+        got = _design_outcome(stack, spec, True)
+        assert got == _design_outcome(shown_only(stack), spec, True)
+        seen.update(e for e in got[-1] if e)
+        for item in arms:
+            one = slice_by_item(full, item)
+            got = _design_outcome(one, spec, False)
+            assert got == _design_outcome(shown_only(one), spec, False)
+            if spec.name == "spec4" and item == 4:
+                assert got[3] == tuple(f"arm={a}*reason={r}" for a in ("treatment", "tz")
+                                       for r in ("r1", "r2"))
+    assert seen == {
+        (ConstantColumn, "arm has a single level 'treatment'; the instrument is unusable"),
+        (ConstantColumn, "instrument column 'arm=treatment*reason=r2' has zero variance"),
+    }
 
 
 def test_build_design_missing_column():
