@@ -9,7 +9,7 @@ output directory. Then every output file, stdout and stderr (the output
 directory masked) and the exit code are compared; the script prints each
 difference and exits 1 if there is any, 0 if everything is identical.
 
-KIND says which commands run on the CSV file DATA:
+KIND says which commands run on the file DATA:
 
     ads    diagnose --top-n 1200; report --specs spec1,spec2,spec3
            --top-n 1200 --sample-seed 5 (the benchmark's ads file,
@@ -23,6 +23,8 @@ KIND says which commands run on the CSV file DATA:
     prepare  prepare with --sample-seed 77, with --session-top-cut 4, with
            --item 7 and with --top-n 10; estimate --spec specA2 --format
            json (an edge-level file, such as the pymk one)
+    simulate  simulate --config DATA (DATA a simulator config JSON), which
+           writes dataset.csv and truth.json
 
 Column sidecars (.*.posiv) are not compared: their key covers the loader's
 own source, so they differ between trees whose loader differs.
@@ -80,7 +82,9 @@ def commands(kind: str, data: str, ils: str) -> list[tuple[str, list[str]]]:
                 for flag, value in (("--sample-seed", "77"), ("--session-top-cut", "4"),
                                     ("--item", "7"), ("--top-n", "10"))] + [
             ("estimate-specA2", ["estimate", data, "--spec", "specA2", "--format", "json"])]
-    raise SystemExit(f"unknown kind {kind!r}: use ads, mixed, pymk or prepare")
+    if kind == "simulate":
+        return [("simulate", ["simulate", "--config", data])]
+    raise SystemExit(f"unknown kind {kind!r}: use ads, mixed, pymk, prepare or simulate")
 
 
 def run(tree: Path, argv: list[str], out: Path) -> tuple[int, str, str]:
@@ -123,7 +127,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("data", nargs="+", help="KIND=PATH, KIND one of ads, mixed, pymk, prepare")
+    ap.add_argument("data", nargs="+", help="KIND=PATH, KIND one of ads, mixed, pymk, prepare, simulate")
     args = ap.parse_args()
     trees = (args.parent.resolve(), args.change.resolve())
 

@@ -13,10 +13,12 @@ from __future__ import annotations
 import csv
 import gc
 import io
+import itertools
 import json
 import math
 import os
 import sys
+from functools import partial
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -180,14 +182,13 @@ def parse_id(value: str) -> int:
 def _require_constant_arm_per_user(data: Mapping[str, np.ndarray]) -> None:
     if "arm" not in data or len(data["arm"]) == 0:
         return
-    users = data["user_id"]
-    arms = data["arm"]
-    order = np.argsort(users, kind="stable")
-    u, a = users[order], arms[order]
-    boundary = np.flatnonzero(u[1:] == u[:-1])
-    bad = boundary[a[boundary + 1] != a[boundary]]
+    order = np.argsort(data["user_id"], kind="stable")
+    arms = data["arm"][order]
+    users = data["user_id"][order]
+    del order
+    bad = np.flatnonzero((users[1:] == users[:-1]) & (arms[1:] != arms[:-1]))
     if bad.size:
-        uid = int(u[bad[0]])
+        uid = int(users[bad[0]])
         raise MixedArmsWithinUser(
             f"arm varies within user_id {uid}; treatment must be user-randomized"
         )
@@ -419,7 +420,7 @@ def _number_column(
     equals float() of the cell to the bit. Python's own int/float convert
     the other present cells in one pass; if that raises, they are redone
     cell by cell and each cell that int/float rejects, or that overflows
-    int64, fails alone. Then the range rules apply.
+    int64, fails alone. Then the range rules apply (_out_of_range).
     """
     if kind == "float":
         dtype, convert = np.float64, float
@@ -440,17 +441,23 @@ def _number_column(
                 values[i] = convert(text)
             except (ValueError, OverflowError):
                 failed[i] = True
+    return values, (failed | _out_of_range(kind, name, values)) & ~missing
+
+
+def _out_of_range(kind: str, name: str, values: np.ndarray) -> np.ndarray | bool:
+    """The values of a number column that the range rules reject."""
     if kind == "float":
-        failed |= ~np.isfinite(values)
+        bad = ~np.isfinite(values)
         if name == "relevance_score":
-            failed |= (values < 0.0) | (values > 1.0)
-    elif name == "outcome":
-        failed |= (values != 0) & (values != 1)
-    elif name in ("position", "session_depth"):
-        failed |= values < 1
-    elif name in ("n_top_spot", "n_bottom_spot", "invite_total"):
-        failed |= values < 0
-    return values, failed & ~missing
+            bad |= (values < 0.0) | (values > 1.0)
+        return bad
+    if name == "outcome":
+        return (values != 0) & (values != 1)
+    if name in ("position", "session_depth"):
+        return values < 1
+    if name in ("n_top_spot", "n_bottom_spot", "invite_total"):
+        return values < 0
+    return False
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -497,33 +504,42 @@ def _text_column(cells: _Cells, keep: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return codes.astype(np.min_scalar_type(len(levels))), levels
 
 
+def _key(arr: np.ndarray) -> np.ndarray:
+    """A column's uint64 keys, equal where its cells are: floats with NaN as
+    one NaN and -0.0 as 0.0, other columns (text as codes) cast."""
+    if arr.dtype.kind == "f":
+        canon = arr + 0.0
+        canon[np.isnan(canon)] = np.nan
+        return canon.view(np.uint64)
+    return arr.astype(np.uint64, copy=False)
+
+
 def _count_duplicates(data: Mapping[str, np.ndarray]) -> int:
     """Number of rows equal to an earlier row in every column, with NaN equal
     to NaN and -0.0 equal to 0.0. Text columns are given as codes.
 
     Equal rows hash alike, so only the rows whose hash repeats are compared
-    exactly: one lexsort of their keys."""
-    keys = []
-    for arr in data.values():
-        if arr.dtype.kind == "f":
-            canon = arr + 0.0
-            canon[np.isnan(canon)] = np.nan
-            keys.append(canon.view(np.uint64))
-        else:
-            keys.append(arr.astype(np.uint64, copy=False))
-    row_hash = mix64(keys[0])
-    for key in keys[1:]:
-        row_hash = mix64(row_hash ^ key)
+    exactly: one lexsort of their keys. Each column's keys are made as the
+    hash takes them, so the count holds about three uint64 arrays of the
+    rows at a time."""
+    columns = list(data.values())
+    row_hash = np.zeros(len(columns[0]), dtype=np.uint64)
+    for arr in columns:
+        row_hash ^= _key(arr)
+        row_hash = mix64(row_hash)
     tied = np.sort(row_hash)
-    rows = np.flatnonzero(np.isin(row_hash, tied[1:][tied[1:] == tied[:-1]]))
-    table = np.stack([key[rows] for key in keys])
+    repeats = tied[1:][tied[1:] == tied[:-1]]
+    del tied
+    rows = np.flatnonzero(np.isin(row_hash, repeats))
+    table = np.stack([_key(arr[rows]) for arr in columns])
     table = table[:, np.lexsort(table)]
     return int((table[:, 1:] == table[:, :-1]).all(axis=0).sum())
 
 
 # -- column sidecar -----------------------------------------------------------
 #
-# ".<name>.posiv" beside a data file holds the Dataset its last load built: a
+# ".<name>.posiv" beside a data file holds the Dataset its last load built, or
+# that a load of it would build, as write_dataset wrote it (_loaded): a
 # magic line, the JSON header's length as 8 little-endian bytes, the header,
 # then the payload: the columns in schema order and then each text column's
 # levels, as raw native-order bytes, stably sorted by descending dtype
@@ -700,6 +716,7 @@ def load_dataset(path: str, schema_map: Mapping[str, str] | None = None) -> Data
     beside it (_write_sidecar), and a later load of the same bytes with the same
     schema_map by the same loader source builds the same Dataset from the
     sidecar without parsing. Any other sidecar is ignored and rewritten.
+    write_dataset leaves the sidecar of the file it writes where it can.
     """
     schema_map = {} if schema_map is None else schema_map
     if not isinstance(schema_map, Mapping) or not all(
@@ -735,24 +752,53 @@ def _parse(path: str, schema_map: Mapping[str, str], digest) -> Dataset:
                 f"required field {name!r} (column {colmap[name]!r}) absent from {path!r}"
             )
 
-    values: dict[str, np.ndarray | _Cells] = {}
+    values: dict[str, np.ndarray | partial] = {}
     missing: dict[str, np.ndarray] = {}
-    n = len(table[colmap["request_id"]].start)
-    drop = np.zeros(n, dtype=bool)
-    for name, kind, req in schema:
+    failed = np.zeros(len(table[colmap["request_id"]].start), dtype=bool)
+    for name, kind, _ in schema:
         if colmap[name] not in header:
             continue
         cells = table[colmap[name]]
-        empty = cells.start == cells.end
+        missing[name] = cells.start == cells.end
         if kind == "id":
-            values[name], failed = _id_column(cells, empty)
+            values[name], bad = _id_column(cells, missing[name])
         elif kind == "str":
-            values[name], failed = cells, np.zeros(n, dtype=bool)
+            values[name], bad = partial(_text_column, cells), False
         else:
-            values[name], failed = _number_column(kind, name, cells, empty)
-        missing[name] = empty
-        drop |= failed | (empty if req else False)
-    if session:
+            values[name], bad = _number_column(kind, name, cells, missing[name])
+        failed |= bad
+    # the cells are freed with the text columns, each once it is coded
+    del table, cells
+    return _assemble(path, schema, values, missing, failed)
+
+
+def _assemble(
+    path: str,
+    schema: Sequence[tuple[str, str, bool]],
+    values: dict[str, np.ndarray | partial],
+    missing: dict[str, np.ndarray],
+    failed: np.ndarray,
+) -> Dataset:
+    """The Dataset a load builds from its columns as read from the cells:
+    each column's values (ids as uint64, other numbers as int64 or float64,
+    a text column as a function of the kept-row mask that returns its codes
+    and levels) and mask of empty cells, and the mask of rows with a cell
+    that failed its conversion or range rules (_out_of_range). session_depth
+    may also come as floats, whole and below 2**53 in magnitude, with NaN
+    where a cell is empty.
+
+    Drops those rows and the rows with an empty id or required cell, an
+    edge row with no arm or with a session_depth below its position, and a
+    session row whose invite_total exceeds its two counts; gives an empty
+    float or session_depth cell NaN and a file without user_id one cluster
+    per request; then checks that arm is constant per user and counts the
+    duplicate rows. values and missing are emptied as each column is
+    built."""
+    drop = failed.copy()
+    for name, kind, req in schema:
+        if name in missing and (req or kind == "id"):
+            drop |= missing[name]
+    if "n_top_spot" in values:
         # Counts of kept rows are >= 0, so their uint64 sum is exact where an
         # int64 sum of two large counts would wrap.
         size = values["n_top_spot"].view(np.uint64) + values["n_bottom_spot"].view(np.uint64)
@@ -760,29 +806,31 @@ def _parse(path: str, schema_map: Mapping[str, str], digest) -> Dataset:
     else:
         if "arm" in missing:
             drop |= missing["arm"]
-        if "session_depth" in values:  # compared as int64, exact above 2**53
+        # int64, or whole floats below 2**53 in magnitude: exact either way
+        if "session_depth" in values:
             drop |= ~missing["session_depth"] & (values["session_depth"] < values["position"])
 
-    keep = ~drop
     dropped = int(drop.sum())
-    if dropped == n:
+    if dropped == len(drop):
         raise EmptyDataset(f"no valid rows in {path!r} ({dropped} dropped)")
-
-    # The cells, and each parsed column once its final column is built, are
-    # freed before the duplicate count's temporaries.
-    del table, cells
+    # With no row dropped, a column that needs no NaN fill is taken as it is.
+    keep = ~drop
+    rows = keep if dropped else slice(None)
     data: dict[str, np.ndarray] = {}
     levels: dict[str, np.ndarray] = {}
     for name, kind, _ in schema:
         if name not in values:
             continue
-        column = values.pop(name)
+        column, empty = values.pop(name), missing.pop(name)
         if kind == "str":
-            data[name], levels[name] = _text_column(column, keep)
-        elif kind == "float" or name == "session_depth":  # NaN marks an empty cell
-            data[name] = np.where(missing[name], math.nan, column)[keep]
+            data[name], levels[name] = column(keep)
+        elif (kind == "float" or name == "session_depth") and (
+            column.dtype.kind != "f" or empty.any()
+        ):  # NaN marks an empty cell
+            data[name] = np.where(empty, math.nan, column)[rows]
         else:
-            data[name] = column[keep]
+            data[name] = column[rows]
+    del drop, keep, rows, column, empty
     if "user_id" not in data:
         data["user_id"] = data["request_id"].copy()
 
@@ -867,12 +915,23 @@ def _cells(kind: str, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return chars, shown
 
 
-def _level_cells(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _level_cells(
+    name: str, codes: np.ndarray, levels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Each level's CSV cell as _cells gives a column's, one row a level:
-    its text quoted by _quote."""
+    its text quoted by _quote, or no bytes for a level that no code shows.
+    A shown level that UTF-8 cannot encode, a lone surrogate as a JSON
+    escape can give, is an InputError."""
+    shown = np.zeros(len(levels), dtype=bool)
+    shown[codes] = True
+    texts = [v if s else "" for v, s in zip(levels.tolist(), shown.tolist())]
     empty = np.zeros((len(levels), 0), dtype=np.uint8)
-    return _patch(empty, empty.astype(bool), np.arange(len(levels)),
-                  [_quote(v) for v in levels.tolist()])
+    try:
+        return _patch(empty, empty.astype(bool), np.arange(len(levels)), list(map(_quote, texts)))
+    except UnicodeEncodeError:
+        bad = next(v for v in texts if any("\ud800" <= c <= "\udfff" for c in v))
+        raise InputError(f"{name} level {bad!r} is not valid UTF-8: it holds a lone "
+                         "surrogate") from None
 
 
 def _format_block(columns: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -899,14 +958,25 @@ def write_dataset(ds: Dataset, path: str) -> None:
     The header, then one row per line ended by "\\n": ids and ints as
     integers, floats as their shortest round-trip repr, "" for NaN (an
     absent optional value), and text quoted by _quote. The rows are
-    formatted in numpy and written _BLOCK_ROWS at a time, so the memory
-    used is bounded by a block, not by the file; a text column's levels are
-    formatted once and each row gathers its level's bytes by code.
+    formatted in numpy and written _BLOCK_ROWS at a time, so formatting
+    holds a block, not the file; a text column's levels are formatted once
+    and each row gathers its level's bytes by code.
     Round-trips: load_dataset(write_dataset(ds)) compares equal to ds.
+
+    The bytes are fed to a sidecar key's hash as they are written. Where
+    _loaded can tell the Dataset that load_dataset of the file builds, that
+    Dataset is written as the file's column sidecar, so the next load does
+    not parse; in any other case none is written. That step does grow with
+    the file: it shares the columns a load would not change, but holds the
+    duplicate count's row hashes, about 28 bytes a row, and a copy of each
+    column a load would change (rows dropped, NaN filled, codes). A text
+    level that rows show and UTF-8 cannot encode is an InputError, raised
+    before any file is written.
     """
     kinds = {n: k for n, k, _ in ds.schema}
     names = list(ds.column_names)
-    texts = {n: _level_cells(ds.coded(n)[1]) for n in names if kinds[n] == "str"}
+    texts = {n: _level_cells(n, *ds.coded(n)) for n in names if kinds[n] == "str"}
+    digest = _sidecar_digest({})
 
     def cells(name: str, rows: slice) -> tuple[np.ndarray, np.ndarray]:
         if name in texts:
@@ -914,11 +984,104 @@ def write_dataset(ds: Dataset, path: str) -> None:
             return texts[name][0][codes], texts[name][1][codes]
         return _cells(kinds[name], ds.column(name)[rows])
 
+    blocks = itertools.chain(
+        [(",".join(map(_quote, names)) + "\n").encode("utf-8")],
+        (_format_block([cells(name, slice(lo, lo + _BLOCK_ROWS)) for name in names])
+         for lo in range(0, ds.n_rows, _BLOCK_ROWS)),
+    )
     try:
         with open(path, "wb") as fh:
-            fh.write((",".join(map(_quote, names)) + "\n").encode("utf-8"))
-            for lo in range(0, ds.n_rows, _BLOCK_ROWS):
-                rows = slice(lo, lo + _BLOCK_ROWS)
-                fh.write(_format_block([cells(name, rows) for name in names]))
+            for block in blocks:
+                fh.write(block)
+                if digest is not None:
+                    digest.update(block)
     except OSError as exc:
         raise IoFailure(f"cannot write {path!r}: {exc}") from exc
+    if digest is not None and os.path.isfile(path):
+        loaded = _loaded(ds, str(path))
+        if loaded is not None:
+            _write_sidecar(path, digest.hexdigest(), loaded)
+
+
+def _loaded(ds: Dataset, path: str) -> Dataset | None:
+    """The Dataset that load_dataset (no schema_map) builds from the file
+    write_dataset wrote of ds at path, from ds's own columns, each read as
+    a load reads its cells back (_read_back), then _assemble. None where
+    that cannot be shown: the name loads as JSON lines, the header gives
+    another schema or lacks a required column, a cell does not read back as
+    its value, a text column's levels are not a <U array no wider than
+    csv.field_size_limit() allows, or the load fails."""
+    schema = SESSION_SCHEMA if ds.has_column("n_top_spot") else EDGE_SCHEMA
+    if (path.endswith((".jsonl", ".ndjson")) or ds.schema != schema
+            or not all(ds.has_column(name) for name, _, req in schema if req)):
+        return None
+    values: dict[str, np.ndarray | partial] = {}
+    missing: dict[str, np.ndarray] = {}
+    failed = np.zeros(ds.n_rows, dtype=bool)
+    for name, kind, _ in schema:
+        if not ds.has_column(name):
+            continue
+        column, levels = ds.coded(name)
+        if levels is not None:
+            if levels.dtype.kind != "U" or levels.dtype.itemsize // 4 > csv.field_size_limit():
+                return None
+            values[name] = partial(_recoded, column, levels)
+            missing[name] = (levels == "")[column]
+            continue
+        if kind == "float":
+            column = column.astype(np.float64, copy=False)  # as _cells writes it
+            missing[name] = np.isnan(column)
+        else:
+            read = _read_back(name, kind, column)
+            if read is None:
+                return None
+            column, missing[name] = read
+        values[name] = column
+        failed |= _out_of_range(kind, name, column) & ~missing[name]
+    try:
+        return _assemble(path, schema, values, missing, failed)
+    except (EmptyDataset, MixedArmsWithinUser):
+        return None
+
+
+def _read_back(
+    name: str, kind: str, column: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """An id or int column as a load reads back its written cells, uint64
+    or int64, and its mask of empty cells (NaN in a float column); None
+    where a cell would read back as another value: a negative id, an int
+    past int64, or a float that is not a whole number below 2**63 in
+    magnitude, which _cells writes truncated. A float session_depth is kept
+    as float64 (_assemble takes it so) and must be below 2**53."""
+    dtype = np.dtype(np.uint64 if kind == "id" else np.int64)
+    missing = np.zeros(len(column), dtype=bool)
+    if column.dtype.kind == "f":
+        missing = np.isnan(column)
+        limit = 2.0**53 if name == "session_depth" else 2.0**63
+        if not (missing | (np.trunc(column) == column) & (np.abs(column) < limit)).all():
+            return None
+        if name == "session_depth":
+            return column.astype(np.float64, copy=False), missing
+        column = np.where(missing, 0.0, column)
+    elif column.dtype.kind not in "iu":
+        return None
+    if len(column) and (column.min() < 0 if kind == "id" else column.max() > 2**63 - 1):
+        return None
+    return column.astype(dtype, copy=False), missing
+
+
+def _recoded(
+    codes: np.ndarray, levels: np.ndarray, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Codes and levels of the kept rows of a text column, as _text_column
+    gives them for its written cells: only the levels the kept rows show,
+    equal texts as one, in code point order, as a <U array as wide as the
+    longest of them."""
+    codes = codes[keep]
+    shown = np.zeros(len(levels), dtype=bool)
+    shown[codes] = True
+    texts, inverse = np.unique(levels[shown], return_inverse=True)
+    recode = np.zeros(len(levels), dtype=np.intp)
+    recode[shown] = inverse
+    levels = np.array(texts.tolist())
+    return recode.astype(np.min_scalar_type(len(levels)))[codes], levels

@@ -180,7 +180,12 @@ def _hill(nu: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def stdtrit(df, q) -> np.ndarray:
     """The t with stdtr(df, t) = q, for df >= 1: Newton steps on stdtr in
-    the lower tail from Hill's start, once per distinct (df, q)."""
+    the lower tail from Hill's start, once per distinct (df, q). Each lane
+    leaves the Newton loop at its own convergence. Its bits can still depend
+    on how many lanes the call holds: stdtr's continued fraction picks its
+    block sizes by the number of live lanes (_fraction), so a lane that
+    needs more than one block of steps may end on other bits in a call of
+    many lanes than alone."""
     df, q = np.broadcast_arrays(np.asarray(df, dtype=float), np.asarray(q, dtype=float))
     pairs, inverse = np.unique(df + 1j * q, return_inverse=True)
     nu, q = pairs.real, pairs.imag
@@ -190,12 +195,15 @@ def stdtrit(df, q) -> np.ndarray:
     nu, tail = nu[solve], tail[solve]
     log_scale = -0.5 * np.log(nu) - np.array([_log_beta(n / 2.0, 0.5) for n in nu.tolist()])
     root = -_hill(nu, 2.0 * tail)
+    live = np.arange(len(nu))
     for _ in range(_MAX_NEWTON):
-        density = np.exp(log_scale - 0.5 * (nu + 1.0) * np.log1p(root * root / nu))
-        step = (stdtr(nu, root) - tail) / density
-        root -= step
+        n, r = nu[live], root[live]
+        density = np.exp(log_scale[live] - 0.5 * (n + 1.0) * np.log1p(r * r / n))
+        step = (stdtr(n, r) - tail[live]) / density
+        root[live] = r = r - step
         # Newton squares the error: after a step below 1e-8 the next is below an ulp
-        if np.all(np.abs(step) <= 1e-8 * np.abs(root)):
+        live = live[~(np.abs(step) <= 1e-8 * np.abs(r))]
+        if not live.size:
             break
     t[solve] = root
     return np.where(q > 0.5, -t, t)[inverse].reshape(df.shape)

@@ -165,15 +165,17 @@ def test_batch_matches_one_item_at_a_time(mixed, seed, spec_name):
 
 
 def _numbers(result) -> bytes:
-    """Every number of a FitResult or FirstStageReport but the CIs, as bytes.
-    The CIs' critical values come from one stdtrit call over every item,
-    whose Newton steps run until every item's root has converged, so their
-    last bits can depend on the other items' G."""
+    """Every number of a FitResult or FirstStageReport, as bytes. The CIs'
+    critical values come from one stdtrit call over every item, which stops
+    each item's Newton steps at its own convergence. stdtr's block schedule
+    still depends on the number of lanes (tails._fraction); this fixture's
+    few items leave every lane with its lone bits."""
     if isinstance(result, FitResult):
         arrays = [result.coef, result.se, result.cov, result.t_stat, result.p_value,
                   [result.r_squared, result.resid_std_error, *result.first_stage_f.values()]]
     else:
-        arrays = [a for eq in result.equations for a in (eq.coef, eq.se, [eq.f_stat, eq.p_value])]
+        arrays = [a for eq in result.equations
+                  for a in (eq.coef, eq.se, eq.ci_low, eq.ci_high, [eq.f_stat, eq.p_value])]
     return b"".join(np.asarray(a, dtype=float).tobytes() for a in arrays)
 
 

@@ -207,6 +207,46 @@ def test_cell_over_the_csv_field_limit_exits_2(tmp_path, capsys, command):
     assert "field larger than field limit (131072)" in capsys.readouterr().err
 
 
+def test_a_level_that_utf8_cannot_encode_exits_2_and_writes_nothing(tmp_path, capsys):
+    """A JSON-lines load keeps a lone surrogate from a "\\ud800" escape as a
+    text level; writing it is an input error, not a traceback."""
+    data = tmp_path / "lone.jsonl"
+    data.write_text(
+        '{"request_id": 1, "user_id": 1, "item_id": 4, "position": 1, "outcome": 0,'
+        ' "arm": "control", "reason": "r\\ud800"}\n'
+        '{"request_id": 2, "user_id": 2, "item_id": 4, "position": 2, "outcome": 1,'
+        ' "arm": "treatment", "reason": "s"}\n', encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["prepare", str(data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: reason level 'r\\ud800' is not valid UTF-8: it holds a lone surrogate\n")
+    assert list(out.iterdir()) == []
+
+
+def test_a_load_of_a_file_posiv_wrote_parses_nothing(tmp_path, monkeypatch):
+    """simulate and prepare leave the column sidecar of each file they
+    write, so the commands that load those files never parse."""
+    from posiv import datamodel
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(PYMK_CONFIG), encoding="utf-8")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+
+    def parse(*args):
+        raise AssertionError("parsed")
+
+    monkeypatch.setattr(datamodel, "_parse", parse)
+    data = str(out / "dataset.csv")
+    assert main(["prepare", data, "--out", str(tmp_path / "sampled"), "--sample-seed", "3"]) == 0
+    assert main(["prepare", data, "--out", str(tmp_path / "sessions"),
+                 "--session-top-cut", "4"]) == 0
+    assert main(["estimate", str(tmp_path / "sampled" / "prepared.csv"), "--spec", "spec3",
+                 "--no-sample", "--out", str(tmp_path / "spec3")]) == 0
+    assert main(["estimate", data, "--spec", "spec5", "--out", str(tmp_path / "spec5")]) == 0
+    assert load_dataset(str(tmp_path / "sessions" / "prepared.csv")).is_session_level()
+
+
 def test_estimate_table_and_json_agree(ads_outdir, tmp_path, capsys):
     out = tmp_path / "est"
     code = main([

@@ -37,7 +37,7 @@ from posiv.errors import (
     MixedArmsWithinUser,
     PosivError,
 )
-from posiv.prepare import aggregate_sessions
+from posiv.prepare import aggregate_sessions, sample_one_per_request, slice_by_item, top_items
 from posiv.rng import fnv1a64
 from posiv.simulator import SimConfig, simulate
 
@@ -370,7 +370,9 @@ def _rowwise_write(ds, path):
 
 def _assert_loads_like_rowwise(path, schema_map=None):
     """Same exception type, or the same columns to the byte (dtype included,
-    so -0.0 and <U widths count) and the same counts and provenance."""
+    so -0.0 and <U widths count) and the same counts and provenance. A
+    sidecar that write_dataset left is deleted first, so the load parses."""
+    _sidecar(path).unlink(missing_ok=True)
     try:
         want = _rowwise_load(str(path), schema_map)
     except PosivError as exc:
@@ -798,6 +800,7 @@ def test_load_peak_memory_is_a_small_multiple_of_the_columns(tmp_path):
         path = tmp_path / f"{mode}.csv"
         if mode == "pymk":
             write_dataset(ds, str(path))
+            _sidecar(path).unlink()  # so that the load parses
         else:
             ds = _with_text_ids(ds, path)
         tracemalloc.start()
@@ -813,7 +816,11 @@ def test_load_peak_memory_is_a_small_multiple_of_the_columns(tmp_path):
 def test_write_peak_memory_is_bounded_by_a_block(tmp_path):
     """write_dataset formats a block of rows at a time, so its tracemalloc
     peak at 200k rows is about its peak at 20k rows, not ten times it (the
-    per-cell writer it replaced peaked at 11.8 MB and 117 MB)."""
+    per-cell writer it replaced peaked at 11.8 MB and 117 MB). The sidecar
+    step that follows (_loaded) shares every column a load would not change
+    and holds the duplicate count's row hashes, 28 bytes a row when its
+    bound was set: below a block's peak at 200k rows, above it from about
+    210k rows on."""
     big, _ = simulate(SimConfig(n_users=20_000, n_items=100, slots_per_request=10,
                                 n_reasons=22, seed=1))
     peaks = []
@@ -825,7 +832,15 @@ def test_write_peak_memory_is_bounded_by_a_block(tmp_path):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+        assert _sidecar(tmp_path / "w.csv").exists()
     assert peaks[1] <= 1.5 * peaks[0], peaks
+    tracemalloc.start()
+    try:
+        datamodel._loaded(ds, str(tmp_path / "w.csv"))
+        step = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert step <= 32 * ds.n_rows, step
 
 
 def _random_id_cells(rng, n):
@@ -1129,7 +1144,8 @@ def _fresh_parse(path, schema_map=None):
 
 def _sidecar_case(tmp_path, name):
     """A data file of each kind the sidecar must round-trip, and its
-    schema_map."""
+    schema_map. The sidecar write_dataset leaves is deleted, so the first
+    load parses and writes its own."""
     ds, _ = simulate(SimConfig(n_users=150, n_items=15, slots_per_request=5,
                                marketplace_mode="ads", n_reasons=4, seed=3))
     path = tmp_path / name
@@ -1157,6 +1173,7 @@ def _sidecar_case(tmp_path, name):
     else:  # renamed columns and no user_id
         path.write_text(TABLE1_CSV, encoding="utf-8")
         return path, TABLE1_MAP
+    _sidecar(path).unlink(missing_ok=True)
     return path, None
 
 
@@ -1366,6 +1383,175 @@ def test_a_sidecar_hit_peak_memory_is_about_the_columns(tmp_path, parses):
     assert got == want and got.n_rows == 20_000 and len(parses) == 1
     coded = sum(a.nbytes for n in got.column_names for a in got.coded(n) if a is not None)
     assert peak <= 1.5 * coded, (peak, coded)
+
+
+def _parsed_sidecar(path):
+    """The sidecar that a load of path which parses it writes; raises as
+    that load does."""
+    digest = datamodel._sidecar_digest({})
+    ds = _PARSE(str(path), {}, digest)
+    datamodel._write_sidecar(str(path), digest.hexdigest(), ds)
+    return _sidecar(path).read_bytes()
+
+
+def _written_sidecar(ds, path):
+    """Write ds to path; the sidecar write_dataset left, which is then
+    deleted, or None."""
+    write_dataset(ds, str(path))
+    if not _sidecar(path).exists():
+        return None
+    blob = _sidecar(path).read_bytes()
+    _sidecar(path).unlink()
+    return blob
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["pymk", "ads"])
+def test_the_writers_sidecar_is_the_one_a_parse_writes(tmp_path, parses, mode, seed):
+    """write_dataset leaves the sidecar of the bytes it wrote, byte for byte
+    the one that a load which parses them writes, for simulate's files and
+    for prepare's samples, sessions and item slices of them; a load then
+    parses nothing."""
+    ds, _ = simulate(SimConfig(n_users=300, n_items=20, slots_per_request=5, n_reasons=6,
+                               marketplace_mode=mode, seed=seed))
+    for name, written in [("simulated", ds), ("sampled", sample_one_per_request(ds, seed)),
+                          ("sessions", aggregate_sessions(ds, 2)),
+                          ("item", slice_by_item(ds, top_items(ds, 1), seed))]:
+        path = tmp_path / f"{name}.csv"
+        write_dataset(written, str(path))
+        _assert_same_load(load_dataset(str(path)), _fresh_parse(path))
+        assert parses == [], name
+        blob = _sidecar(path).read_bytes()
+        _sidecar(path).unlink()
+        assert blob == _parsed_sidecar(path), name
+
+
+_NAN_PAYLOAD = np.array([0x7FF8000000000123, 0xFFF8000000000000], dtype=np.uint64).view(float)
+
+
+def _odd(schema=EDGE_SCHEMA, levels=None, **change):
+    """A small Dataset with the given columns changed; a column given as
+    None is left out."""
+    data = {
+        "request_id": np.array([1, 2, 3, 4], dtype=np.uint64),
+        "user_id": np.array([1, 2, 3, 4], dtype=np.uint64),
+        "item_id": np.array([5, 6, 5, 6], dtype=np.uint64),
+        "position": np.array([1, 2, 1, 3], dtype=np.int64),
+        "outcome": np.array([0, 1, 1, 0], dtype=np.int64),
+        "arm": np.array(["control", "treatment", "control", "treatment"]),
+        "reason": np.array(["a", "b", "a", "c"]),
+        "relevance_score": np.array([0.5, 0.25, 0.75, 1.0]),
+        "session_depth": np.array([3.0, 4.0, 2.0, 3.0]),
+    }
+    data.update(change)
+    return Dataset({k: v for k, v in data.items() if v is not None}, schema, levels=levels)
+
+
+# name: (the Dataset, whether write_dataset leaves a sidecar)
+ODD_DATASETS = {
+    "unused and empty levels": (lambda: _odd(
+        arm=np.array([1, 2, 0, 2], np.uint8), reason=np.array([0, 1, 0, 1], np.uint8),
+        levels={"arm": np.array(["", "control", "treatment", "unused"]),
+                "reason": np.array(["", "r", "unused"])}), True),
+    "levels wider than the ones in use": (lambda: _odd(
+        reason=np.array([2, 0, 2, 0], np.uint16),
+        levels={"reason": np.array(["a", "a much wider level", "b"])}), True),
+    "levels out of order and repeated": (lambda: _odd(
+        reason=np.array([0, 1, 2, 3], np.int64),
+        levels={"reason": np.array(["b", "a", "b", "\u20ac,\"q\"\r\n"])}), True),
+    "-0.0 and NaN payloads": (lambda: _odd(
+        relevance_score=np.array([-0.0, _NAN_PAYLOAD[0], _NAN_PAYLOAD[1], 0.0])), True),
+    "NaN session_depth": (lambda: _odd(session_depth=np.array([np.nan, 4.0, np.nan, 3.0])), True),
+    "int session_depth": (lambda: _odd(session_depth=np.array([3, 4, 2, 3], np.int32)), True),
+    "a non-integral session_depth": (lambda: _odd(session_depth=np.array([2.5, 4, 2, 3])), False),
+    "a session_depth past int64": (lambda: _odd(session_depth=np.array([3, 4, 2, 2.0**63])),
+                                   False),
+    "a session_depth below the position": (lambda: _odd(
+        session_depth=np.array([3.0, 1.0, 2.0, 3.0])), True),
+    "out-of-range scores and positions": (lambda: _odd(
+        relevance_score=np.array([1.5, -0.1, 0.5, np.inf]),
+        position=np.array([0, -3, 1, 2])), True),
+    "duplicate rows": (lambda: _odd(request_id=np.array([1, 1, 1, 2], np.uint64),
+                                    user_id=np.array([1, 1, 1, 2], np.uint64),
+                                    item_id=np.array([5, 5, 5, 6], np.uint64),
+                                    position=np.array([1, 1, 1, 3]),
+                                    outcome=np.array([0, 0, 0, 1]),
+                                    arm=np.array(["control"] * 3 + ["treatment"]),
+                                    reason=np.array(["a", "a", "a", "c"]),
+                                    relevance_score=np.array([0.5, 0.5, 0.5, 0.1]),
+                                    session_depth=np.array([3.0, 3.0, 3.0, 4.0])), True),
+    "ids at and above 2**63": (lambda: _odd(
+        request_id=np.array([2**63, 2**64 - 1, 2**63 - 1, 7], np.uint64),
+        item_id=np.array([2**63, 5, 5, 2**64 - 1], np.uint64)), True),
+    "negative ids": (lambda: _odd(request_id=np.array([-5, 2, 3, 4])), False),
+    "ids as whole floats": (lambda: _odd(item_id=np.array([5.0, 6.0, 2.0**62, 6.0])), True),
+    "an empty float id": (lambda: _odd(user_id=np.array([1.0, np.nan, 3.0, 4.0])), True),
+    "an outcome past int64": (lambda: _odd(outcome=np.array([0, 2**64 - 1, 1, 0], np.uint64)),
+                              False),
+    "no user_id": (lambda: _odd(user_id=None), True),
+    "no optional column": (lambda: _odd(user_id=None, arm=None, reason=None,
+                                        relevance_score=None, session_depth=None), True),
+    "no required column": (lambda: _odd(outcome=None), False),
+    "mixed arms within a user": (lambda: _odd(user_id=np.array([1, 1, 2, 2], np.uint64)), False),
+    "every row dropped": (lambda: _odd(position=np.array([0, 0, 0, 0])), False),
+    "a used level past the CSV field limit": (lambda: _odd(
+        reason=np.array(["a", "x" * (csv.field_size_limit() + 1), "a", "c"])), False),
+    "sessions": (lambda: aggregate_sessions(_odd(), 2), True),
+    "sessions with an invite past the counts": (lambda: Dataset({
+        "request_id": np.array([1, 2], np.uint64), "user_id": np.array([1, 2], np.uint64),
+        "n_top_spot": np.array([1, 0]), "n_bottom_spot": np.array([0, 2]),
+        "invite_total": np.array([2, 1])}, SESSION_SCHEMA), True),
+    "a session schema without n_top_spot": (lambda: Dataset({
+        "request_id": np.array([1, 2], np.uint64), "user_id": np.array([1, 2], np.uint64),
+        "n_bottom_spot": np.array([0, 2]), "invite_total": np.array([0, 1])},
+        SESSION_SCHEMA), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ODD_DATASETS))
+def test_the_writer_leaves_no_sidecar_or_the_one_a_parse_writes(tmp_path, case):
+    make, leaves = ODD_DATASETS[case]
+    path = tmp_path / "odd.csv"
+    got = _written_sidecar(make(), path)
+    assert (got is not None) == leaves
+    try:
+        want = _parsed_sidecar(path)
+    except InputError:  # a load of the file fails
+        assert got is None
+        return
+    assert got is None or got == want
+
+
+def test_a_json_lines_name_gets_no_sidecar(tmp_path):
+    """write_dataset writes CSV whatever the name; a load reads a .jsonl
+    name as JSON lines, so no sidecar would be the load's."""
+    path = tmp_path / "odd.jsonl"
+    assert _written_sidecar(_odd(), path) is None
+    with pytest.raises(InputError):
+        load_dataset(str(path))
+
+
+def test_a_failed_write_leaves_no_sidecar_and_no_temporary_file(tmp_path, monkeypatch):
+    lone = _odd(reason=np.array(["a", "r\ud800", "a", "c"]))
+    with pytest.raises(InputError, match="reason level 'r\\\\ud800' is not valid UTF-8"):
+        write_dataset(lone, str(tmp_path / "lone.csv"))
+    assert list(tmp_path.iterdir()) == []
+    # a level that no row shows is not written, so it cannot fail
+    unused = lone.subset(np.array([0, 2, 3]))
+    write_dataset(unused, str(tmp_path / "unused.csv"))
+    assert load_dataset(str(tmp_path / "unused.csv")) == unused
+    (tmp_path / "unused.csv").unlink()
+    (tmp_path / ".unused.csv.posiv").unlink()
+    with pytest.raises(IoFailure):
+        write_dataset(_odd(), str(tmp_path))  # a directory
+    assert list(tmp_path.iterdir()) == []
+
+    def failing(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing)
+    write_dataset(_odd(), str(tmp_path / "full.csv"))
+    assert [p.name for p in tmp_path.iterdir()] == ["full.csv"]
 
 
 @pytest.mark.parametrize("name", ["plain.csv", "crlf_quoted.csv", "lines.jsonl"])

@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
+from posiv import datamodel
 from posiv.datamodel import EDGE_SCHEMA, Dataset, load_dataset, write_dataset
 from posiv.estimator import fit_2sls, fit_ols
 from posiv.prepare import aggregate_sessions, sample_one_per_request
@@ -54,6 +55,22 @@ def test_write_load_round_trip(tmp_path_factory, ds):
     path = tmp_path_factory.mktemp("rt") / "ds.csv"
     write_dataset(ds, str(path))
     assert load_dataset(str(path)) == ds
+
+
+@settings(max_examples=30, deadline=None)
+@given(edge_datasets())
+def test_the_writers_sidecar_is_the_one_a_parse_writes(tmp_path_factory, ds):
+    """write_dataset leaves the sidecar that a load which parses the file
+    writes, byte for byte."""
+    path = tmp_path_factory.mktemp("sidecar") / "ds.csv"
+    sidecar = path.parent / f".{path.name}.posiv"
+    write_dataset(ds, str(path))
+    written = sidecar.read_bytes()
+    sidecar.unlink()
+    digest = datamodel._sidecar_digest({})
+    parsed = datamodel._parse(str(path), {}, digest)
+    datamodel._write_sidecar(str(path), digest.hexdigest(), parsed)
+    assert sidecar.read_bytes() == written
 
 
 @settings(max_examples=30, deadline=None)

@@ -81,6 +81,20 @@ def test_mirror_symmetry():
     assert np.array_equal(stdtrit(nu, 0.975), -stdtrit(nu, 1.0 - 0.975))
 
 
+def test_a_lane_has_its_lone_bits_in_a_stack():
+    """stdtrit stops each lane at its own Newton convergence, so a df lane
+    in one call with the other dfs has the bits of that lane alone (df = 3
+    at q = 0.975 did not while every lane stepped until all had converged).
+    The grid holds 68 distinct dfs. stdtr's block schedule still depends
+    on the lane count (tails._fraction), and a call of a few thousand lanes
+    still differs from the lone calls in some of them; this test does not
+    reach that case."""
+    nu = np.concatenate([NU_GRID, np.arange(1, 60), [99, 100, 500, 1199, 5000, 99999]])
+    for q in (1e-12, 0.001, 0.025, 0.3, 0.7, 0.975, 0.999):
+        lone = np.array([stdtrit(n, q) for n in nu.tolist()])
+        assert np.array_equal(stdtrit(nu, q), lone), q
+
+
 def test_against_mpmath():
     """nu reaches 100000, past the 50000 clusters of a 500k-row pymk file
     fitted whole (estimate --no-sample)."""
