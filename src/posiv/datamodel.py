@@ -909,7 +909,7 @@ def _cells(kind: str, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         exact = np.abs(values) < 2.0**63
         chars, shown = _int_cells(np.where(exact, values, 0.0).astype(np.int64))
         rows = np.flatnonzero(~exact & ~absent)
-        if rows.size:  # int() of inf raises OverflowError
+        if rows.size:  # write_dataset lets no inf reach int()
             chars, shown = _patch(chars, shown, rows, [str(int(v)) for v in values[rows].tolist()])
     shown[absent] = False
     return chars, shown
@@ -971,10 +971,15 @@ def write_dataset(ds: Dataset, path: str) -> None:
     duplicate count's row hashes, about 28 bytes a row, and a copy of each
     column a load would change (rows dropped, NaN filled, codes). A text
     level that rows show and UTF-8 cannot encode is an InputError, raised
-    before any file is written.
+    before any file is written, and so is an infinite value in an id or int
+    column held as floats.
     """
     kinds = {n: k for n, k, _ in ds.schema}
     names = list(ds.column_names)
+    for name in names:  # one column's mask at a time; a text column's codes are ints
+        column = ds.coded(name)[0]
+        if kinds[name] != "float" and column.dtype.kind == "f" and np.isinf(column).any():
+            raise InputError(f"{name} value {column[np.isinf(column)][0]} is not an integer")
     texts = {n: _level_cells(n, *ds.coded(n)) for n in names if kinds[n] == "str"}
     digest = _sidecar_digest({})
 

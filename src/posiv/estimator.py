@@ -377,10 +377,7 @@ def _cluster_cov(parts, bread: np.ndarray, n_groups: np.ndarray, n_obs: np.ndarr
 
 
 def cluster_cov(
-    m: np.ndarray,
-    residuals: np.ndarray,
-    clusters: np.ndarray,
-    bread: np.ndarray | None = None,
+    m: np.ndarray, residuals: np.ndarray, clusters: np.ndarray
 ) -> tuple[np.ndarray, int]:
     """CR1 cluster sandwich covariance for coefficients of y ~ m.
 
@@ -392,8 +389,7 @@ def cluster_cov(
     if n_groups[0] < 2:
         raise TooFewClusters(f"need at least 2 clusters, got {n_groups[0]}")
     m = m[None]
-    bread = _Factorization([m], m.shape[-1], "regressor", _raise_first).bread() \
-        if bread is None else bread[None]
+    bread = _Factorization([m], m.shape[-1], "regressor", _raise_first).bread()
     parts = [(m, residuals[None], codes[None], n_groups)]
     return _cluster_cov(parts, bread, n_groups, np.array([len(codes)]))[0], int(n_groups[0])
 

@@ -12,14 +12,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 
+from .datamodel import EDGE_SCHEMA, SESSION_SCHEMA
 from .errors import InvalidSpec, ParseError
 
 INSTRUMENT_EXPRESSIONS = ("none", "arm", "arm*reason")
 
-EDGE_COLUMNS = frozenset(
-    {"position", "outcome", "relevance_score", "session_depth"}
+# the columns a spec can regress: each schema's numbers
+EDGE_COLUMNS, SESSION_COLUMNS = (
+    frozenset(name for name, kind, _ in schema if kind in ("int", "float"))
+    for schema in (EDGE_SCHEMA, SESSION_SCHEMA)
 )
-SESSION_COLUMNS = frozenset({"n_top_spot", "n_bottom_spot", "invite_total"})
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,7 @@ import math
 import numpy as np
 
 _STOP = 1e-15  # a lane has converged when its last Lentz factor is this close to 1
-_BLOCK = 8  # Lentz steps per batch of coefficients and per convergence check
-# Once a block of twice the steps would hold at most this many lane-steps,
-# numpy's cost per call outweighs the arithmetic, so the next block doubles.
-_FEW_STEPS = 1024
+_BLOCK = 8  # Lentz steps in the first block of coefficients; each next block doubles
 _MAX_STEPS = 1000
 _MAX_NEWTON = 20
 # Stirling's series lgamma(x) - ((x - 1/2) ln x - x + ln(2 pi)/2) in powers of
@@ -74,11 +71,11 @@ def _fraction(a: np.ndarray, b: np.ndarray, pair: np.ndarray, x: np.ndarray,
     as a_m = P_m x^2 and b_m = U_m + V_m x + W_m y, whose factors depend on
     the pair alone. Lentz's C and 1/D take the same step c -> b_m + a_m / c,
     so they share one (2, lanes) array; the factors are made, and the steps
-    multiplied, per block of _BLOCK steps, or of twice the last block's once
-    few lanes are left. A lane leaves at the end of the first block whose
-    last C D is within _STOP of 1; one still there after _MAX_STEPS steps
-    gets NaN. No step guards against a zero C or 1/D: it would take
-    a_m / c = -b_m to the last bit."""
+    multiplied, per block: _BLOCK steps, then twice the last block's, for
+    every lane, so a lane's bits do not depend on the other lanes. A lane
+    leaves at the end of the first block whose last C D is within _STOP of
+    1; one still there after _MAX_STEPS steps gets NaN. No step guards
+    against a zero C or 1/D: it would take a_m / c = -b_m to the last bit."""
     value = np.full_like(x, math.nan)
     lanes = np.arange(x.size)
     # b_0 = a (lambda + 1) / (a + 1), lambda = a - (a + b) x = a y - b x
@@ -107,7 +104,7 @@ def _fraction(a: np.ndarray, b: np.ndarray, pair: np.ndarray, x: np.ndarray,
         left = ~done
         lanes, pair, x, y, c, k = lanes[left], pair[left], x[left], y[left], c[:, left], k[left]
         first += size
-        size = 2 * size if 2 * size * lanes.size <= _FEW_STEPS else _BLOCK
+        size *= 2
     return value
 
 
@@ -181,11 +178,8 @@ def _hill(nu: np.ndarray, p: np.ndarray) -> np.ndarray:
 def stdtrit(df, q) -> np.ndarray:
     """The t with stdtr(df, t) = q, for df >= 1: Newton steps on stdtr in
     the lower tail from Hill's start, once per distinct (df, q). Each lane
-    leaves the Newton loop at its own convergence. Its bits can still depend
-    on how many lanes the call holds: stdtr's continued fraction picks its
-    block sizes by the number of live lanes (_fraction), so a lane that
-    needs more than one block of steps may end on other bits in a call of
-    many lanes than alone."""
+    leaves the Newton loop at its own convergence, and stdtr steps every
+    lane on one block schedule, so each has the bits of a call of its own."""
     df, q = np.broadcast_arrays(np.asarray(df, dtype=float), np.asarray(q, dtype=float))
     pairs, inverse = np.unique(df + 1j * q, return_inverse=True)
     nu, q = pairs.real, pairs.imag

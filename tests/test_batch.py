@@ -130,6 +130,16 @@ def mixed():
     return ds, top_items(ds, 99)
 
 
+@pytest.fixture(scope="module")
+def ads():
+    """A plain ads log of 60 items of about 100 users each: a first stage
+    over them holds more than 32 distinct cluster counts, and many of their
+    CIs' critical values take more than one block of Lentz steps."""
+    config = dict(CONFIG, n_users=1200, n_items=60)
+    ds, _ = simulate(SimConfig(**config))
+    return ds, top_items(ds, 99)
+
+
 def _single_arm_item(ds) -> str:
     return str(np.unique(ds.column("item_id"))[0])
 
@@ -166,10 +176,8 @@ def test_batch_matches_one_item_at_a_time(mixed, seed, spec_name):
 
 def _numbers(result) -> bytes:
     """Every number of a FitResult or FirstStageReport, as bytes. The CIs'
-    critical values come from one stdtrit call over every item, which stops
-    each item's Newton steps at its own convergence. stdtr's block schedule
-    still depends on the number of lanes (tails._fraction); this fixture's
-    few items leave every lane with its lone bits."""
+    critical values come from one stdtrit call over every item, which gives
+    each item the bits of a call of its own."""
     if isinstance(result, FitResult):
         arrays = [result.coef, result.se, result.cov, result.t_stat, result.p_value,
                   [result.r_squared, result.resid_std_error, *result.first_stage_f.values()]]
@@ -179,12 +187,15 @@ def _numbers(result) -> bytes:
     return b"".join(np.asarray(a, dtype=float).tobytes() for a in arrays)
 
 
-@pytest.mark.parametrize("spec_name", ["spec2", "spec4", "spec5", "ils", "first-stage spec4"])
-def test_stacked_fits_equal_lone_fits_bit_for_bit(mixed, spec_name):
+@pytest.mark.parametrize("spec_name", ["spec2", "spec4", "spec5", "ils", "first-stage spec4",
+                                       "first-stage spec1 on ads"])
+def test_stacked_fits_equal_lone_fits_bit_for_bit(request, spec_name):
     """Over stacks of several instrument counts, each cut into several
     row-count parts and holding items that fail, every fitted item's
-    numbers have the bits of a fit of that item alone."""
-    ds, items = mixed
+    numbers have the bits of a fit of that item alone. So do the CIs of a
+    first stage over the ads fixture's many cluster counts."""
+    on_ads = spec_name.endswith("on ads")
+    ds, items = request.getfixturevalue("ads" if on_ads else "mixed")
     if spec_name.startswith("first-stage"):
         spec, fit = get_spec(spec_name.split()[1]), first_stage
     else:
@@ -195,11 +206,14 @@ def test_stacked_fits_equal_lone_fits_bit_for_bit(mixed, spec_name):
         design = build_design(slice_by_item(ds, items, 0), spec, by_item=True)
         batch = fit(design)
         single = _one_by_one(ds, items, spec, fit, 0)
-    built = [g for g, error in enumerate(design.items.errors) if error is None]
-    rows, cols = np.diff(design.items.bounds)[built], np.diff(design.items.z_bounds)[built]
-    assert any(len(set(rows[cols == width])) > 1 for width in set(cols))
-    assert (len(set(cols)) > 1) == (spec.instruments != "arm")
-    assert any(isinstance(r, EstimationError) for r in batch)
+    if on_ads:
+        assert len({r.n_clusters for r in batch}) > 32
+    else:
+        built = [g for g, error in enumerate(design.items.errors) if error is None]
+        rows, cols = np.diff(design.items.bounds)[built], np.diff(design.items.z_bounds)[built]
+        assert any(len(set(rows[cols == width])) > 1 for width in set(cols))
+        assert (len(set(cols)) > 1) == (spec.instruments != "arm")
+        assert any(isinstance(r, EstimationError) for r in batch)
     fitted = 0
     for got, want in zip(batch, single, strict=True):
         _assert_same(got, want)

@@ -1536,6 +1536,13 @@ def test_a_failed_write_leaves_no_sidecar_and_no_temporary_file(tmp_path, monkey
     with pytest.raises(InputError, match="reason level 'r\\\\ud800' is not valid UTF-8"):
         write_dataset(lone, str(tmp_path / "lone.csv"))
     assert list(tmp_path.iterdir()) == []
+    # an int column held as floats, as session_depth with NaN for absent, has
+    # no integer cell for an infinite value
+    for depth in (math.inf, -math.inf):
+        infinite = _odd(session_depth=np.array([depth, 2.0, 3.0, math.nan]))
+        with pytest.raises(InputError, match=f"session_depth value {depth} is not an integer"):
+            write_dataset(infinite, str(tmp_path / "inf.csv"))
+        assert list(tmp_path.iterdir()) == []
     # a level that no row shows is not written, so it cannot fail
     unused = lone.subset(np.array([0, 2, 3]))
     write_dataset(unused, str(tmp_path / "unused.csv"))
