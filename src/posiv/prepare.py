@@ -103,8 +103,12 @@ def _winner_per_request(
     equal scores go to the lowest ordinal. With groups (an item per row), the rule runs within each (group, request).
     Returned indices are in ascending dataset order.
     """
-    order = np.argsort(request_ids, kind="stable")  # fast on a log in request order
-    keys = (request_ids[order],)
+    keys, order = (request_ids,), None
+    if groups is not None or (request_ids[1:] < request_ids[:-1]).any():
+        # a log in request order, as simulate writes it, needs neither the
+        # sort nor its gathers
+        order = np.argsort(request_ids, kind="stable")
+        keys = (request_ids[order],)
     if groups is not None:
         # each request's rank times the group count, plus the group: a stable
         # sort of these keys puts each (group, request)'s rows together
@@ -113,23 +117,27 @@ def _winner_per_request(
         pair = (np.cumsum(new) - 1) * (int(groups.max(initial=0)) + 1) + groups[order]
         order = order[np.argsort(pair, kind="stable")]
         keys = (request_ids[order], groups[order])
-    n = len(order)
+    n = len(request_ids)
     new_group = np.zeros(n + 1, dtype=bool)
     new_group[[0, n]] = True
     for key in keys:
         new_group[1:n] |= key[1:] != key[:-1]
-    alone = new_group[:-1] & new_group[1:]  # a request with one row keeps it
-    shared = np.flatnonzero(~alone)
-    m = len(shared)
-    starts = np.flatnonzero(new_group[shared])  # each shared request's first row
+    keep = new_group[:-1] & new_group[1:]  # a request with one row keeps it
+    shared = ~keep
+    starts = np.flatnonzero(new_group[:-1][shared])  # each shared request's first row
+    m = n - np.count_nonzero(keep)
     sizes = np.diff(np.append(starts, m))
-    ordinal = (np.arange(m) - np.repeat(starts, sizes)).astype(np.uint64)
-    scores = rng.raw64(rng.stream_key(seed, rng.TAG_SAMPLE, keys[0][shared]), ordinal)
+    ordinal = np.arange(m) - np.repeat(starts, sizes)
+    ordinal = ordinal.astype(np.min_scalar_type(sizes.max(initial=0)))
+    scores = keys[0][shared]
+    rng.raw64(rng.stream_key(seed, rng.TAG_SAMPLE, scores, out=scores), ordinal, out=scores)
     # each request's rows lie together in ordinal order, so its winner is the
     # first row that reaches the request's max: ties go to the lowest ordinal
     hit = np.flatnonzero(scores == np.repeat(np.maximum.reduceat(scores, starts), sizes))
-    winners = np.concatenate([order[alone], order[shared[hit[np.searchsorted(hit, starts)]]]])
-    return np.sort(winners)
+    del scores
+    keep[np.flatnonzero(shared)[hit[np.searchsorted(hit, starts)]]] = True
+    winners = np.flatnonzero(keep)
+    return winners if order is None else np.sort(order[winners])
 
 
 def sample_one_per_request(ds: Dataset, seed: int) -> Dataset:
@@ -204,6 +212,27 @@ def _pairs(item: np.ndarray, codes: np.ndarray, n_levels: int) -> tuple[np.ndarr
     """The distinct (item, level) pairs the rows show, sorted by item, then level."""
     flat = _distinct(item * n_levels + codes)
     return flat // n_levels, flat % n_levels
+
+
+def _cluster_codes(clusters: np.ndarray, item: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Each row's cluster numbered 0.. within its item in the order of the
+    ids (item g owns rows bounds[g]:bounds[g+1]): one sort of the ids, then a
+    stable sort of their items as a small unsigned type, a radix sort, ranks
+    the rows by (item, id)."""
+    order = np.argsort(clusters)
+    if len(bounds) > 2:
+        small = item.astype(np.min_scalar_type(len(bounds) - 2))
+        order = order[np.argsort(small[order], kind="stable")]
+    ordered = clusters[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    if ordered.dtype.kind == "f":  # NaNs sort last, and are one id as in np.unique
+        new[1:] &= ~(np.isnan(ordered[1:]) & np.isnan(ordered[:-1]))
+    rank = np.cumsum(new)
+    codes = np.empty(len(order), dtype=np.intp)
+    # sorted by item, position j belongs to item[j], which starts at bounds[item[j]]
+    codes[order] = rank - rank[bounds[item]]
+    return codes
 
 
 def build_design(ds: Dataset, spec: ModelSpec, by_item: bool = False) -> DesignMatrix:
@@ -351,14 +380,10 @@ def build_design(ds: Dataset, spec: ModelSpec, by_item: bool = False) -> DesignM
     z = np.zeros((idx.size, int(np.diff(item_start).max(initial=0))), dtype=bool)
     z[rows, at[rows] - item_start[item[rows]]] = True
     in_use = _distinct(col)
-    # number each item's clusters 0.. in the order of their ids
-    ids, codes = np.unique(ds.column(spec.cluster)[idx], return_inverse=True)
-    item_cluster, codes = np.unique(item * len(ids) + codes, return_inverse=True)
-    per_item = np.bincount(item_cluster // max(len(ids), 1), minlength=n_items)
     items = ItemBlocks(
         labels=labels,
         bounds=bounds,
-        codes=codes - (np.cumsum(per_item) - per_item)[item],
+        codes=_cluster_codes(ds.column(spec.cluster)[idx], item, bounds),
         z_cols=np.searchsorted(in_use, col),
         z_bounds=item_start,
         errors=tuple(errors),

@@ -43,53 +43,61 @@ def mix64(x) -> np.ndarray:
 
 
 def _mix_in_place(z: np.ndarray) -> np.ndarray:
-    """mix64 of the uint64 array z, computed in z with one shift buffer."""
+    """mix64 of the uint64 array z, computed in z with one shift buffer. Array
+    arithmetic wraps silently, as only numpy scalar arithmetic warns."""
     t = np.empty_like(z)
-    with np.errstate(over="ignore"):
-        np.right_shift(z, np.uint64(30), out=t)
-        z ^= t
-        z *= _MIX1
-        np.right_shift(z, np.uint64(27), out=t)
-        z ^= t
-        z *= _MIX2
-        np.right_shift(z, np.uint64(31), out=t)
-        z ^= t
+    np.right_shift(z, np.uint64(30), out=t)
+    z ^= t
+    z *= _MIX1
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= _MIX2
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
     return z
 
 
-def stream_key(seed: int, tag: int, *ids) -> np.ndarray:
+def stream_key(seed: int, tag: int, *ids, out=None) -> np.ndarray:
     """Derive the stream key for (seed, tag, ids).
 
-    ids may be scalars or equally-shaped arrays; the result broadcasts.
+    ids may be scalars or equally-shaped arrays; the result broadcasts. out,
+    a uint64 array of the result's shape, receives the key if given.
     """
-    with np.errstate(over="ignore"):
-        key = mix64(np.uint64(seed % (1 << 64)) ^ mix64(np.uint64(tag)))
-        for part in ids:
-            key = _mix_in_place(np.asarray(key ^ _u64(part)))
+    key = mix64(np.uint64(seed % (1 << 64)) ^ mix64(np.uint64(tag)))
+    for n, part in enumerate(ids, 1):
+        last = out if n == len(ids) else None
+        key = _mix_in_place(np.asarray(np.bitwise_xor(key, _u64(part), out=last)))
     return key
 
 
-def raw64(key, counter=0) -> np.ndarray:
-    """The counter-th output of the stream: mix(key + (counter+1)*GOLDEN)."""
-    with np.errstate(over="ignore"):
-        c = (_u64(counter) + np.uint64(1)) * GOLDEN
-        return _mix_in_place(np.asarray(_u64(key) + c))
+def raw64(key, counter=0, out=None) -> np.ndarray:
+    """The counter-th output of the stream: mix(key + (counter+1)*GOLDEN),
+    into the uint64 array out (key itself, say) if given."""
+    c = np.asarray(np.add(_u64(counter), np.uint64(1)))
+    c *= GOLDEN
+    return _mix_in_place(np.asarray(np.add(_u64(key), c, out=out)))
 
 
-def uniform(key, counter=0) -> np.ndarray:
-    """Uniform draw in [0, 1) with 53-bit resolution."""
-    return (raw64(key, counter) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+def uniform(key, counter=0, out=None) -> np.ndarray:
+    """Uniform draw in [0, 1) with 53-bit resolution, into the float64 array
+    out if given (its bytes hold the raw draws on the way)."""
+    bits = raw64(key, counter, out=None if out is None else out.view(np.uint64))
+    bits >>= np.uint64(11)
+    return np.multiply(bits, 2.0**-53, out=bits.view(np.float64))
 
 
-def normal(key, counter=0) -> np.ndarray:
-    """Standard normal via Box-Muller; consumes counters (2c, 2c+1)."""
-    c = _u64(counter)
-    with np.errstate(over="ignore"):
-        u1 = (raw64(key, c * np.uint64(2)) >> np.uint64(11)).astype(np.float64)
-        u2 = uniform(key, c * np.uint64(2) + np.uint64(1))
-    # shift into (0, 1] so the log never sees zero
-    u1 = (u1 + 1.0) * 2.0**-53
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+def normal(key, counter=0, out=None) -> np.ndarray:
+    """Standard normal via Box-Muller; consumes counters (2c, 2c+1). out, a
+    float64 array, receives the draws if given."""
+    c = np.multiply(_u64(counter), np.uint64(2))
+    angle = uniform(key, np.add(c, np.uint64(1)))
+    angle *= 2.0 * np.pi
+    np.cos(angle, out=angle)
+    u1 = uniform(key, c, out)
+    u1 += 2.0**-53  # exact: shifts into (0, 1], so the log never sees zero
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    return np.multiply(np.sqrt(u1, out=u1), angle, out=u1)
 
 
 def fnv1a64(text: str) -> int:

@@ -28,10 +28,12 @@ is exactly how the pymk mode generates it.
 Ads mode keeps at most one positive response per request: the best-position
 Bernoulli success wins and later ones are suppressed.
 
-Rows are generated in position order: each request's slots are sorted by
-score once, and every later draw and column is written in that order straight
-into the final columns, so the table comes out sorted by (user_id,
-request_id, position). All randomness is counter-based (see rng): identical
+A request shows the `slots` items with the smallest select keys, taken by one
+sort in ascending key order (the stable sort below breaks only exact score
+ties by that order). Rows are generated in position order: each request's
+slots are sorted by score once, and every later draw and column is written in
+that order straight into the final columns, so the table comes out sorted by
+(user_id, request_id, position). All randomness is counter-based (see rng): identical
 configs produce byte-identical datasets, and neither the chunk size nor the
 size of the select step's blocks of requests changes the data or the audit.
 """
@@ -153,6 +155,25 @@ def _directions(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     return (drawn, np.zeros(0)) if ads else (np.zeros(config.n_items), drawn)
 
 
+def _smallest(keys: np.ndarray, slots: int) -> np.ndarray:
+    """The first `slots` columns of a stable argsort of each row of uint64
+    keys, from one in-place sort of packed keys: each key's high bits with
+    its column index in the low bits, in key order wherever the high bits
+    differ. A row whose high bits tie among its first slots + 1 sorted keys
+    is selected again on its whole keys."""
+    low = np.uint64((keys.shape[1] - 1).bit_length())
+    index = (np.uint64(1) << low) - np.uint64(1)
+    packed = keys & ~index
+    packed |= np.arange(keys.shape[1], dtype=np.uint64)
+    packed.sort(axis=1)
+    high = packed[:, :slots + 1] >> low
+    tied = (high[:, 1:] == high[:, :-1]).any(axis=1)
+    picked = packed[:, :slots] & index
+    if tied.any():
+        picked[tied] = np.argsort(keys[tied], axis=1, kind="stable")[:, :slots]
+    return picked
+
+
 def simulate(config: SimConfig) -> tuple[Dataset, SimTruth]:
     """Generate an edge-level Dataset plus the truth it was drawn from."""
     config.validate()
@@ -170,6 +191,8 @@ def simulate(config: SimConfig) -> tuple[Dataset, SimTruth]:
     slopes = config.effect_slope_mean + config.effect_slope_sd * rng.normal(
         rng.stream_key(seed, rng.TAG_SLOPE, item_index + np.uint64(1))
     )
+    # indexed by item id, so an item_id column gathers without a subtraction
+    slope_of, dir_of = np.append(0.0, slopes), np.append(0.0, item_dir)
 
     # zero-padded, the reason labels sort in code order
     reason_width = max(2, len(str(config.n_reasons - 1)))
@@ -195,63 +218,77 @@ def simulate(config: SimConfig) -> tuple[Dataset, SimTruth]:
     audit_p_raw = np.empty((n_audit, slots))
     clip_count = 0
 
-    chunk = max(1, _CHUNK_CELLS // config.n_items)
+    chunk = min(max(1, _CHUNK_CELLS // config.n_items), n_requests)
     select_block = max(1, _SELECT_CELLS // config.n_items)
+    # every draw of a chunk goes through these three or into its final column
+    key_buf = np.empty((chunk, slots), dtype=np.uint64)
+    a_buf, b_buf = np.empty((chunk, slots)), np.empty((chunk, slots))
     for start in range(0, n_requests, chunk):
         rows = slice(start, min(start + chunk, n_requests))
         req = grid["request_id"][rows, :1]
         user = grid["user_id"][rows, :1]
+        ids = grid["item_id"][rows]
+        key, a, b = key_buf[:len(req)], a_buf[:len(req)], b_buf[:len(req)]
         if slots < config.n_items:
-            sel = np.empty((len(req), slots), dtype=np.intp)
+            select_key = rng.stream_key(seed, rng.TAG_SELECT, req)
             for at in range(0, len(req), select_block):
                 block = slice(at, at + select_block)
-                keys = rng.raw64(rng.stream_key(seed, rng.TAG_SELECT, req[block]), item_index)
-                sel[block] = np.argpartition(keys, slots - 1, axis=1)[:, :slots]
+                ids[block] = _smallest(rng.raw64(select_key[block], item_index), slots)
+            ids += np.uint64(1)
         else:
-            sel = np.broadcast_to(np.arange(slots), (len(req), slots))
+            ids[...] = item_index[:slots] + np.uint64(1)
 
-        ids = (sel + 1).astype(np.uint64)
-        relevance = rng.uniform(rng.stream_key(seed, rng.TAG_RELEVANCE, user, ids)) - 0.5
-        noise = rng.normal(rng.stream_key(seed, rng.TAG_SCORE_NOISE, req, ids))
+        relevance = rng.uniform(rng.stream_key(seed, rng.TAG_RELEVANCE, user, ids, out=key), out=a)
+        relevance -= 0.5
+        score = rng.normal(rng.stream_key(seed, rng.TAG_SCORE_NOISE, req, ids, out=key), out=b)
+        score *= SCORE_NOISE_SD
+        score += relevance
         if pymk:
-            reason_idx = (
-                rng.raw64(rng.stream_key(seed, rng.TAG_REASON, user, ids))
-                % np.uint64(config.n_reasons)
-            ).astype(np.int64)
-            direction = reason_dir[reason_idx]
+            reason_idx = rng.raw64(rng.stream_key(seed, rng.TAG_REASON, user, ids, out=key), out=key)
+            reason_idx %= np.uint64(config.n_reasons)
+            grid["reason"][rows] = reason_idx
+            direction = reason_dir[reason_idx.view(np.intp)]
         else:
-            direction = item_dir[sel]
-        score = relevance + SCORE_NOISE_SD * noise
-        score += config.instrument_strength * direction * treated_by_request[rows, None]
+            direction = dir_of[ids.view(np.intp)]
+        direction *= config.instrument_strength
+        direction *= treated_by_request[rows, None]
+        score += direction
+        del direction
 
-        # from here on each request's slots are in position order
-        order = np.argsort(-score, axis=1, kind="stable")
-        sel = np.take_along_axis(sel, order, axis=1)
-        relevance = np.take_along_axis(relevance, order, axis=1)
+        # from here on each request's slots are in position order: a flat
+        # index of each row's slots by descending score permutes the chunk
+        # (every index is in range; take's default mode would buffer out)
+        np.negative(score, out=score)
+        order = np.argsort(score, axis=1, kind="stable")
+        order += np.arange(0, order.size, slots)[:, None]
+        relevance = np.take(a, order, out=b, mode="clip")
+        np.copyto(key, ids)
+        np.take(key, order, out=ids, mode="clip")
         if pymk:
-            grid["reason"][rows] = np.take_along_axis(reason_idx, order, axis=1)
-        item_ids = grid["item_id"][rows]
-        item_ids[...] = sel + 1
+            grid["reason"][rows] = np.take(grid["reason"][rows], order)
+        del order
 
-        p_raw = (
-            config.base_rate
-            + config.confound_strength * relevance
-            + slopes[sel] * np.arange(slots)
-        )
+        p_raw = np.multiply(relevance, config.confound_strength, out=a)
+        p_raw += config.base_rate
+        slope = np.take(slope_of, ids.view(np.intp), out=key.view(np.float64), mode="clip")
+        slope *= np.arange(slots)
+        p_raw += slope
         clip_count += int(np.count_nonzero((p_raw < 0.0) | (p_raw > 1.0)))
-        udraw = rng.uniform(rng.stream_key(seed, rng.TAG_OUTCOME, req, item_ids))
-        outcome = udraw < np.clip(p_raw, 0.0, 1.0)
-        if not pymk:
-            outcome &= np.cumsum(outcome, axis=1) == 1
-        grid["outcome"][rows] = outcome
-
-        obs = relevance + 0.5 + OBS_NOISE_SD * rng.normal(
-            rng.stream_key(seed, rng.TAG_OBS_NOISE, req, item_ids)
-        )
-        np.clip(obs, 0.0, 1.0, out=grid["relevance_score"][rows])
         if start < n_audit:  # the rows past the audit's end fall off both slices
             audit_relevance[rows] = relevance[:n_audit - start]
             audit_p_raw[rows] = p_raw[:n_audit - start]
+        np.clip(p_raw, 0.0, 1.0, out=p_raw)
+        udraw = rng.uniform(rng.stream_key(seed, rng.TAG_OUTCOME, req, ids, out=key),
+                            out=key.view(np.float64))
+        outcome = np.less(udraw, p_raw, out=grid["outcome"][rows])
+        if not pymk:
+            outcome *= np.cumsum(outcome, axis=1) == 1
+
+        obs = rng.normal(rng.stream_key(seed, rng.TAG_OBS_NOISE, req, ids, out=key), out=a)
+        obs *= OBS_NOISE_SD
+        relevance += 0.5
+        obs += relevance
+        np.clip(obs, 0.0, 1.0, out=grid["relevance_score"][rows])
 
     provenance = (
         f"simulate seed={seed} mode={config.marketplace_mode} "

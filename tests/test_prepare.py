@@ -24,7 +24,7 @@ from posiv.prepare import (
     top_items,
 )
 from posiv.simulator import SimConfig, simulate
-from posiv.specs import get_spec
+from posiv.specs import ModelSpec, get_spec
 
 from conftest import edge_columns, table1_dataset
 
@@ -93,7 +93,8 @@ def lexsort_winners(request_ids, seed, groups=None):
 def _tied_raw64(monkeypatch):
     """Scores in {0, 1, 2}, so most requests tie and the lowest ordinal decides."""
     raw64 = rng.raw64
-    monkeypatch.setattr(rng, "raw64", lambda key, counter=0: raw64(key, counter) % np.uint64(3))
+    monkeypatch.setattr(rng, "raw64", lambda key, counter=0, out=None: np.remainder(
+        raw64(key, counter, out=out), np.uint64(3), out=out))
 
 
 @st.composite
@@ -350,6 +351,62 @@ def test_build_design_ignores_levels_its_rows_do_not_show():
         (ConstantColumn, "arm has a single level 'treatment'; the instrument is unusable"),
         (ConstantColumn, "instrument column 'arm=treatment*reason=r2' has zero variance"),
     }
+
+
+def two_unique_codes(clusters, item):
+    """Each row's cluster numbered within its item by two np.unique passes:
+    the ids' codes, then the distinct (item, code) pairs."""
+    ids, codes = np.unique(clusters, return_inverse=True)
+    pairs, codes = np.unique(item * len(ids) + codes, return_inverse=True)
+    per_item = np.bincount(pairs // max(len(ids), 1), minlength=item.max(initial=-1) + 1)
+    return codes - (np.cumsum(per_item) - per_item)[item]
+
+
+@st.composite
+def clustered_logs(draw):
+    """Item runs in any id order, each row's user drawn with repeats from a
+    shuffled pool of ids, some above 2**63, its session_depth from a pool of
+    floats with NaN, and some rows with a missing relevance_score, which
+    build_design drops."""
+    pool = draw(st.lists(st.one_of(st.integers(0, 50), st.integers(2**63, 2**64 - 1)),
+                         min_size=1, max_size=12, unique=True))
+    depths = [-0.0, 0.0, 1.5, 7.0, np.nan]
+    items = draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=5, unique=True))
+    data = {name: [] for name in ("item_id", "user_id", "request_id", "position",
+                                  "outcome", "relevance_score", "session_depth")}
+    for item in items:
+        for _ in range(draw(st.integers(3, 15))):
+            data["item_id"].append(item)
+            data["user_id"].append(draw(st.sampled_from(pool)))
+            data["session_depth"].append(draw(st.sampled_from(depths)))
+            data["request_id"].append(len(data["request_id"]) + 1)
+            data["position"].append(draw(st.integers(1, 5)))
+            data["outcome"].append(draw(st.integers(0, 1)))
+            data["relevance_score"].append(draw(st.sampled_from([0.25, 0.5, 0.75, np.nan])))
+    types = {"item_id": np.uint64, "user_id": np.uint64, "request_id": np.uint64,
+             "position": np.int64, "outcome": np.int64, "relevance_score": float,
+             "session_depth": float}
+    return Dataset({k: np.array(v, dtype=types[k]) for k, v in data.items()}, EDGE_SCHEMA)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ds=clustered_logs())
+def test_cluster_codes_match_two_unique_passes(ds):
+    """One sort of the ids plus a radix sort of the items numbers each item's
+    clusters as the two np.unique passes did, in stacked and single designs,
+    on uint64 ids and on a float column whose NaNs np.unique counts as one."""
+    kept = ~np.isnan(ds.column("relevance_score"))
+    for cluster in ("user_id", "session_depth"):
+        clusters = ds.column(cluster)[kept]
+        spec = ModelSpec("spec3", "edge", "outcome", (), "none",
+                         ("position", "relevance_score"), cluster=cluster, method="OLS")
+        stacked = build_design(ds, spec, by_item=True)
+        item = np.repeat(np.arange(len(stacked.items.labels)), np.diff(stacked.items.bounds))
+        np.testing.assert_array_equal(stacked.items.codes, two_unique_codes(clusters, item))
+        if kept.sum() >= 3:  # spec3's three columns
+            single = build_design(ds, spec)
+            np.testing.assert_array_equal(single.items.codes,
+                                          two_unique_codes(clusters, np.zeros_like(item)))
 
 
 def test_build_design_missing_column():

@@ -87,7 +87,13 @@ def test_peak_memory_is_a_small_multiple_of_the_columns():
     the bytes of its final columns. The select step keys n_items per request
     and keeps slots of them: holding a whole chunk's keys at once peaked at
     10.8x (36.1 MB for 3.4 MB of columns), a block of about 32K keys at a
-    time peaks at 1.6x."""
+    time peaks at 1.6x.
+
+    Then the recovery Monte Carlo's shape (pymk, 10,000 users, 100 items, 6
+    slots), where one chunk holds every request: simulate draws through
+    three chunk-sized buffers into its final columns, and the sample scores
+    one request-ordered log without sorting it. With a fresh array per draw
+    they peaked at 3.4x the coded columns and 3.9 MB."""
     cfg = SimConfig(n_users=4000, n_items=1200, slots_per_request=10,
                     marketplace_mode="ads", base_rate=0.35, seed=1)
     tracemalloc.start()
@@ -97,6 +103,59 @@ def test_peak_memory_is_a_small_multiple_of_the_columns():
     finally:
         tracemalloc.stop()
     assert peak <= 5 * sum(ds.column(name).nbytes for name in ds.column_names)
+
+    cfg = SimConfig(n_users=10_000, n_items=100, slots_per_request=6, base_rate=0.5, seed=1)
+    tracemalloc.start()
+    try:
+        ds, _ = simulate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        sample_one_per_request(ds, 1)
+        sample_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * sum(ds.coded(name)[0].nbytes for name in ds.column_names)
+    assert sample_peak <= 2 * 2**20
+
+
+def _crafted_keys(gen, n_items, slots):
+    """Rows of uint64 keys whose sorted high bits tie at one place each: none,
+    inside the first `slots`, across the cut (slots - 1 and slots) and past
+    it, half of them whole-key ties; then rows whose high bits all come from
+    three values. Each row's columns are shuffled."""
+    low = (n_items - 1).bit_length()
+    step = np.uint64(2**(64 - low) // n_items)
+    rows = []
+    for tie in (None, 0, slots - 2, slots - 1, slots, n_items - 2):
+        for whole in (False, True):
+            if tie is not None and not 0 <= tie < n_items - 1:
+                continue
+            high = np.arange(n_items, dtype=np.uint64) * step
+            keys = (high << np.uint64(low)) | gen.integers(
+                0, 2**low, n_items, dtype=np.uint64)
+            if tie is not None:
+                keys[tie + 1] = keys[tie] if whole else (
+                    (high[tie] << np.uint64(low)) | np.uint64(gen.integers(2**low)))
+            rows.append(gen.permutation(keys))
+    for _ in range(20):
+        high = gen.integers(0, 3, n_items, dtype=np.uint64) << np.uint64(62)
+        rows.append(high | gen.integers(0, 2**62, n_items, dtype=np.uint64))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n_items", [7, 100, 1200])
+def test_smallest_is_the_stable_argsorts_first_slots(n_items):
+    """The select step's packed-key sort keeps the `slots` smallest keys in
+    ascending key order, ties to the lower index, as a stable argsort of the
+    whole keys does: set and order, wherever the keys' high bits tie."""
+    gen = np.random.default_rng(n_items)
+    for slots in sorted({1, 2, 3, n_items // 2, n_items - 1}):
+        keys = _crafted_keys(gen, n_items, slots)
+        before = keys.copy()
+        got = sim._smallest(keys, slots)
+        assert np.array_equal(keys, before)
+        np.testing.assert_array_equal(got, np.argsort(keys, axis=1, kind="stable")[:, :slots])
 
 
 def test_positions_are_permutations():
