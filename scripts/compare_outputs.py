@@ -19,7 +19,10 @@ KIND says which commands run on the file DATA:
            --top-n 99; estimate --format json of spec1, spec4 and spec5 for
            items 3, 4 and 7 (tests/test_batch.py's mixed fixture as a CSV)
     pymk   estimate --format json of spec1, spec3, spec4, spec5, spec6 and
-           spec7 (a `posiv simulate` file in pymk mode)
+           spec7, and of a JSON spec with endogenous position and
+           relevance_score on arm*reason, which fits two endogenous columns
+           where spec6 exits 1 on a constant session_depth (a `posiv
+           simulate` file in pymk mode)
     prepare  prepare with --sample-seed 77, with --session-top-cut 4, with
            --item 7 and with --top-n 10; estimate --spec specA2 --format
            json (an edge-level file, such as the pymk one)
@@ -47,12 +50,19 @@ import sys
 import tempfile
 from pathlib import Path
 
-ILS_SPEC = {"name": "ils", "level": "edge", "outcome": "outcome", "endogenous": ["position"],
-            "instruments": "arm", "method": "ILS"}
+# the JSON specs some commands name, by file stem
+SPECS = {
+    "ils": {"name": "ils", "level": "edge", "outcome": "outcome", "endogenous": ["position"],
+            "instruments": "arm", "method": "ILS"},
+    "two_endogenous": {"name": "two_endogenous", "level": "edge", "outcome": "outcome",
+                       "endogenous": ["position", "relevance_score"],
+                       "instruments": "arm*reason"},
+}
 
 
-def commands(kind: str, data: str, ils: str) -> list[tuple[str, list[str]]]:
-    """(name, posiv arguments without --out) of every command on one file."""
+def commands(kind: str, data: str, specs: dict[str, str]) -> list[tuple[str, list[str]]]:
+    """(name, posiv arguments without --out) of every command on one file;
+    specs maps each SPECS stem to its file."""
     if kind == "ads":
         every = ["--top-n", "1200"]
         return [("diagnose", ["diagnose", data, *every]),
@@ -66,7 +76,7 @@ def commands(kind: str, data: str, ils: str) -> list[tuple[str, list[str]]]:
                         ["report", data, "--specs", "spec1,spec2,spec3", *every,
                          "--sample-seed", seed]))
             out.append((f"report-spec4-5-ils-seed{seed}",
-                        ["report", data, "--specs", f"spec4,spec5,{ils}", *every,
+                        ["report", data, "--specs", f"spec4,spec5,{specs['ils']}", *every,
                          "--sample-seed", seed, "--k1", "3", "--k2", "1"]))
         for spec in ("spec1", "spec4", "spec5"):
             for item in ("3", "4", "7"):
@@ -75,8 +85,10 @@ def commands(kind: str, data: str, ils: str) -> list[tuple[str, list[str]]]:
                              "--format", "json"]))
         return out
     if kind == "pymk":
-        return [(f"estimate-{spec}", ["estimate", data, "--spec", spec, "--format", "json"])
-                for spec in ("spec1", "spec3", "spec4", "spec5", "spec6", "spec7")]
+        return [(f"estimate-{spec}", ["estimate", data, "--spec", specs.get(spec, spec),
+                                      "--format", "json"])
+                for spec in ("spec1", "spec3", "spec4", "spec5", "spec6", "spec7",
+                             "two_endogenous")]
     if kind == "prepare":
         return [(f"prepare{flag}-{value}", ["prepare", data, flag, value])
                 for flag, value in (("--sample-seed", "77"), ("--session-top-cut", "4"),
@@ -133,15 +145,17 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory(prefix="compare_outputs.") as tmp:
         work = Path(tmp)
-        ils = work / "ils.json"
-        ils.write_text(json.dumps(ILS_SPEC), encoding="utf-8")
+        specs = {}
+        for stem, spec in SPECS.items():
+            specs[stem] = str(work / f"{stem}.json")
+            Path(specs[stem]).write_text(json.dumps(spec), encoding="utf-8")
         diffs, n_files, exits = [], 0, []
         for k, arg in enumerate(args.data):
             kind, sep, data = arg.partition("=")
             if not sep:
                 raise SystemExit(f"{arg!r} is not KIND=PATH")
             data = str(Path(data).resolve())
-            for name, argv in commands(kind, data, str(ils)):
+            for name, argv in commands(kind, data, specs):
                 label = f"{kind}[{k}] {name}"
                 out = [work / side / str(k) / name for side in ("parent", "change")]
                 got = [run(tree, ["-m", "posiv.cli", *argv, "--out", "."], o)

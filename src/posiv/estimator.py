@@ -23,22 +23,23 @@ M is the projected design [W_hat, X] while the residuals u are structural
 go negative: a coefficient pulled away from the OLS minimizer can fit worse
 than the outcome mean, and that is expected behavior, not an error.
 
-Every design stacks its items' rows (build_design(..., by_item=True)), and
-a single design is the stack of one item, labelled None. One stacked kernel
+Every design stacks its items' rows (build_design(..., by_item=True)), and a
+single design is the stack of one item, labelled None. One stacked kernel
 does every fit, on a stack of the design's items with the same instrument
 count p_z, whose instruments are the first p_z columns of the design's z. A
 stack holds its items' rows flat, ordered by row count, so each part, a run
 of items with the same row count n, is a (B, n, .) view of them. Only the
 calls that read rows run once per part: the tall R-only np.linalg.qr, the
-fitted values and residuals, the sums of squares and the cluster score
-sums, from one bincount. The k x k work (SVDs, checks, solves, breads,
-sandwiches, the joint F and the second stage's k-row factorization) runs
-once per stack. There is no zero padding, which can change the last bits of
-R, and a stack reads only its own items' instrument columns, so each matrix
-LAPACK factors is the one a fit of that item alone would factor. The kernel
-returns arrays, which are copied into columns with a row per item
-(FitColumns, FirstStageColumns). A FitResult or FirstStageReport, with its
-t or F tails (posiv.tails, in numpy), is built only when one item is asked
+fitted values and residuals, the sums of squares and the cluster score sums
+of all a fit stage's equations (the first stage's p_w columns side by side),
+from one bincount per score column. The k x k work (SVDs, checks, solves,
+breads, sandwiches, the joint F and the second stage's k-row factorization)
+runs once per stack. There is no zero padding, which can change the last
+bits of R, and a stack reads only its own items' instrument columns, so each
+matrix LAPACK factors is the one a fit of that item alone would factor. The
+kernel returns arrays, which are copied into columns with a row per item
+(FitColumns, FirstStageColumns). A FitResult or FirstStageReport, with its t
+or F tails (posiv.tails, in numpy), is built only when one item is asked
 for; the first stage's CI critical values come from one stdtrit call over
 every fitted item.
 
@@ -343,36 +344,38 @@ class _Factorization:
 
 
 def _cluster_cov(parts, bread: np.ndarray, n_groups: np.ndarray, n_obs: np.ndarray):
-    """The CR1 covariances of a stack, scaled by each item's own G (2 if
-    below) and n, from its breads and parts (m, residuals, clusters, G) of
-    (B_p, n, k) matrices with codes 0..G-1. A part's score sums come from one
-    bincount per column, which adds each cluster's scores in row order; when
-    every code is its row, the scores are the sums."""
+    """The (B, q, k, k) CR1 covariances of q equations, scaled by each item's
+    own G (2 if below) and n, from a stack's breads and parts (m, residuals,
+    clusters, G) of (B_p, n, k), (B_p, n, q) and codes 0..G-1. A part's score
+    sums, q * k columns, come from one bincount per column, which adds each
+    cluster's scores in row order (when every code is its row, the scores are
+    the sums); one matmul per cluster count pairs each equation's own columns."""
     meats = []
     for m, residuals, clusters, part_groups in parts:
-        b, n, k = m.shape
+        (b, n, k), q = m.shape, residuals.shape[-1]
         offsets = np.cumsum(part_groups) - part_groups
         if (clusters == np.arange(n)).all():  # every cluster one row, in row order
-            sums = (m * residuals[..., None]).reshape(-1, k)
+            sums = (m[..., None, :] * residuals[..., None]).reshape(b * n, q * k)
             sums += 0.0  # bincount's sums start at +0.0, so a -0.0 score sums to +0.0
         else:
-            scores = np.multiply(np.moveaxis(m, -1, 0), residuals, out=np.empty((k, b, n)))
+            scores = np.multiply(np.moveaxis(m, -1, 0), np.moveaxis(residuals, -1, 0)[:, None],
+                                 out=np.empty((q, k, b, n))).reshape(q * k, b * n)
             slots, total = (clusters + offsets[:, None]).ravel(), int(part_groups.sum())
-            sums = np.empty((total, k))
-            for j in range(k):
-                sums[:, j] = np.bincount(slots, weights=scores[j].ravel(), minlength=total)
-        meat = np.empty((b, k, k))
+            sums = np.empty((total, q * k))
+            for j in range(q * k):
+                sums[:, j] = np.bincount(slots, weights=scores[j], minlength=total)
+        meat = np.empty((b, q, k, k))
         for g in sorted(set(part_groups.tolist())):  # one matmul per cluster count
             of_g = np.flatnonzero(part_groups == g)
             if len(of_g) == b:
-                blocks = sums.reshape(b, g, k)
+                blocks = sums.reshape(b, g, q, k)
             else:
-                blocks = sums[offsets[of_g][:, None] + np.arange(g)]
-            meat[of_g] = blocks.swapaxes(-1, -2) @ blocks
+                blocks = sums[offsets[of_g][:, None] + np.arange(g)].reshape(-1, g, q, k)
+            meat[of_g] = blocks.transpose(0, 2, 3, 1) @ blocks.swapaxes(1, 2)  # (., q, k, k)
         meats.append(meat)
     groups, k = np.maximum(n_groups, 2), bread.shape[-1]
     scale = (groups / (groups - 1.0)) * ((n_obs - 1.0) / np.maximum(n_obs - k, 1))
-    cov = bread @ np.concatenate(meats) @ bread * scale[:, None, None]
+    cov = bread[:, None] @ np.concatenate(meats) @ bread[:, None] * scale[:, None, None, None]
     return 0.5 * (cov + cov.swapaxes(-1, -2))
 
 
@@ -390,8 +393,8 @@ def cluster_cov(
         raise TooFewClusters(f"need at least 2 clusters, got {n_groups[0]}")
     m = m[None]
     bread = _Factorization([m], m.shape[-1], "regressor", _raise_first).bread()
-    parts = [(m, residuals[None], codes[None], n_groups)]
-    return _cluster_cov(parts, bread, n_groups, np.array([len(codes)]))[0], int(n_groups[0])
+    parts = [(m, residuals[None, :, None], codes[None], n_groups)]
+    return _cluster_cov(parts, bread, n_groups, np.array([len(codes)]))[0, 0], int(n_groups[0])
 
 
 class _Fits(NamedTuple):
@@ -419,10 +422,10 @@ def _inference(
     first_stage_f: np.ndarray | None = None,
 ) -> _Fits:
     s.check_clusters()
-    resid = [y - (np.concatenate([w, x], axis=-1) @ c[..., None])[..., 0] for y, w, x, c in zip(
-        s.parts(s.y), s.parts(s.w), s.parts(s.x), s.split(coef))]
-    cov = s.cluster_cov(m, resid, bread)
-    ssr = np.concatenate([(u[:, None, :] @ u[..., None])[:, 0, 0] for u in resid])
+    resid = [y[..., None] - np.concatenate([w, x], axis=-1) @ c[..., None] for y, w, x, c in zip(
+        s.parts(s.y), s.parts(s.w), s.parts(s.x), s.split(coef))]  # (B_p, n, 1): one equation
+    cov = s.cluster_cov(m, resid, bread)[:, 0]
+    ssr = np.concatenate([(u.swapaxes(-1, -2) @ u)[:, 0, 0] for u in resid])
     tss = np.concatenate([((y - y.mean(axis=-1, keepdims=True)) ** 2).sum(axis=-1)
                           for y in s.parts(s.y)])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -513,19 +516,16 @@ def _first_stage(design: DesignMatrix, s: _Stack):
     solved = fact.solve()  # (B, p_z + p_x, p_w + 1)
     p, gamma = s.parts(s.a[:, :k]), solved[..., :p_w]
     fitted = [pp @ g for pp, g in zip(p, s.split(gamma))]
-    w, bread = s.parts(s.w), fact.bread()
+    resid = [wp - fp for wp, fp in zip(s.parts(s.w), fitted)]  # (B_p, n, p_w): p_w equations
+    cov_zz = s.cluster_cov(p, resid, fact.bread())[..., :p_z, :p_z]  # (B, p_w, p_z, p_z)
     coef = gamma[:, :p_z].swapaxes(-1, -2)
-    se, f_stat = np.empty_like(coef), np.empty(coef.shape[:-1])
-    for j in range(p_w):
-        resid = [wp[..., j] - fp[..., j] for wp, fp in zip(w, fitted)]
-        cov_zz = s.cluster_cov(p, resid, bread)[:, :p_z, :p_z]
-        se[:, j] = np.sqrt(np.clip(np.diagonal(cov_zz, axis1=-2, axis2=-1), 0.0, None))
-        cov_zz[s.failed] = np.eye(p_z)  # a failed item's cov_zz can be singular
-        eig = np.linalg.eigvalsh(cov_zz)  # ascending
-        undefined = ~(eig[:, 0] * CONDITION_LIMIT > eig[:, -1])  # cond >= 1e12, eig <= 0, NaN
-        cov_zz[undefined] = np.eye(p_z)
-        wald = np.linalg.solve(cov_zz, coef[:, j, :, None])
-        f_stat[:, j] = np.where(undefined, math.nan, (coef[:, j, None, :] @ wald)[:, 0, 0] / p_z)
+    se = np.sqrt(np.clip(np.diagonal(cov_zz, axis1=-2, axis2=-1), 0.0, None))
+    cov_zz[s.failed] = np.eye(p_z)  # a failed item's cov_zz can be singular
+    eig = np.linalg.eigvalsh(cov_zz)  # ascending
+    undefined = ~(eig[..., 0] * CONDITION_LIMIT > eig[..., -1])  # cond >= 1e12, eig <= 0, NaN
+    cov_zz[undefined] = np.eye(p_z)
+    wald = np.linalg.solve(cov_zz, coef[..., None])
+    f_stat = np.where(undefined, math.nan, (coef[..., None, :] @ wald)[..., 0, 0] / p_z)
     return fact, solved, fitted, coef, se, f_stat
 
 

@@ -16,6 +16,8 @@ from .datamodel import EDGE_SCHEMA, SESSION_SCHEMA
 from .errors import InvalidSpec, ParseError
 
 INSTRUMENT_EXPRESSIONS = ("none", "arm", "arm*reason")
+# what parse_spec requires of each JSON field's type, by its Python type
+_JSON_KINDS = {list: "an array of strings", bool: "true or false", str: "a string"}
 
 # the columns a spec can regress: each schema's numbers
 EDGE_COLUMNS, SESSION_COLUMNS = (
@@ -59,9 +61,7 @@ class ModelSpec:
         allowed = EDGE_COLUMNS if self.level == "edge" else SESSION_COLUMNS
         for col in (self.outcome, *self.endogenous, *self.controls):
             if col not in allowed:
-                raise InvalidSpec(
-                    f"column {col!r} is not a {self.level}-level column"
-                )
+                raise InvalidSpec(f"column {col!r} is not among the {self.level}-level columns")
         named = list(self.endogenous) + list(self.controls)
         if len(set(named)) != len(named):
             raise InvalidSpec("a column appears twice in the specification")
@@ -113,7 +113,8 @@ def get_spec(name: str) -> ModelSpec:
 
 
 def parse_spec(text: str) -> ModelSpec:
-    """Validate a JSON specification; unknown fields are rejected."""
+    """Validate a JSON specification; unknown fields, and fields of another
+    JSON type than the spec's own, are rejected."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -126,17 +127,11 @@ def parse_spec(text: str) -> ModelSpec:
     missing = {"name", "level", "outcome", "instruments"} - set(obj)
     if missing:
         raise InvalidSpec(f"spec fields missing: {sorted(missing)}")
-    try:
-        return ModelSpec(
-            name=str(obj["name"]),
-            level=str(obj["level"]),
-            outcome=str(obj["outcome"]),
-            endogenous=tuple(obj.get("endogenous", ())),
-            instruments=str(obj["instruments"]),
-            controls=tuple(obj.get("controls", ())),
-            cluster=str(obj.get("cluster", "user_id")),
-            method=str(obj.get("method", "2SLS" if obj["instruments"] != "none" else "OLS")),
-            preferred=bool(obj.get("preferred", False)),
-        )
-    except TypeError as exc:
-        raise InvalidSpec(f"bad spec field types: {exc}") from exc
+    for key, value in obj.items():
+        kind = {"endogenous": list, "controls": list, "preferred": bool}.get(key, str)
+        if not isinstance(value, kind) or kind is list and any(type(v) is not str for v in value):
+            raise InvalidSpec(f"spec field {key!r} must be {_JSON_KINDS[kind]}, "
+                              f"got {json.dumps(value)}")
+    defaults = {"endogenous": (), "controls": (),
+                "method": "2SLS" if obj["instruments"] != "none" else "OLS"}
+    return ModelSpec(**{**defaults, **obj})

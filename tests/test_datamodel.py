@@ -177,6 +177,34 @@ def test_round_trip_preserves_absent_columns(tmp_path):
     assert not back.has_column("session_depth")
 
 
+def test_datasets_differing_in_one_way_compare_unequal():
+    """Dataset equality, the oracle of every round-trip and sidecar test,
+    holds across NaN cells and fails on each single difference: column
+    names, length, one int cell, NaN against a number, one text level."""
+    rows = [(1, 1, 5, 1, 0, "control", "r0", 0.5), (2, 2, 6, 2, 1, "treatment", "r1"),
+            (3, 3, 6, 1, 0, "treatment", "r0", 0.25, 4.0)]
+    data = edge_columns(rows)
+    ds = Dataset(data, EDGE_SCHEMA)
+    assert np.isnan(data["relevance_score"][1]) and np.isnan(data["session_depth"][0])
+    assert ds == Dataset(edge_columns(rows), EDGE_SCHEMA)
+
+    def changed(name, i, value):
+        column = data[name].copy()
+        column[i] = value
+        return Dataset({**data, name: column}, EDGE_SCHEMA)
+
+    others = {
+        "column names": Dataset({k: v for k, v in data.items() if k != "session_depth"},
+                                EDGE_SCHEMA),
+        "length": Dataset({k: v[:-1] for k, v in data.items()}, EDGE_SCHEMA),
+        "int cell": changed("position", 2, 3),
+        "NaN against a number": changed("relevance_score", 1, 0.5),
+        "text level": changed("reason", 1, "r2"),
+    }
+    for what, other in others.items():
+        assert ds != other and other != ds, what
+
+
 def test_write_to_bad_path_raises():
     ds = table1_dataset()
     with pytest.raises(IoFailure):

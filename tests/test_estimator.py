@@ -337,12 +337,13 @@ def test_cluster_cov_one_row_clusters_match_the_bincount_path():
     the cluster sums and no bincount is made. The covariance bytes equal the
     bincount path's, single and stacked, with a -0.0 score among them: a
     stack with one matrix whose last two rows share a cluster takes the
-    bincount path for every matrix."""
+    bincount path for every matrix. On both paths, one call on two
+    equations' residuals gives each equation the bytes of its own call."""
     rng = np.random.default_rng(16)
     b, n, k = 3, 30, 3
     m = rng.normal(size=(b, n, k))
     m[..., -1] = 1.0
-    resid = rng.normal(size=(b, n))
+    resid = rng.normal(size=(b, n, 2))
     resid[:, 4] = -0.0
     m[:, 7, 0], resid[:, 7] = 0.0, -1.5  # a -0.0 score from 0.0 * -1.5
     rows = np.tile(np.arange(n), (b, 1))
@@ -350,12 +351,19 @@ def test_cluster_cov_one_row_clusters_match_the_bincount_path():
     merged[-1, -1] = n - 2
     bread = estimator._Factorization([m], k, "regressor", estimator._raise_first).bread()
     g_fast, g_slow = np.full(b, n), np.array([n] * (b - 1) + [n - 1])
-    fast = estimator._cluster_cov([(m, resid, rows, g_fast)], bread, g_fast, np.full(b, n))
-    slow = estimator._cluster_cov([(m, resid, merged, g_slow)], bread, g_slow, np.full(b, n))
+
+    def cov(u, clusters, n_groups):
+        return estimator._cluster_cov([(m, u, clusters, n_groups)], bread, n_groups, np.full(b, n))
+
+    fast, slow = cov(resid, rows, g_fast), cov(resid, merged, g_slow)
+    assert fast.shape == slow.shape == (b, 2, k, k)
     assert fast[:-1].tobytes() == slow[:-1].tobytes()
+    for j in range(2):
+        assert fast[:, j].tobytes() == cov(resid[..., j:j + 1], rows, g_fast)[:, 0].tobytes()
+        assert slow[:, j].tobytes() == cov(resid[..., j:j + 1], merged, g_slow)[:, 0].tobytes()
     for i in range(b - 1):
-        single, g = cluster_cov(m[i], resid[i], np.arange(n))
-        assert g == n and single.tobytes() == slow[i].tobytes()
+        single, g = cluster_cov(m[i], resid[i, :, 0], np.arange(n))
+        assert g == n and single.tobytes() == slow[i, 0].tobytes()
 
 
 def test_cluster_cov_too_few_clusters():

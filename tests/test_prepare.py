@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from posiv import rng
-from posiv.datamodel import EDGE_SCHEMA, Dataset
+from posiv.datamodel import EDGE_SCHEMA, SESSION_SCHEMA, Dataset
 from posiv.errors import (
     ConstantColumn,
     EstimationError,
@@ -233,6 +233,32 @@ def test_build_design_spec6_two_endogenous_on_varying_depth():
     d = build_design(sample_one_per_request(ds, 1), get_spec("spec6"))
     assert d.w_names == ("position", "session_depth")
     assert d.z.shape[1] == 5
+
+
+def test_build_design_session_arm_by_reason_mode():
+    """A session-level arm*reason design crosses the treated arm with
+    reason_mode; a session file without a reason column raises MissingColumn."""
+    rng = np.random.default_rng(8)
+    n = 90
+    data = {
+        "request_id": np.arange(1, n + 1, dtype=np.uint64),
+        "user_id": np.arange(1, n + 1, dtype=np.uint64),
+        "arm": np.where(np.arange(n) % 2, "treatment", "control"),
+        "reason_mode": np.array([f"r{i % 3}" for i in range(n)]),
+        "n_top_spot": rng.integers(0, 5, n),
+        "n_bottom_spot": rng.integers(0, 7, n),
+        "invite_total": rng.integers(0, 3, n),
+    }
+    d = build_design(Dataset(data, SESSION_SCHEMA), get_spec("specA1"))
+    assert d.w_names == ("n_top_spot", "n_bottom_spot")
+    levels = ("r0", "r1", "r2")
+    assert d.z_names == tuple(f"arm=treatment*reason={r}" for r in levels)
+    treated = data["arm"] == "treatment"
+    np.testing.assert_array_equal(
+        d.z, treated[:, None] & (data["reason_mode"][:, None] == np.array(levels)))
+    del data["reason_mode"]
+    with pytest.raises(MissingColumn, match="instrument expression needs a reason column"):
+        build_design(Dataset(data, SESSION_SCHEMA), get_spec("specA1"))
 
 
 def test_build_design_single_arm_level_is_constant_column():

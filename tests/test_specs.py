@@ -73,3 +73,38 @@ def test_parse_accepts_unicode_interaction_alias():
 def test_unknown_builtin_name():
     with pytest.raises(InvalidSpec):
         get_spec("spec99")
+
+
+SPEC = {"name": "s", "level": "edge", "outcome": "outcome", "endogenous": ["position"],
+        "instruments": "arm"}
+
+
+@pytest.mark.parametrize("obj, error, message", [
+    ([SPEC], ParseError, "spec JSON must be an object"),
+    ({"name": "s", "level": "edge"}, InvalidSpec, "spec fields missing: ['instruments', 'outcome']"),
+    ({**SPEC, "endogenous": "position"}, InvalidSpec,
+     "spec field 'endogenous' must be an array of strings, got \"position\""),
+    ({**SPEC, "controls": ["relevance_score", 1]}, InvalidSpec,
+     "spec field 'controls' must be an array of strings, got [\"relevance_score\", 1]"),
+    ({**SPEC, "preferred": "no"}, InvalidSpec,
+     "spec field 'preferred' must be true or false, got \"no\""),
+    ({**SPEC, "name": None}, InvalidSpec, "spec field 'name' must be a string, got null"),
+    ({**SPEC, "cluster": 3}, InvalidSpec, "spec field 'cluster' must be a string, got 3"),
+    ({**SPEC, "level": "user"}, InvalidSpec, "level must be edge or session, got 'user'"),
+    ({**SPEC, "method": "GMM"}, InvalidSpec, "unknown method 'GMM'"),
+    ({**SPEC, "instruments": "reason"}, InvalidSpec, "unknown instrument expression 'reason'"),
+    ({**SPEC, "instruments": "none", "method": "OLS"}, InvalidSpec,
+     "OLS specs carry their regressors as controls"),
+    ({**SPEC, "endogenous": []}, InvalidSpec, "IV specs need at least one endogenous column"),
+    ({**SPEC, "endogenous": ["invite_total"]}, InvalidSpec,
+     "column 'invite_total' is not among the edge-level columns"),
+    ({**SPEC, "controls": ["position"]}, InvalidSpec, "a column appears twice in the specification"),
+    ({**SPEC, "controls": ["outcome"]}, InvalidSpec, "outcome cannot also be a regressor"),
+])
+def test_each_invalid_spec_is_rejected_with_its_message(obj, error, message):
+    """Every rule of parse_spec and ModelSpec.validate, each on a spec that
+    breaks it alone: SPEC itself parses."""
+    assert parse_spec(json.dumps(SPEC)).endogenous == ("position",)
+    with pytest.raises(error) as caught:
+        parse_spec(json.dumps(obj))
+    assert str(caught.value) == message
