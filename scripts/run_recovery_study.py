@@ -38,9 +38,10 @@ def run(n_seeds: int, n_users: int, true_slope: float) -> None:
             design = build_design(sample_one_per_request(ds, seed), spec5)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                iv_est.append(fit_2sls(design).coefficient("position"))
+                fit = fit_2sls(design)
+                iv_est.append(fit.coefficient("position"))
                 ols_est.append(fit_ols(design).coefficient("position"))
-                min_f = min(min_f, min(fit_2sls(design).first_stage_f.values()))
+                min_f = min(min_f, min(fit.first_stage_f.values()))
         iv, ols = np.array(iv_est), np.array(ols_est)
         print(
             f"{confound:>9.2f} {iv.mean():>10.4f} "

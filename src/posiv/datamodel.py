@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from functools import partial
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,10 +67,14 @@ _HEAD_BYTES = np.array([(2**64 - 1) ^ ((1 << 64 - 8 * k) - 1) for k in range(9)]
 class Dataset:
     """Immutable column table plus schema metadata and a lineage tag.
 
-    A text ("str") column is held as small unsigned-int codes into a <U
-    levels array sorted by code point, so code order is string order. A
-    column named in `levels` is given as codes into those levels (unused
-    levels allowed), any other as its cells, each read as its str().
+    A text ("str") column is held as a load builds it: codes of the
+    smallest unsigned type into a <U array of the levels they show, each
+    once, sorted by code point. So code order is string order, and code 0
+    is build_design's baseline arm. A column named in `levels` is given as
+    integer codes in [0, len(levels)) (else a ValueError) into levels that
+    may be unsorted, repeated or unused; levels already in load form are
+    kept as given, width included. Any other is given as its cells, each
+    read as its str(). A subset keeps only the levels its rows show.
 
     Equality compares schema and cell values (NaN equals NaN); provenance and
     the drop/duplicate counters are lineage metadata and excluded. Arrays are
@@ -96,13 +100,24 @@ class Dataset:
             arr = np.asarray(data[name])
             if name in texts:
                 if levels is not None and name in levels:
-                    self._levels[name] = np.asarray(levels[name])
+                    lv = np.asarray(levels[name])
+                    if arr.dtype.kind not in "iu" or arr.size and not (
+                            0 <= arr.min() <= arr.max() < len(lv)):
+                        raise ValueError(f"{name} codes must be integers in [0, {len(lv)})")
+                    shown = np.zeros(len(lv), dtype=bool)
+                    shown[arr] = True
+                    if not (shown.all() and (lv[1:] > lv[:-1]).all()):
+                        lv, inverse = np.unique(lv[shown], return_inverse=True)
+                        recode = np.zeros(len(shown), dtype=np.min_scalar_type(len(lv)))
+                        recode[shown] = inverse
+                        arr, lv = recode[arr], np.array(lv.tolist(), dtype=str)
                 else:  # cells, each read as its str()
                     if arr.dtype.kind != "U":
                         arr = np.array([str(v) for v in arr.tolist()], dtype=str)
-                    self._levels[name], arr = np.unique(arr, return_inverse=True)
-                    arr = arr.astype(np.min_scalar_type(len(self._levels[name])))
-                self._levels[name].flags.writeable = False
+                    lv, arr = np.unique(arr, return_inverse=True)
+                arr = arr.astype(np.min_scalar_type(len(lv)), copy=False)
+                self._levels[name] = lv
+                lv.flags.writeable = False
             arr.flags.writeable = False
             self._data[name] = arr
         self.schema = tuple(schema)
@@ -752,7 +767,7 @@ def _parse(path: str, schema_map: Mapping[str, str], digest) -> Dataset:
                 f"required field {name!r} (column {colmap[name]!r}) absent from {path!r}"
             )
 
-    values: dict[str, np.ndarray | partial] = {}
+    values: dict[str, np.ndarray | Callable] = {}
     missing: dict[str, np.ndarray] = {}
     failed = np.zeros(len(table[colmap["request_id"]].start), dtype=bool)
     for name, kind, _ in schema:
@@ -775,7 +790,7 @@ def _parse(path: str, schema_map: Mapping[str, str], digest) -> Dataset:
 def _assemble(
     path: str,
     schema: Sequence[tuple[str, str, bool]],
-    values: dict[str, np.ndarray | partial],
+    values: dict[str, np.ndarray | Callable],
     missing: dict[str, np.ndarray],
     failed: np.ndarray,
 ) -> Dataset:
@@ -915,16 +930,11 @@ def _cells(kind: str, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return chars, shown
 
 
-def _level_cells(
-    name: str, codes: np.ndarray, levels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _level_cells(name: str, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each level's CSV cell as _cells gives a column's, one row a level:
-    its text quoted by _quote, or no bytes for a level that no code shows.
-    A shown level that UTF-8 cannot encode, a lone surrogate as a JSON
-    escape can give, is an InputError."""
-    shown = np.zeros(len(levels), dtype=bool)
-    shown[codes] = True
-    texts = [v if s else "" for v, s in zip(levels.tolist(), shown.tolist())]
+    its text quoted by _quote. A level that UTF-8 cannot encode, a lone
+    surrogate as a JSON escape can give, is an InputError."""
+    texts = levels.tolist()
     empty = np.zeros((len(levels), 0), dtype=np.uint8)
     try:
         return _patch(empty, empty.astype(bool), np.arange(len(levels)), list(map(_quote, texts)))
@@ -970,7 +980,7 @@ def write_dataset(ds: Dataset, path: str) -> None:
     the file: it shares the columns a load would not change, but holds the
     duplicate count's row hashes, about 28 bytes a row, and a copy of each
     column a load would change (rows dropped, NaN filled, codes). A text
-    level that rows show and UTF-8 cannot encode is an InputError, raised
+    level that UTF-8 cannot encode is an InputError, raised
     before any file is written, and so is an infinite value in an id or int
     column held as floats.
     """
@@ -980,7 +990,7 @@ def write_dataset(ds: Dataset, path: str) -> None:
         column = ds.coded(name)[0]
         if kinds[name] != "float" and column.dtype.kind == "f" and np.isinf(column).any():
             raise InputError(f"{name} value {column[np.isinf(column)][0]} is not an integer")
-    texts = {n: _level_cells(n, *ds.coded(n)) for n in names if kinds[n] == "str"}
+    texts = {n: _level_cells(n, ds.coded(n)[1]) for n in names if kinds[n] == "str"}
     digest = _sidecar_digest({})
 
     def cells(name: str, rows: slice) -> tuple[np.ndarray, np.ndarray]:
@@ -1020,7 +1030,7 @@ def _loaded(ds: Dataset, path: str) -> Dataset | None:
     if (path.endswith((".jsonl", ".ndjson")) or ds.schema != schema
             or not all(ds.has_column(name) for name, _, req in schema if req)):
         return None
-    values: dict[str, np.ndarray | partial] = {}
+    values: dict[str, np.ndarray | Callable] = {}
     missing: dict[str, np.ndarray] = {}
     failed = np.zeros(ds.n_rows, dtype=bool)
     for name, kind, _ in schema:
@@ -1030,7 +1040,8 @@ def _loaded(ds: Dataset, path: str) -> Dataset | None:
         if levels is not None:
             if levels.dtype.kind != "U" or levels.dtype.itemsize // 4 > csv.field_size_limit():
                 return None
-            values[name] = partial(_recoded, column, levels)
+            levels = np.array(levels.tolist(), dtype=str)  # as wide as a load makes it
+            values[name] = lambda keep, codes=column, levels=levels: (codes[keep], levels)
             missing[name] = (levels == "")[column]
             continue
         if kind == "float":
@@ -1073,20 +1084,3 @@ def _read_back(
     if len(column) and (column.min() < 0 if kind == "id" else column.max() > 2**63 - 1):
         return None
     return column.astype(dtype, copy=False), missing
-
-
-def _recoded(
-    codes: np.ndarray, levels: np.ndarray, keep: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Codes and levels of the kept rows of a text column, as _text_column
-    gives them for its written cells: only the levels the kept rows show,
-    equal texts as one, in code point order, as a <U array as wide as the
-    longest of them."""
-    codes = codes[keep]
-    shown = np.zeros(len(levels), dtype=bool)
-    shown[codes] = True
-    texts, inverse = np.unique(levels[shown], return_inverse=True)
-    recode = np.zeros(len(levels), dtype=np.intp)
-    recode[shown] = inverse
-    levels = np.array(texts.tolist())
-    return recode.astype(np.min_scalar_type(len(levels)))[codes], levels

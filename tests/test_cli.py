@@ -83,12 +83,19 @@ def test_simulate_unknown_key_exits_2(tmp_path):
 @pytest.mark.parametrize("config, message", [
     ({"sim": {"n_users": 10}, "n_items": 3}, """config keys beside "sim": ['n_items']"""),
     ({"sim": "abc"}, """config "sim" must be an object, got 'abc'"""),
-], ids=["key-beside-sim", "sim-not-an-object"])
+    ([ADS_CONFIG], "config JSON must be an object"),
+], ids=["key-beside-sim", "sim-not-an-object", "config-an-array"])
 def test_simulate_bad_sim_object_exits_2(tmp_path, capsys, config, message):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config), encoding="utf-8")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_config_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    assert main(["simulate", "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {str(tmp_path)!r}: ")
     assert not (tmp_path / "out").exists()
 
 
@@ -599,6 +606,12 @@ def test_every_item_failing_exits_1_and_input_errors_exit_2(tmp_path, capsys):
     assert main(["diagnose", str(data), "--out", str(out)]) == 1
     assert "every item failed" in capsys.readouterr().err
     assert [r["status"] for r in _csv_rows(out / "first_stage.csv")] == ["ConstantColumn"] * 3
+    report = tmp_path / "report"
+    assert main(["report", str(data), "--specs", "spec1", "--out", str(report)]) == 1
+    assert ("every item failed; failed items: 3 of 3, ConstantColumn=3"
+            in capsys.readouterr().err)
+    assert [r["status"] for r in _csv_rows(report / "effects.csv")] == ["ConstantColumn"] * 3
+    assert sorted(p.name for p in report.iterdir()) == ["effects.csv"]  # no SVG
     # spec2 needs relevance_score, which this file lacks: the whole run is an input error
     assert main(["report", str(data), "--specs", "spec1,spec2", "--out", str(tmp_path)]) == 2
 

@@ -205,6 +205,18 @@ def test_datasets_differing_in_one_way_compare_unequal():
         assert ds != other and other != ds, what
 
 
+@pytest.mark.parametrize("codes", [[0, -1, 1], [0, 5, 1], [0.0, 1.0, 1.0]],
+                         ids=["negative", "past-the-levels", "floats"])
+def test_text_codes_outside_their_levels_raise(codes):
+    """A text code must be an integer in [0, len(levels)): code -1 would
+    read as the last level, and code 5 would fail later, in column() or
+    write_dataset, with an IndexError."""
+    data = edge_columns([(1, 1, 5, 1, 0), (2, 2, 6, 2, 1), (3, 3, 6, 1, 0)])
+    with pytest.raises(ValueError, match=r"^arm codes must be integers in \[0, 2\)$"):
+        Dataset({**data, "arm": np.array(codes)}, EDGE_SCHEMA,
+                levels={"arm": np.array(["control", "treatment"])})
+
+
 def test_write_to_bad_path_raises():
     ds = table1_dataset()
     with pytest.raises(IoFailure):
@@ -1484,6 +1496,9 @@ ODD_DATASETS = {
     "levels wider than the ones in use": (lambda: _odd(
         reason=np.array([2, 0, 2, 0], np.uint16),
         levels={"reason": np.array(["a", "a much wider level", "b"])}), True),
+    "levels wider than their text": (lambda: _odd(
+        reason=np.array([0, 1, 0, 1], np.uint8),
+        levels={"reason": np.array(["a", "b"], dtype="<U4")}), True),
     "levels out of order and repeated": (lambda: _odd(
         reason=np.array([0, 1, 2, 3], np.int64),
         levels={"reason": np.array(["b", "a", "b", "\u20ac,\"q\"\r\n"])}), True),
@@ -1571,7 +1586,7 @@ def test_a_failed_write_leaves_no_sidecar_and_no_temporary_file(tmp_path, monkey
         with pytest.raises(InputError, match=f"session_depth value {depth} is not an integer"):
             write_dataset(infinite, str(tmp_path / "inf.csv"))
         assert list(tmp_path.iterdir()) == []
-    # a level that no row shows is not written, so it cannot fail
+    # a subset drops the level its rows no longer show, so the write cannot fail
     unused = lone.subset(np.array([0, 2, 3]))
     write_dataset(unused, str(tmp_path / "unused.csv"))
     assert load_dataset(str(tmp_path / "unused.csv")) == unused

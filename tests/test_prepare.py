@@ -14,6 +14,7 @@ from posiv.errors import (
     Underidentified,
     UnknownItem,
 )
+from posiv.estimator import fit_2sls
 from posiv.prepare import (
     _mode_per_group,
     _winner_per_request,
@@ -377,6 +378,72 @@ def test_build_design_ignores_levels_its_rows_do_not_show():
         (ConstantColumn, "arm has a single level 'treatment'; the instrument is unusable"),
         (ConstantColumn, "instrument column 'arm=treatment*reason=r2' has zero variance"),
     }
+
+
+def _coded_twins(column, levels):
+    """A 400-row edge Dataset with `column` given as codes into `levels`,
+    and its twin given the same cells, which a Dataset codes itself. Each
+    of 200 requests is its own user with two rows in one of 4 items, whose
+    reasons are r1 then r0; "" arms and reasons appear where `levels` of
+    that column hold "". A level held twice is used under both codes."""
+    rng = np.random.default_rng(5)
+    request = np.repeat(np.arange(1, 201, dtype=np.uint64), 2)
+    empty = ("" in levels) & (request % 20 == 0)
+    cells = {
+        "arm": np.where(empty & (column == "arm"), "",
+                        np.where(request % 2 == 1, "treatment", "control")),
+        "reason": np.where(empty & (column == "reason") & (np.arange(400) % 2 == 0), "",
+                           np.tile(["r1", "r0"], 200)),
+    }
+    treated = cells["arm"] == "treatment"
+    position = 1 + rng.integers(0, 3, 400) + 2 * treated + (cells["reason"] == "r1")
+    data = {"request_id": request, "user_id": request, "item_id": 1 + (request - 1) // 50,
+            "position": position, "outcome": (rng.random(400) < 0.8 - 0.08 * position) * 1,
+            **cells}
+    at = {text: [i for i, v in enumerate(levels) if v == text] for text in set(levels)}
+    codes = np.array([at[text][r // 2 % len(at[text])]
+                      for text, r in zip(cells[column].tolist(), request.tolist())])
+    coded = Dataset({**data, column: codes}, EDGE_SCHEMA, levels={column: np.array(levels)})
+    return coded, Dataset(data, EDGE_SCHEMA)
+
+
+@pytest.mark.parametrize("column, levels", [
+    ("arm", ["treatment", "control"]),
+    ("arm", ["control", "treatment", "treatment"]),
+    ("arm", ["a", "control", "treatment", "zz"]),
+    ("arm", ["control", "treatment", ""]),
+    ("reason", ["r1", "r0"]),
+    ("reason", ["r0", "r1", "r0"]),
+    ("reason", ["a", "r0", "r1", "zz"]),
+    ("reason", ["r0", "r1", ""]),
+], ids=["arm-unsorted", "arm-repeated", "arm-unused", "arm-empty-last", "reason-unsorted",
+        "reason-repeated", "reason-unused", "reason-empty-last"])
+def test_caller_levels_design_as_their_load_form_twin(column, levels):
+    """Levels given unsorted, repeated, unused or with "" not first code
+    as a load codes them: the baseline arm is the first in string order,
+    "" rows drop, and a reason_mode tie goes to the smallest reason."""
+    ds, twin = _coded_twins(column, levels)
+    assert ds == twin
+    for a, b in zip(ds.coded(column), twin.coded(column)):  # codes, then levels
+        assert (a.dtype, a.tolist()) == (b.dtype, b.tolist())
+    for spec in (get_spec("spec1"), get_spec("spec4")):
+        for by_item in (False, True):
+            a, b = (build_design(d, spec, by_item=by_item) for d in (ds, twin))
+            assert a.z_names[0].startswith("arm=treatment")
+            assert (a.z_names, a.z.tobytes(), a.n_dropped) == (
+                b.z_names, b.z.tobytes(), b.n_dropped)
+            fit, twin_fit = fit_2sls(a), fit_2sls(b)
+            if by_item:
+                pairs = zip(fit.fits, twin_fit.fits)
+            else:
+                pairs = [(fit.coef, twin_fit.coef), (fit.cov, twin_fit.cov), (fit.se, twin_fit.se)]
+                assert fit.first_stage_f == twin_fit.first_stage_f
+            for x, y in pairs:
+                assert x.tobytes() == y.tobytes()
+    sessions = aggregate_sessions(ds)
+    assert sessions == aggregate_sessions(twin)
+    modes = set(sessions.column("reason_mode").tolist())
+    assert modes == ({"", "r0"} if column == "reason" and "" in levels else {"r0"})
 
 
 def two_unique_codes(clusters, item):

@@ -120,7 +120,10 @@ def test_against_mpmath():
     # below |t| = 5 the fraction, not the front factor's exponent, sets the error
     _assert_close(got[t > -5.0], want[t > -5.0], 1e-13)
 
-    p = rng.integers(1, 9, nu.size).astype(float)
+    # p and nu of 20 or more take _log_beta's branch for both halves >= 10,
+    # as a first stage with 22 instruments and as many clusters does
+    p = rng.integers(1, 41, nu.size).astype(float)
+    assert ((p >= 20) & (nu >= 20)).sum() > 100
     f = rng.exponential(4.0, nu.size)
     want = np.array([float(mpmath.betainc(mpmath.mpf(d) / 2, mpmath.mpf(k) / 2, 0,
                                           mpmath.mpf(d) / (d + k * mpmath.mpf(v)),
